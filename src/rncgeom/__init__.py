@@ -13,8 +13,6 @@ is no floating-point mode.  The subpackages split as:
 - cli:        the ``rncgeom`` command-line front end
 """
 
-from fractions import Fraction
-
 from .catalog import (
     ClassParams,
     ConeStandard,
@@ -58,13 +56,9 @@ from .osculation import (
     regularity_order,
 )
 from .poly import (
-    MultiIndex,
     Polynomial,
-    Rational,
     RationalCurve,
     curve_normalize,
-    poly_eval,
-    poly_partial_derivative,
 )
 from .rnc import (
     CurveCertificate,
@@ -83,5 +77,4 @@ from .gstructure import (
     is_type_subspace,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -1,21 +1,21 @@
 """Closed-form dimension formulas and constructors for every variety family.
 
-Families are identified by small frozen spec objects that can be round
-tripped through the JSON document format ``{"family": ..., "params":
-{...}}`` shared by the CLI and the verification reports.
+Each family is one small frozen spec class, listed in ``FAMILIES``; its
+fields round trip through the JSON document format ``{"family": ...,
+"params": {...}}`` shared by the CLI and the verification reports.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
 from .errors import SpecError
 from .linalg import QMatrix
 from .osculation import Parametrization
-from .poly import Polynomial, grlex_key
+from .poly import Polynomial, grlex_key, power_product
 
 
 def binom(a: int, b: int) -> int:
@@ -298,106 +298,15 @@ class QuadraticForm:
 
 
 # ---------------------------------------------------------------------------
-# variety specs
+# variety specs: one record per family
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Veronese:
-    dim: int
-    order: int
-    family = "Veronese"
-
-    def __post_init__(self):
-        if self.dim < 1 or self.order < 1:
-            raise SpecError("Veronese needs dim >= 1 and order >= 1")
-
-
-@dataclass(frozen=True)
-class Scroll:
-    a: ScrollSpec
-    family = "Scroll"
-
-
-@dataclass(frozen=True)
-class StandardScroll:
-    a: ScrollSpec
-    rho: int
-    chi: int
-    family = "StandardScroll"
-
-
-@dataclass(frozen=True)
-class ConeStandard:
-    r: int
-    q: int
-    family = "ConeStandard"
-
-
-@dataclass(frozen=True)
-class QuadricVeronese:
-    r: int
-    rho: int
-    rank: int
-    family = "QuadricVeronese"
-
-    def __post_init__(self):
-        # the classification wants rank >= 5; full rank in P^{r+2} is r+3
-        if not 5 <= self.rank <= self.r + 3:
-            raise SpecError(f"quadric rank {self.rank} outside [5, r+3]")
-        if self.rho < 1:
-            raise SpecError("rho must be >= 1")
-
-
-@dataclass(frozen=True)
-class SegreSpecial:
-    r: int
-    mu: int
-    family = "SegreSpecial"
-
-    def __post_init__(self):
-        # q(s) below has rank mu - 2, which must be >= 1
-        if self.mu < 3 or self.mu > self.r + 2:
-            raise SpecError(f"quadric rank {self.mu} outside [3, r+2]")
-
-
-@dataclass(frozen=True)
-class CubicSpecial:
-    r: int
-    mu_prime: int
-    family = "CubicSpecial"
-
-    def __post_init__(self):
-        if self.r < 2:
-            raise SpecError("CubicSpecial needs r >= 2")
-        if not 1 <= self.mu_prime <= self.r:
-            raise SpecError(f"quadric rank {self.mu_prime} outside [1, r]")
-
-
-@dataclass(frozen=True)
-class Veronese33:
-    family = "Veronese33"
-
-
-def declared_class(spec) -> ClassParams:
-    """The class (r, n, q) a catalog spec claims membership of."""
-    if isinstance(spec, Veronese):
-        return ClassParams(spec.dim - 1, 2, spec.order)
-    if isinstance(spec, Scroll):
-        return ClassParams(spec.a.r, spec.a.n, spec.a.n - 1)
-    if isinstance(spec, StandardScroll):
-        return ClassParams(spec.a.r, spec.a.n, spec.rho * (spec.a.n - 1) + spec.chi)
-    if isinstance(spec, ConeStandard):
-        return ClassParams(spec.r, 5, spec.q)
-    if isinstance(spec, QuadricVeronese):
-        return ClassParams(spec.r, 3, 2 * spec.rho)
-    if isinstance(spec, SegreSpecial):
-        return ClassParams(spec.r, 3, 3)
-    if isinstance(spec, CubicSpecial):
-        return ClassParams(spec.r, 4, 5)
-    if isinstance(spec, Veronese33):
-        return ClassParams(2, 6, 9)
-    raise SpecError(f"unknown spec {spec!r}")
+#
+# A spec class holds all the catalog knows of its family: the parameters
+# (its dataclass fields, which are also the "params" of its JSON document),
+# the class (r, n, q) it claims membership of (``declared``), its affine
+# chart (``chart``) and, for the quadric families, its quadratic form
+# (``form``).  The fitter of a family is its row in ``rnc``, its
+# specialness witness (if any) its row in ``verify``.
 
 
 def veronese_exponents(dim: int, order: int) -> list:
@@ -406,19 +315,6 @@ def veronese_exponents(dim: int, order: int) -> list:
     for total in range(1, order + 1):
         out.extend(sorted(_compositions(total, dim)))
     return sorted(out, key=grlex_key)
-
-
-def segre_quadratic_form(spec: SegreSpecial) -> QuadraticForm:
-    return QuadraticForm(spec.mu - 2, spec.r)
-
-
-def cubic_quadratic_form(spec: CubicSpecial) -> QuadraticForm:
-    return QuadraticForm(spec.mu_prime, spec.r)
-
-
-def quadric_hyperplane_form(spec: QuadricVeronese) -> QuadraticForm:
-    """The form h with ambient quadric U_0 U_1 + h(U_2..U_{r+2})."""
-    return QuadraticForm(spec.rank - 2, spec.r + 1)
 
 
 def quadric_veronese_blocks(r: int, rho: int):
@@ -436,72 +332,156 @@ def quadric_veronese_blocks(r: int, rho: int):
     return block_a, block_b
 
 
-def _monomial_components(index_set: IndexSet) -> list:
-    return [
-        Polynomial.monomial(index_set.nvars, idx) for idx in index_set.sorted_indices()
-    ]
+def _monomial_chart(nvars: int, exponents) -> Parametrization:
+    comps = [Polynomial.monomial(nvars, e) for e in exponents]
+    return Parametrization.from_affine(nvars, comps)
 
 
-def make_variety(spec) -> Parametrization:
-    """Explicit parametrization of a catalog spec, as an affine chart."""
-    if isinstance(spec, Veronese):
-        d = spec.dim
-        comps = [
-            Polynomial.monomial(d, e) for e in veronese_exponents(d, spec.order)
-        ]
-        return Parametrization.from_affine(d, comps)
+@dataclass(frozen=True)
+class Veronese:
+    dim: int
+    order: int
+    family = "Veronese"
 
-    if isinstance(spec, Veronese33):
-        return make_variety(Veronese(3, 3))
+    def __post_init__(self):
+        if self.dim < 1 or self.order < 1:
+            raise SpecError("Veronese needs dim >= 1 and order >= 1")
 
-    if isinstance(spec, Scroll):
-        return make_variety(StandardScroll(spec.a, 1, 0))
+    def declared(self) -> ClassParams:
+        return ClassParams(self.dim - 1, 2, self.order)
 
-    if isinstance(spec, StandardScroll):
-        index_set = build_A(spec.a, spec.rho, spec.chi)
-        return Parametrization.from_affine(
-            index_set.nvars, _monomial_components(index_set)
-        )
+    def chart(self) -> Parametrization:
+        return _monomial_chart(self.dim, veronese_exponents(self.dim, self.order))
 
-    if isinstance(spec, ConeStandard):
-        index_set = build_A_cone(spec.r, spec.q)
-        return Parametrization.from_affine(
-            index_set.nvars, _monomial_components(index_set)
-        )
 
-    if isinstance(spec, QuadricVeronese):
-        r, rho = spec.r, spec.rho
-        h = quadric_hyperplane_form(spec)
-        nv = r + 1
+@dataclass(frozen=True)
+class StandardScroll:
+    """The monomial model of A(rho, chi) over the scroll ``a``."""
+
+    a: ScrollSpec
+    rho: int
+    chi: int
+    family = "StandardScroll"
+
+    def declared(self) -> ClassParams:
+        return ClassParams(self.a.r, self.a.n, self.rho * (self.a.n - 1) + self.chi)
+
+    def chart(self) -> Parametrization:
+        index_set = build_A(self.a, self.rho, self.chi)
+        return _monomial_chart(index_set.nvars, index_set.sorted_indices())
+
+
+@dataclass(frozen=True)
+class Scroll:
+    """The scroll itself, which is its standard model A(1, 0)."""
+
+    a: ScrollSpec
+    family = "Scroll"
+
+    def standard(self) -> StandardScroll:
+        return StandardScroll(self.a, 1, 0)
+
+    def declared(self) -> ClassParams:
+        return self.standard().declared()
+
+    def chart(self) -> Parametrization:
+        return self.standard().chart()
+
+
+@dataclass(frozen=True)
+class ConeStandard:
+    r: int
+    q: int
+    family = "ConeStandard"
+
+    def declared(self) -> ClassParams:
+        return ClassParams(self.r, 5, self.q)
+
+    def chart(self) -> Parametrization:
+        index_set = build_A_cone(self.r, self.q)
+        return _monomial_chart(index_set.nvars, index_set.sorted_indices())
+
+
+@dataclass(frozen=True)
+class QuadricVeronese:
+    r: int
+    rho: int
+    rank: int
+    family = "QuadricVeronese"
+
+    def __post_init__(self):
+        # the classification wants rank >= 5; full rank in P^{r+2} is r+3
+        if not 5 <= self.rank <= self.r + 3:
+            raise SpecError(f"quadric rank {self.rank} outside [5, r+3]")
+        if self.rho < 1:
+            raise SpecError("rho must be >= 1")
+
+    def declared(self) -> ClassParams:
+        return ClassParams(self.r, 3, 2 * self.rho)
+
+    def form(self) -> QuadraticForm:
+        """The form h with ambient quadric U_0 U_1 + h(U_2..U_{r+2})."""
+        return QuadraticForm(self.rank - 2, self.r + 1)
+
+    def chart(self) -> Parametrization:
+        nv = self.r + 1
         # graph chart of the quadric: U_1 = -h(s), U_{1+j} = s_j
-        u = [-h.poly()] + [Polynomial.variable(nv, j) for j in range(nv)]
-        block_a, block_b = quadric_veronese_blocks(r, rho)
-        comps = []
-        for beta in block_a:
-            term = Polynomial.one(nv)
-            for f, e in zip(u, beta):
-                if e:
-                    term = term * f**e
-            comps.append(term)
-        for gamma in block_b:
-            comps.append(Polynomial.monomial(nv, gamma))
+        u = [-self.form().poly()] + [Polynomial.variable(nv, j) for j in range(nv)]
+        block_a, block_b = quadric_veronese_blocks(self.r, self.rho)
+        comps = [power_product(u, beta) for beta in block_a]
+        comps += [Polynomial.monomial(nv, gamma) for gamma in block_b]
         return Parametrization.from_affine(nv, comps)
 
-    if isinstance(spec, SegreSpecial):
-        r = spec.r
-        nv = r + 1  # variables (t, s_1..s_r)
+
+@dataclass(frozen=True)
+class SegreSpecial:
+    r: int
+    mu: int
+    family = "SegreSpecial"
+
+    def __post_init__(self):
+        # the form below has rank mu - 2, which must be >= 1
+        if self.mu < 3 or self.mu > self.r + 2:
+            raise SpecError(f"quadric rank {self.mu} outside [3, r+2]")
+
+    def declared(self) -> ClassParams:
+        return ClassParams(self.r, 3, 3)
+
+    def form(self) -> QuadraticForm:
+        return QuadraticForm(self.mu - 2, self.r)
+
+    def chart(self) -> Parametrization:
+        nv = self.r + 1  # variables (t, s_1..s_r)
         t = Polynomial.variable(nv, 0)
-        s = [Polynomial.variable(nv, 1 + j) for j in range(r)]
-        qpoly = segre_quadratic_form(spec).poly().compose(s)
+        s = [Polynomial.variable(nv, 1 + j) for j in range(self.r)]
+        qpoly = self.form().poly().compose(s)
         comps = [t] + s + [t * sj for sj in s] + [qpoly, t * qpoly]
         return Parametrization.from_affine(nv, comps)
 
-    if isinstance(spec, CubicSpecial):
-        r = spec.r
-        nv = r + 1
+
+@dataclass(frozen=True)
+class CubicSpecial:
+    r: int
+    mu_prime: int
+    family = "CubicSpecial"
+
+    def __post_init__(self):
+        if self.r < 2:
+            raise SpecError("CubicSpecial needs r >= 2")
+        if not 1 <= self.mu_prime <= self.r:
+            raise SpecError(f"quadric rank {self.mu_prime} outside [1, r]")
+
+    def declared(self) -> ClassParams:
+        return ClassParams(self.r, 4, 5)
+
+    def form(self) -> QuadraticForm:
+        return QuadraticForm(self.mu_prime, self.r)
+
+    def chart(self) -> Parametrization:
+        nv = self.r + 1
         t = Polynomial.variable(nv, 0)
-        s = [Polynomial.variable(nv, 1 + j) for j in range(r)]
-        qpoly = cubic_quadratic_form(spec).poly().compose(s)
+        s = [Polynomial.variable(nv, 1 + j) for j in range(self.r)]
+        qpoly = self.form().poly().compose(s)
         comps = (
             [t, t**2, t**3]
             + s
@@ -511,33 +491,67 @@ def make_variety(spec) -> Parametrization:
         )
         return Parametrization.from_affine(nv, comps)
 
-    raise SpecError(f"unknown spec {spec!r}")
+
+@dataclass(frozen=True)
+class Veronese33:
+    """The Veronese threefold v_3(P^3), a non-standard member of X_{3,6}(9)."""
+
+    family = "Veronese33"
+
+    def declared(self) -> ClassParams:
+        return ClassParams(2, 6, 9)
+
+    def chart(self) -> Parametrization:
+        return Veronese(3, 3).chart()
+
+
+FAMILIES = {
+    cls.family: cls
+    for cls in (
+        Veronese,
+        Scroll,
+        StandardScroll,
+        ConeStandard,
+        QuadricVeronese,
+        SegreSpecial,
+        CubicSpecial,
+        Veronese33,
+    )
+}
+
+
+def _known(spec):
+    if FAMILIES.get(getattr(spec, "family", None)) is not type(spec):
+        raise SpecError(f"unknown spec {spec!r}")
+    return spec
+
+
+def declared_class(spec) -> ClassParams:
+    """The class (r, n, q) a catalog spec claims membership of."""
+    return _known(spec).declared()
+
+
+def make_variety(spec) -> Parametrization:
+    """Explicit parametrization of a catalog spec, as an affine chart."""
+    return _known(spec).chart()
 
 
 # ---------------------------------------------------------------------------
 # JSON document format
 # ---------------------------------------------------------------------------
 
+# field annotation of a spec record -> (decode from JSON, encode to JSON);
+# the keys are annotation strings, as postponed evaluation leaves them
+_CODECS = {
+    "int": (int, int),
+    "ScrollSpec": (lambda value: ScrollSpec(tuple(value)), lambda a: list(a.degrees)),
+}
+
 
 def spec_to_json(spec) -> dict:
-    if isinstance(spec, Veronese):
-        params = {"dim": spec.dim, "order": spec.order}
-    elif isinstance(spec, Scroll):
-        params = {"a": list(spec.a.degrees)}
-    elif isinstance(spec, StandardScroll):
-        params = {"a": list(spec.a.degrees), "rho": spec.rho, "chi": spec.chi}
-    elif isinstance(spec, ConeStandard):
-        params = {"r": spec.r, "q": spec.q}
-    elif isinstance(spec, QuadricVeronese):
-        params = {"r": spec.r, "rho": spec.rho, "rank": spec.rank}
-    elif isinstance(spec, SegreSpecial):
-        params = {"r": spec.r, "mu": spec.mu}
-    elif isinstance(spec, CubicSpecial):
-        params = {"r": spec.r, "mu_prime": spec.mu_prime}
-    elif isinstance(spec, Veronese33):
-        params = {}
-    else:
-        raise SpecError(f"unknown spec {spec!r}")
+    params = {
+        f.name: _CODECS[f.type][1](getattr(spec, f.name)) for f in fields(_known(spec))
+    }
     return {"family": spec.family, "params": params}
 
 
@@ -548,37 +562,13 @@ def spec_from_json(doc) -> object:
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise SpecError("params must be an object")
-
-    def need(*names):
-        missing = [k for k in names if k not in params]
-        if missing:
-            raise SpecError(f"{family} spec missing params {missing}")
-        return [params[k] for k in names]
-
+    cls = FAMILIES.get(family) if isinstance(family, str) else None
+    if cls is None:
+        raise SpecError(f"unknown family {family!r}")
+    missing = [f.name for f in fields(cls) if f.name not in params]
+    if missing:
+        raise SpecError(f"{family} spec missing params {missing}")
     try:
-        if family == "Veronese":
-            dim, order = need("dim", "order")
-            return Veronese(int(dim), int(order))
-        if family == "Scroll":
-            (a,) = need("a")
-            return Scroll(ScrollSpec(tuple(a)))
-        if family == "StandardScroll":
-            a, rho, chi = need("a", "rho", "chi")
-            return StandardScroll(ScrollSpec(tuple(a)), int(rho), int(chi))
-        if family == "ConeStandard":
-            r, q = need("r", "q")
-            return ConeStandard(int(r), int(q))
-        if family == "QuadricVeronese":
-            r, rho, rank_ = need("r", "rho", "rank")
-            return QuadricVeronese(int(r), int(rho), int(rank_))
-        if family == "SegreSpecial":
-            r, mu = need("r", "mu")
-            return SegreSpecial(int(r), int(mu))
-        if family == "CubicSpecial":
-            r, mu_prime = need("r", "mu_prime")
-            return CubicSpecial(int(r), int(mu_prime))
-        if family == "Veronese33":
-            return Veronese33()
+        return cls(**{f.name: _CODECS[f.type][0](params[f.name]) for f in fields(cls)})
     except (TypeError, ValueError) as exc:
         raise SpecError(f"bad parameter value: {exc}") from exc
-    raise SpecError(f"unknown family {family!r}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog, rnc, verify
@@ -28,19 +27,12 @@ from .catalog import (
 from .errors import RncGeomError, SpecError
 from .osculation import osculator
 from .rnc import certify_curve
+from .sampling import MAX_RETRIES
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int
-    trials: int
-    output: str  # "table" or "json"
-    spec: dict
 
 
 def _emit(text: str) -> None:
@@ -211,7 +203,7 @@ def cmd_fit(args) -> int:
 
     rng = random.Random(args.seed)
     last_error = None
-    for _ in range(9):
+    for _ in range(MAX_RETRIES + 1):
         try:
             points = rnc.sample_parameter_points(spec, rng)
             curve = rnc.fit_rnc_through(spec, points, rng)

@@ -63,3 +63,10 @@ class SplittingFieldRequiredError(RncGeomError):
 
 class SpecError(RncGeomError):
     """A variety specification document is malformed or out of range."""
+
+
+class InvariantError(RncGeomError):
+    """A mathematical invariant the code guarantees does not hold.
+
+    This is a defect, not bad luck: campaigns never resample it away.
+    """

@@ -62,10 +62,6 @@ class TensorStructure:
         return rows
 
 
-def _annihilator(basis_rows, dim: int) -> list:
-    return nullspace(basis_rows, dim)
-
-
 def construct_structure(subspaces: Sequence, rng=None) -> TensorStructure:
     """The unique structure making n+1 general codim-r subspaces type (r, n-1).
 
@@ -93,7 +89,7 @@ def construct_structure(subspaces: Sequence, rng=None) -> TensorStructure:
             raise DimensionMismatchError(
                 f"subspace {idx} does not have codimension r={r}"
             )
-        ann = _annihilator(rows, dim)
+        ann = nullspace(rows, dim)
         annihilators.append(ann)
 
     for omitted in range(n + 1):
@@ -151,7 +147,7 @@ def is_type_subspace(structure: TensorStructure, subspace_rows) -> Optional[tupl
     rows = [tuple(Fraction(x) for x in row) for row in subspace_rows]
     if rank(rows, dim) != dim - r:
         raise DimensionMismatchError("subspace must have codimension r")
-    ann = _annihilator(rows, dim)
+    ann = nullspace(rows, dim)
     minv = structure.m.inverse()
     coefficient_mats = []
     for psi in ann:

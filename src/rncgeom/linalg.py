@@ -273,16 +273,6 @@ class LinearProjection:
     def target_dim(self) -> int:
         return len(self.complement_cols) - 1
 
-    def target_complement(self) -> ProjSubspace:
-        """The coordinate complement, inside the source space."""
-        n = self.ambient_dim + 1
-        rows = []
-        for c in self.complement_cols:
-            row = [Fraction(0)] * n
-            row[c] = Fraction(1)
-            rows.append(row)
-        return ProjSubspace(self.ambient_dim, rows)
-
     def apply_vector(self, vec) -> tuple:
         return self.matrix.matvec(vec)
 

@@ -1,7 +1,7 @@
 """Sparse multivariate polynomials over exact rationals.
 
 A polynomial in ``d`` variables is a finite map from exponent tuples
-(``MultiIndex``, one non-negative int per variable) to ``Fraction``
+(one non-negative int per variable) to ``Fraction``
 coefficients.  Zero coefficients are never stored, so structural equality
 is semantic equality.  The canonical term order everywhere is graded
 lexicographic: higher total degree first, ties broken lexicographically
@@ -18,10 +18,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DegenerateCurveError, DimensionMismatchError
-
-Rational = Fraction
-MultiIndex = tuple  # tuple[int, ...], length = number of variables
-
 
 def grlex_key(exponents):
     """Sort key realizing the graded-lex order (use with reverse=True)."""
@@ -311,14 +307,13 @@ class Polynomial:
         return text
 
 
-def poly_partial_derivative(p: Polynomial, index) -> Polynomial:
-    """Exact iterated partial derivative of ``p`` by the multi-index ``index``."""
-    return p.partial(index)
-
-
-def poly_eval(p: Polynomial, point) -> Fraction:
-    """Exact value of ``p`` at a rational point."""
-    return p.eval(point)
+def power_product(factors: Sequence, exponents) -> Polynomial:
+    """The product of ``f ** e`` over paired factors and exponents."""
+    term = Polynomial.one(factors[0].nvars)
+    for f, e in zip(factors, exponents):
+        if e:
+            term = term * f**e
+    return term
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .errors import (
     DimensionMismatchError,
     GeneralPositionError,
     GenericityError,
+    InvariantError,
     SpecError,
     SplittingFieldRequiredError,
 )
@@ -44,6 +45,7 @@ from .poly import (
     RationalCurve,
     curve_normalize,
     poly_gcd_univariate,
+    power_product,
 )
 
 
@@ -146,13 +148,14 @@ def rnc_through_points(
 
     base = QMatrix(simplex).transpose()
     lam = base.inverse().matvec(unit_target)
-    assert all(x != 0 for x in lam), "guaranteed by the general-position check"
+    if any(x == 0 for x in lam):
+        raise InvariantError("general position left a zero frame coefficient")
     frame = QMatrix(
         [[lam[j] * simplex[j][i] for j in range(d + 1)] for i in range(d + 1)]
     )
     w = frame.inverse().matvec(last)
-    # general position makes every w_i nonzero and pairwise distinct
-    assert all(x != 0 for x in w) and len(set(w)) == len(w)
+    if any(x == 0 for x in w) or len(set(w)) != len(w):
+        raise InvariantError("general position left w with a zero or repeated entry")
     nodes = [t_w - kappa / wi for wi in w]
 
     t = Polynomial.variable(1, 0)
@@ -186,7 +189,6 @@ class SectionFit:
 
     scroll: ScrollSpec
     polys: list  # P_0 .. P_r with deg P_k <= n-1-a_k
-    solution_dim: int
 
 
 def fit_scroll_section(a: ScrollSpec, samples: Sequence) -> SectionFit:
@@ -236,11 +238,12 @@ def fit_scroll_section(a: ScrollSpec, samples: Sequence) -> SectionFit:
     if polys[0].is_zero():
         raise GenericityError("section denominator P_0 vanished")
     for t, s in samples:
-        assert all(
-            s[k - 1] * polys[0].eval((t,)) == polys[k].eval((t,))
+        if any(
+            s[k - 1] * polys[0].eval((t,)) != polys[k].eval((t,))
             for k in range(1, r + 1)
-        ), "interpolation conditions must hold exactly"
-    return SectionFit(a, polys, 1)
+        ):
+            raise InvariantError("a kernel vector missed an interpolation condition")
+    return SectionFit(a, polys)
 
 
 def _pushforward_scroll(spec: StandardScroll, fit: SectionFit) -> RationalCurve:
@@ -248,16 +251,11 @@ def _pushforward_scroll(spec: StandardScroll, fit: SectionFit) -> RationalCurve:
     index_set = catalog.build_A(spec.a, spec.rho, spec.chi)
     p0 = fit.polys[0]
     prest = fit.polys[1:]
-    t = Polynomial.variable(1, 0)
+    factors = [Polynomial.variable(1, 0)] + prest + [p0]
     comps = [p0**spec.rho]
     for idx in index_set.sorted_indices():
-        k, alpha = idx[0], idx[1:]
-        term = t**k if k else Polynomial.one(1)
-        for pj, e in zip(prest, alpha):
-            if e:
-                term = term * pj**e
-        term = term * p0 ** (spec.rho - sum(alpha))
-        comps.append(term)
+        alpha = idx[1:]
+        comps.append(power_product(factors, idx + (spec.rho - sum(alpha),)))
     return curve_normalize(RationalCurve(comps))
 
 
@@ -368,32 +366,20 @@ def _interpolate(points) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# the fit dispatcher
+# the fitters of the families
 # ---------------------------------------------------------------------------
+#
+# Every family draws n parameter points of Q^{r+1} for its class (r, n, q):
+# a sampler is called as sampler(rng, n, r + 1), a fitter as
+# fitter(spec, points, rng).  The table _FAMILY_ROWS at the end of the
+# module holds one row per family.
 
 
 def sample_parameter_points(spec, rng: random.Random):
     """Random parameter points matching the spec's class size n."""
+    sampler, _ = _family_row(spec)
     params = declared_class(spec)
-    n = params.n
-    if isinstance(spec, Veronese):
-        while True:
-            pts = [sampling.rand_vector(rng, spec.dim) for _ in range(2)]
-            if pts[0] != pts[1]:
-                return pts
-    if isinstance(spec, (Scroll, StandardScroll)):
-        ts = sampling.rand_distinct_rationals(rng, n)
-        return [(t,) + sampling.rand_vector(rng, spec.a.r) for t in ts]
-    if isinstance(spec, SegreSpecial):
-        taus = sampling.rand_distinct_rationals(rng, 3)
-        return [(tau,) + sampling.rand_vector(rng, spec.r) for tau in taus]
-    if isinstance(spec, (ConeStandard, CubicSpecial)):
-        return [sampling.rand_vector(rng, params.r + 1) for _ in range(n)]
-    if isinstance(spec, QuadricVeronese):
-        return [sampling.rand_vector(rng, spec.r + 1) for _ in range(3)]
-    if isinstance(spec, Veronese33):
-        return [sampling.rand_vector(rng, 3) for _ in range(6)]
-    raise SpecError(f"unknown spec {spec!r}")
+    return sampler(rng, params.n, params.r + 1)
 
 
 def fit_rnc_through(spec, points, rng: Optional[random.Random] = None) -> RationalCurve:
@@ -402,29 +388,18 @@ def fit_rnc_through(spec, points, rng: Optional[random.Random] = None) -> Ration
     ``points`` are parameter points of the chart built by make_variety;
     genericity failures raise GenericityError so callers can resample.
     """
-    if isinstance(spec, Veronese):
-        return _fit_veronese_line(spec, points)
-    if isinstance(spec, Scroll):
-        return _fit_standard_scroll(StandardScroll(spec.a, 1, 0), points)
-    if isinstance(spec, StandardScroll):
-        return _fit_standard_scroll(spec, points)
-    if isinstance(spec, ConeStandard):
-        return _fit_cone(spec, points, rng or random.Random(0))
-    if isinstance(spec, QuadricVeronese):
-        return _fit_quadric_veronese(spec, points)
-    if isinstance(spec, SegreSpecial):
-        return _fit_segre(spec, points)
-    if isinstance(spec, CubicSpecial):
-        return _fit_cubic_special(spec, points)
-    if isinstance(spec, Veronese33):
-        return _fit_through_twisted_cubic(
-            [(Fraction(1),) + tuple(Fraction(x) for x in p) for p in points],
-            _veronese_forms(3, 3),
-        )
-    raise SpecError(f"unknown spec {spec!r}")
+    _, fitter = _family_row(spec)
+    return fitter(spec, points, rng)
 
 
-def _fit_veronese_line(spec: Veronese, points) -> RationalCurve:
+def _family_row(spec):
+    row = _FAMILY_ROWS.get(type(spec))
+    if row is None:
+        raise SpecError(f"unknown spec {spec!r}")
+    return row
+
+
+def _fit_veronese_line(spec: Veronese, points, rng) -> RationalCurve:
     u, v = [tuple(Fraction(x) for x in p) for p in points]
     if len(u) != spec.dim or len(v) != spec.dim:
         raise DimensionMismatchError("parameter points of wrong length")
@@ -439,7 +414,7 @@ def _fit_veronese_line(spec: Veronese, points) -> RationalCurve:
     return curve_normalize(RationalCurve(comps))
 
 
-def _fit_standard_scroll(spec: StandardScroll, points) -> RationalCurve:
+def _fit_standard_scroll(spec: StandardScroll, points, rng) -> RationalCurve:
     samples = [(p[0], tuple(p[1:])) for p in points]
     fit = fit_scroll_section(spec.a, samples)
     for t, _ in samples:
@@ -448,7 +423,7 @@ def _fit_standard_scroll(spec: StandardScroll, points) -> RationalCurve:
     return _pushforward_scroll(spec, fit)
 
 
-def _fit_segre(spec: SegreSpecial, points) -> RationalCurve:
+def _fit_segre(spec: SegreSpecial, points, rng) -> RationalCurve:
     r = spec.r
     pts = [tuple(Fraction(x) for x in p) for p in points]
     if len(pts) != 3 or any(len(p) != r + 1 for p in pts):
@@ -456,7 +431,7 @@ def _fit_segre(spec: SegreSpecial, points) -> RationalCurve:
     taus = [p[0] for p in pts]
     if len(set(taus)) != 3:
         raise GeneralPositionError("tau values must be distinct")
-    qf = catalog.segre_quadratic_form(spec)
+    qf = spec.form()
     quadric_pts = [
         (Fraction(1),) + p[1:] + (qf.eval(p[1:]),) for p in pts
     ]
@@ -479,7 +454,7 @@ def _fit_segre(spec: SegreSpecial, points) -> RationalCurve:
     return curve_normalize(RationalCurve(comps))
 
 
-def _fit_quadric_veronese(spec: QuadricVeronese, points) -> RationalCurve:
+def _fit_quadric_veronese(spec: QuadricVeronese, points, rng) -> RationalCurve:
     """Plane section of the quadric pushed through the order-rho system.
 
     The curve-through-points construction for this family is not spelled
@@ -492,7 +467,7 @@ def _fit_quadric_veronese(spec: QuadricVeronese, points) -> RationalCurve:
     pts = [tuple(Fraction(x) for x in p) for p in points]
     if len(pts) != 3 or any(len(p) != r + 1 for p in pts):
         raise DimensionMismatchError("need three parameter points in Q^{r+1}")
-    h = catalog.quadric_hyperplane_form(spec)
+    h = spec.form()
     lifted = [(Fraction(1), -h.eval(p)) + p for p in pts]
     size = r + 3
     m = [[Fraction(0)] * size for _ in range(size)]
@@ -509,23 +484,17 @@ def _fit_quadric_veronese(spec: QuadricVeronese, points) -> RationalCurve:
         raise GenericityError("conic lies in the hyperplane at infinity")
     block_a, block_b = catalog.quadric_veronese_blocks(r, rho)
     comps = [x0**rho]
-    for beta in block_a:
-        term = Polynomial.one(1)
-        for f, e in zip(xprime, beta):
-            if e:
-                term = term * f**e
-        comps.append(term)
-    for gamma in block_b:
-        term = x0 ** (rho - sum(gamma))
-        for f, e in zip(xprime[1:], gamma):
-            if e:
-                term = term * f**e
-        comps.append(term)
+    comps += [power_product(xprime, beta) for beta in block_a]
+    comps += [
+        power_product([x0] + xprime[1:], (rho - sum(gamma),) + gamma)
+        for gamma in block_b
+    ]
     return curve_normalize(RationalCurve(comps))
 
 
-def _fit_cone(spec: ConeStandard, points, rng: random.Random) -> RationalCurve:
+def _fit_cone(spec: ConeStandard, points, rng: Optional[random.Random]) -> RationalCurve:
     r, q = spec.r, spec.q
+    rng = rng or random.Random(0)
     sigma = q // 2
     pts = [tuple(Fraction(x) for x in p) for p in points]
     if len(pts) != 5 or any(len(p) != r + 1 for p in pts):
@@ -619,19 +588,13 @@ def _fit_cone(spec: ConeStandard, points, rng: random.Random) -> RationalCurve:
             spolys.append(_interpolate(data))
 
         index_set = catalog.build_A_cone(r, q)
+        factors = [t1poly, t2poly] + spolys + [t0poly]
         comps = [t0poly**sigma]
         for idx in index_set.sorted_indices():
             i, j, alpha = idx[0], idx[1], idx[2:]
-            term = Polynomial.one(1)
-            if i:
-                term = term * t1poly**i
-            if j:
-                term = term * t2poly**j
-            for sp, e in zip(spolys, alpha):
-                if e:
-                    term = term * sp**e
-            term = term * t0poly ** (sigma - i - j - 2 * sum(alpha))
-            comps.append(term)
+            comps.append(
+                power_product(factors, idx + (sigma - i - j - 2 * sum(alpha),))
+            )
         return curve_normalize(RationalCurve(comps))
     raise GenericityError("could not find a workable pencil basis")
 
@@ -652,7 +615,7 @@ def _cubic_special_forms(spec: CubicSpecial):
     T0 = Polynomial.variable(nv, 0)
     T1 = Polynomial.variable(nv, 1)
     S = [Polynomial.variable(nv, 2 + j) for j in range(r)]
-    qpoly = catalog.cubic_quadratic_form(spec).poly().compose(S)
+    qpoly = spec.form().poly().compose(S)
     forms = [T0**3, T0**2 * T1, T0 * T1**2, T1**3]
     forms += [T0**2 * sj for sj in S]
     forms += [T0 * T1 * sj for sj in S]
@@ -661,10 +624,11 @@ def _cubic_special_forms(spec: CubicSpecial):
     return forms
 
 
-def _fit_through_twisted_cubic(lifted_points, forms) -> RationalCurve:
-    """Twisted cubic through six points pushed through degree-3 forms."""
-    gamma = rnc_through_points(3, lifted_points)
-    comps = [f.compose(list(gamma.components)) for f in forms]
+def _fit_veronese33(spec: Veronese33, points, rng) -> RationalCurve:
+    """Twisted cubic through the six lifted points, pushed through the cubics."""
+    lifted = [(Fraction(1),) + tuple(Fraction(x) for x in p) for p in points]
+    gamma = rnc_through_points(3, lifted)
+    comps = [f.compose(list(gamma.components)) for f in _veronese_forms(3, 3)]
     return curve_normalize(RationalCurve(comps))
 
 
@@ -679,7 +643,7 @@ def _isqrt_fraction(value: Fraction):
     return None
 
 
-def _fit_cubic_special(spec: CubicSpecial, points) -> RationalCurve:
+def _fit_cubic_special(spec: CubicSpecial, points, rng) -> RationalCurve:
     r = spec.r
     pts = [tuple(Fraction(x) for x in p) for p in points]
     if len(pts) != 4 or any(len(p) != r + 1 for p in pts):
@@ -698,7 +662,7 @@ def _fit_cubic_special(spec: CubicSpecial, points) -> RationalCurve:
     if line.dim != 1:
         raise GenericityError("span meets {T0 = T1 = 0} in the wrong dimension")
     w1, w2 = line.basis
-    qf = catalog.cubic_quadratic_form(spec)
+    qf = spec.form()
 
     def qeval(vec):
         return qf.eval(vec[2:])
@@ -760,3 +724,19 @@ def _solve_in_rowspan(rows, target):
     for row, p in zip(reduced, pivots):
         sol[p] = row[-1]
     return sol
+
+
+# spec class -> (parameter sampler, fitter)
+_FAMILY_ROWS = {
+    Veronese: (sampling.rand_distinct_points, _fit_veronese_line),
+    Scroll: (
+        sampling.rand_points_distinct_first_coord,
+        lambda spec, points, rng: _fit_standard_scroll(spec.standard(), points, rng),
+    ),
+    StandardScroll: (sampling.rand_points_distinct_first_coord, _fit_standard_scroll),
+    ConeStandard: (sampling.rand_points, _fit_cone),
+    QuadricVeronese: (sampling.rand_points, _fit_quadric_veronese),
+    SegreSpecial: (sampling.rand_points_distinct_first_coord, _fit_segre),
+    CubicSpecial: (sampling.rand_points, _fit_cubic_special),
+    Veronese33: (sampling.rand_points, _fit_veronese33),
+}

@@ -34,6 +34,19 @@ def rand_distinct_rationals(rng: random.Random, count: int) -> tuple:
     return tuple(seen)
 
 
+def rand_points(rng: random.Random, count: int, length: int) -> list:
+    """Independent points of Q^length."""
+    return [rand_vector(rng, length) for _ in range(count)]
+
+
+def rand_distinct_points(rng: random.Random, count: int, length: int) -> list:
+    """Pairwise distinct points of Q^length, redrawn together until they are."""
+    while True:
+        points = rand_points(rng, count, length)
+        if len(set(points)) == count:
+            return points
+
+
 def rand_points_distinct_first_coord(rng: random.Random, count: int, length: int):
     """Points in Q^length whose first coordinates are pairwise distinct."""
     firsts = rand_distinct_rationals(rng, count)

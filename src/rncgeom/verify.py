@@ -43,7 +43,7 @@ from .osculation import (
     regularity_order,
 )
 from .poly import Polynomial, RationalCurve, curve_normalize
-from .rnc import certify_curve, curve_contains_point, fit_rnc_through
+from .rnc import certify_curve, curve_contains_point
 from .sampling import MAX_RETRIES, rand_rational
 
 RESAMPLE_ERRORS = (
@@ -59,6 +59,47 @@ SCHEMA_VERSION = 1
 
 def _trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random((int(seed) * 1_000_003 + trial) & 0xFFFFFFFFFFFFFFFF)
+
+
+def _run_trials(report, trials: int, seed: int, attempt) -> None:
+    """The trial-and-resample loop shared by the campaigns.
+
+    ``attempt(rng, resamples)`` runs one attempt of a trial and returns its
+    record fields and whether they pass.  An attempt raising one of
+    RESAMPLE_ERRORS is drawn again from the same rng, at most MAX_RETRIES
+    times.  A trial that needs a splitting field or runs out of retries
+    records why and turns a passing campaign inconclusive; the first
+    failing trial ends the campaign.
+    """
+    inconclusive = False
+    for trial in range(trials):
+        rng = _trial_rng(seed, trial)
+        record = {"seed": trial}
+        for resamples in range(MAX_RETRIES + 1):
+            try:
+                fields, ok = attempt(rng, resamples)
+            except SplittingFieldRequiredError as exc:
+                record.update(
+                    fit="splitting_field_required",
+                    resamples=resamples,
+                    discriminant=str(exc.discriminant),
+                )
+                inconclusive = True
+                break
+            except RESAMPLE_ERRORS:
+                continue
+            record.update(fields)
+            if not ok:
+                report.verdict = "fail"
+            break
+        else:
+            record.update(fit="genericity_exhausted", resamples=MAX_RETRIES)
+            inconclusive = True
+        report.trials.append(record)
+        if report.verdict == "fail":
+            break
+    if report.verdict == "pass" and inconclusive:
+        report.verdict = "inconclusive"
 
 
 # ---------------------------------------------------------------------------
@@ -107,46 +148,23 @@ def verify_membership(
         report.verdict = "fail"
         return report
 
-    inconclusive = False
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        record = {"seed": trial, "fit": "failed", "resamples": 0}
-        done = False
-        for attempt in range(MAX_RETRIES + 1):
-            try:
-                points = rnc.sample_parameter_points(spec, rng)
-                curve = fit_rnc_through(spec, points, rng)
-                cert = certify_curve(curve)
-                incidence = all(
-                    curve_contains_point(curve, variety.eval(p), assume_normalized=True)
-                    for p in points
-                )
-                record.update(
-                    fit="ok",
-                    resamples=attempt,
-                    certificate=cert.to_json(),
-                    incidence=incidence,
-                )
-                if not (cert.is_rnc and cert.degree == params.q and incidence):
-                    report.verdict = "fail"
-                done = True
-                break
-            except SplittingFieldRequiredError as exc:
-                record.update(fit="splitting_field_required", resamples=attempt)
-                record["discriminant"] = str(exc.discriminant)
-                inconclusive = True
-                done = True
-                break
-            except RESAMPLE_ERRORS:
-                continue
-        if not done:
-            record["fit"] = "genericity_exhausted"
-            inconclusive = True
-        report.trials.append(record)
-        if report.verdict == "fail":
-            break
-    if report.verdict == "pass" and inconclusive:
-        report.verdict = "inconclusive"
+    def attempt(rng, resamples):
+        points = rnc.sample_parameter_points(spec, rng)
+        curve = rnc.fit_rnc_through(spec, points, rng)
+        cert = certify_curve(curve)
+        incidence = all(
+            curve_contains_point(curve, variety.eval(p), assume_normalized=True)
+            for p in points
+        )
+        record = {
+            "fit": "ok",
+            "resamples": resamples,
+            "certificate": cert.to_json(),
+            "incidence": incidence,
+        }
+        return record, cert.is_rnc and cert.degree == params.q and incidence
+
+    _run_trials(report, trials, seed, attempt)
     return report
 
 
@@ -218,88 +236,68 @@ def verify_veronese_projection(
         else None
     )
 
-    inconclusive = False
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        record = {"seed": trial}
-        done = False
-        for attempt in range(MAX_RETRIES + 1):
-            try:
-                sampled = rnc.sample_parameter_points(spec, rng)
-                if fixed_centers is not None:
-                    sampled = fixed_centers + sampled[params.n - 2 :]
-                centers = [(sampled[i], pond[i]) for i in range(params.n - 2)]
-                proj, image = osculating_projection_map(variety, centers)
-                span_found = image.span().dim
-                record["image_span"] = {
-                    "found": span_found,
-                    "expected": image_span_expected,
-                }
+    def attempt(rng, resamples):
+        sampled = rnc.sample_parameter_points(spec, rng)
+        if fixed_centers is not None:
+            sampled = fixed_centers + sampled[params.n - 2 :]
+        centers = [(sampled[i], pond[i]) for i in range(params.n - 2)]
+        proj, image = osculating_projection_map(variety, centers)
+        span_found = image.span().dim
+        record = {"image_span": {"found": span_found, "expected": image_span_expected}}
 
-                curve = fit_rnc_through(spec, sampled, rng)
-                proj_comps = proj.apply_polys(list(curve.components))
-                proj_curve = curve_normalize(RationalCurve(proj_comps))
-                cert = certify_curve(proj_curve)
-                record["projected_curve"] = cert.to_json()
+        curve = rnc.fit_rnc_through(spec, sampled, rng)
+        proj_comps = proj.apply_polys(list(curve.components))
+        proj_curve = curve_normalize(RationalCurve(proj_comps))
+        cert = certify_curve(proj_curve)
+        record["projected_curve"] = cert.to_json()
 
-                extras = sampled[params.n - 2 :]
-                incidence = all(
-                    curve_contains_point(
-                        proj_curve,
-                        proj.apply_vector(variety.eval(p)),
-                        assume_normalized=True,
-                    )
-                    for p in extras
-                )
-                record["projected_incidence"] = incidence
+        extras = sampled[params.n - 2 :]
+        incidence = all(
+            curve_contains_point(
+                proj_curve,
+                proj.apply_vector(variety.eval(p)),
+                assume_normalized=True,
+            )
+            for p in extras
+        )
+        record["projected_incidence"] = incidence
 
-                tvals = []
-                while len(tvals) < 3:
-                    t = rand_rational(rng)
-                    if t not in tvals:
-                        tvals.append(t)
-                values = [proj_curve.eval(t) for t in tvals]
-                injective = all(
-                    rank([values[i], values[j]], len(values[i])) == 2
-                    for i in range(len(values))
-                    for j in range(i + 1, len(values))
-                )
-                record["injective_at_samples"] = injective
+        tvals = []
+        while len(tvals) < 3:
+            t = rand_rational(rng)
+            if t not in tvals:
+                tvals.append(t)
+        values = [proj_curve.eval(t) for t in tvals]
+        injective = all(
+            rank([values[i], values[j]], len(values[i])) == 2
+            for i in range(len(values))
+            for j in range(i + 1, len(values))
+        )
+        record["injective_at_samples"] = injective
 
-                single_ok = True
-                if single_span_expected is not None:
-                    _, single_image = osculating_projection_map(
-                        variety, [(sampled[0], pond[0])]
-                    )
-                    single_found = single_image.span().dim
-                    record["single_point_span"] = {
-                        "found": single_found,
-                        "expected": single_span_expected,
-                    }
-                    single_ok = single_found == single_span_expected
+        single_ok = True
+        if single_span_expected is not None:
+            _, single_image = osculating_projection_map(
+                variety, [(sampled[0], pond[0])]
+            )
+            single_found = single_image.span().dim
+            record["single_point_span"] = {
+                "found": single_found,
+                "expected": single_span_expected,
+            }
+            single_ok = single_found == single_span_expected
 
-                ok = (
-                    span_found == image_span_expected
-                    and cert.is_rnc
-                    and cert.degree == rho
-                    and incidence
-                    and injective
-                    and single_ok
-                )
-                if not ok:
-                    report.verdict = "fail"
-                done = True
-                break
-            except RESAMPLE_ERRORS:
-                continue
-        if not done:
-            record["fit"] = "genericity_exhausted"
-            inconclusive = True
-        report.trials.append(record)
-        if report.verdict == "fail":
-            break
-    if report.verdict == "pass" and inconclusive:
-        report.verdict = "inconclusive"
+        ok = (
+            span_found == image_span_expected
+            and cert.is_rnc
+            and cert.degree == rho
+            and incidence
+            and injective
+            and single_ok
+        )
+        return record, ok
+
+    _run_trials(report, trials, seed, attempt)
     return report
 
 
@@ -358,91 +356,101 @@ def _quadric_zero_samples(form: catalog.QuadraticForm, rng: random.Random, count
     return out
 
 
+def _quadric_component_contained(variety: Parametrization, form, seed: int):
+    """Whether {t = 0, q(s) = 0} lies on the variety at sampled zeros of q.
+
+    Returns the verdict and the number of zeros sampled.
+    """
+    samples = _quadric_zero_samples(form, random.Random(seed))
+    contained = all(
+        all(
+            c.eval((Fraction(0),) + s) == 0
+            for c in variety.components[1:]
+            if c.total_degree() >= 2
+        )
+        for s in samples
+    )
+    return contained, len(samples)
+
+
+def _segre_witness(spec: SegreSpecial, doc: dict) -> SpecialnessWitness:
+    r = spec.r
+    variety = catalog.make_variety(spec)
+    t = Polynomial.variable(1, 0)
+    # line component {s = 0}
+    line_ok = _zero_poly_check(variety, [t] + [Polynomial.zero(1)] * r)
+    quad_ok, count = _quadric_component_contained(variety, spec.form(), 11)
+    measured = max(1, r - 1)
+    details = {
+        "line_component_contained": line_ok,
+        "quadric_component_contained": quad_ok,
+        "quadric_samples": count,
+        "components": ["{s = 0}", "{t = 0, q(s) = 0}"],
+    }
+    verdict = "special" if (line_ok and quad_ok and measured < r) else "standard-compatible"
+    return SpecialnessWitness(doc, "contact-dimension", measured, r, verdict, details)
+
+
+def _cubic_witness(spec: CubicSpecial, doc: dict) -> SpecialnessWitness:
+    r = spec.r
+    variety = catalog.make_variety(spec)
+    quad_ok, count = _quadric_component_contained(variety, spec.form(), 13)
+    measured = r - 1
+    details = {
+        "quadric_component_contained": quad_ok,
+        "quadric_samples": count,
+        "components": ["{t = 0, q(s) = 0}"],
+    }
+    verdict = "special" if (quad_ok and measured < r) else "standard-compatible"
+    return SpecialnessWitness(doc, "contact-dimension", measured, r, verdict, details)
+
+
+def _veronese33_witness(spec: Veronese33, doc: dict) -> SpecialnessWitness:
+    variety = catalog.make_variety(spec)
+    rng = random.Random(17)
+    point = tuple(rand_rational(rng) for _ in range(3))
+    measured = regularity_order(variety, point)
+    refs = {}
+    scroll = ScrollSpec((2, 2, 1))
+    for label, (rho, chi) in (("A(1,4)", (1, 4)), ("A(2,-1)", (2, -1))):
+        model = catalog.make_variety(StandardScroll(scroll, rho, chi))
+        origin = (Fraction(0),) * 3
+        refs[label] = regularity_order(model, origin)
+    reference = max(refs.values())
+    details = {"standard_orders": refs, "scroll": list(scroll.degrees)}
+    verdict = "special" if measured == 3 and all(v < 3 for v in refs.values()) else "standard-compatible"
+    return SpecialnessWitness(doc, "regularity-order", measured, reference, verdict, details)
+
+
+def _standard_scroll_witness(spec: StandardScroll, doc: dict) -> SpecialnessWitness:
+    params = declared_class(spec)
+    index_set = catalog.build_A(spec.a, spec.rho, spec.chi)
+    measured = contact_locus_dim_monomial(
+        index_set.sorted_indices(), index_set.nvars, spec.rho
+    )
+    details = {"contact_order": spec.rho}
+    verdict = "standard-compatible" if measured == params.r else "special"
+    return SpecialnessWitness(
+        doc, "contact-dimension", measured, params.r, verdict, details
+    )
+
+
+# spec class -> specialness witness; the other families have none
+_WITNESSES = {
+    SegreSpecial: _segre_witness,
+    CubicSpecial: _cubic_witness,
+    Veronese33: _veronese33_witness,
+    StandardScroll: _standard_scroll_witness,
+}
+
+
 def specialness_witness(spec) -> SpecialnessWitness:
     """Separating invariant distinguishing a spec from the standard models."""
     doc = spec_to_json(spec)
-    if isinstance(spec, SegreSpecial):
-        r = spec.r
-        variety = catalog.make_variety(spec)
-        nv = r + 1
-        t = Polynomial.variable(1, 0)
-        zero1 = Polynomial.zero(1)
-        # line component {s = 0}
-        line_sub = [t] + [zero1] * r
-        line_ok = _zero_poly_check(variety, line_sub)
-        qform = catalog.segre_quadratic_form(spec)
-        rng = random.Random(11)
-        samples = _quadric_zero_samples(qform, rng)
-        quad_ok = all(
-            all(
-                c.eval((Fraction(0),) + s) == 0
-                for c in variety.components[1:]
-                if c.total_degree() >= 2
-            )
-            for s in samples
-        )
-        measured = max(1, r - 1)
-        details = {
-            "line_component_contained": line_ok,
-            "quadric_component_contained": quad_ok,
-            "quadric_samples": len(samples),
-            "components": ["{s = 0}", "{t = 0, q(s) = 0}"],
-        }
-        verdict = "special" if (line_ok and quad_ok and measured < r) else "standard-compatible"
-        return SpecialnessWitness(doc, "contact-dimension", measured, r, verdict, details)
-
-    if isinstance(spec, CubicSpecial):
-        r = spec.r
-        variety = catalog.make_variety(spec)
-        qform = catalog.cubic_quadratic_form(spec)
-        rng = random.Random(13)
-        samples = _quadric_zero_samples(qform, rng)
-        quad_ok = all(
-            all(
-                c.eval((Fraction(0),) + s) == 0
-                for c in variety.components[1:]
-                if c.total_degree() >= 2
-            )
-            for s in samples
-        )
-        measured = r - 1
-        details = {
-            "quadric_component_contained": quad_ok,
-            "quadric_samples": len(samples),
-            "components": ["{t = 0, q(s) = 0}"],
-        }
-        verdict = "special" if (quad_ok and measured < r) else "standard-compatible"
-        return SpecialnessWitness(doc, "contact-dimension", measured, r, verdict, details)
-
-    if isinstance(spec, Veronese33):
-        variety = catalog.make_variety(spec)
-        rng = random.Random(17)
-        point = tuple(rand_rational(rng) for _ in range(3))
-        measured = regularity_order(variety, point)
-        refs = {}
-        scroll = ScrollSpec((2, 2, 1))
-        for label, (rho, chi) in (("A(1,4)", (1, 4)), ("A(2,-1)", (2, -1))):
-            model = catalog.make_variety(StandardScroll(scroll, rho, chi))
-            origin = (Fraction(0),) * 3
-            refs[label] = regularity_order(model, origin)
-        reference = max(refs.values())
-        details = {"standard_orders": refs, "scroll": list(scroll.degrees)}
-        verdict = "special" if measured == 3 and all(v < 3 for v in refs.values()) else "standard-compatible"
-        return SpecialnessWitness(doc, "regularity-order", measured, reference, verdict, details)
-
-    if isinstance(spec, StandardScroll):
-        params = declared_class(spec)
-        index_set = catalog.build_A(spec.a, spec.rho, spec.chi)
-        measured = contact_locus_dim_monomial(
-            index_set.sorted_indices(), index_set.nvars, spec.rho
-        )
-        details = {"contact_order": spec.rho}
-        verdict = "standard-compatible" if measured == params.r else "special"
-        return SpecialnessWitness(
-            doc, "contact-dimension", measured, params.r, verdict, details
-        )
-
-    raise SpecError(f"no specialness witness for {spec!r}")
+    witness = _WITNESSES.get(type(spec))
+    if witness is None:
+        raise SpecError(f"no specialness witness for {spec!r}")
+    return witness(spec, doc)
 
 
 # ---------------------------------------------------------------------------

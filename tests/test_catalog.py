@@ -288,14 +288,14 @@ class TestMakeVariety:
         # independent oracle: the chosen basis must span the same function
         # space as the full (linearly dependent) order-rho system of the
         # quadric graph chart, of dimension pi + 1 including constants
-        from rncgeom.catalog import _compositions, quadric_hyperplane_form
+        from rncgeom.catalog import _compositions
         from rncgeom.linalg import rank
         from rncgeom.poly import Polynomial
 
         for spec in (QuadricVeronese(3, 2, 5), QuadricVeronese(3, 3, 6)):
             r, rho = spec.r, spec.rho
             nv = r + 1
-            h = quadric_hyperplane_form(spec)
+            h = spec.form()
             u = [-h.poly()] + [Polynomial.variable(nv, j) for j in range(nv)]
             full = [Polynomial.one(nv)]
             for total in range(1, rho + 1):
@@ -326,15 +326,27 @@ class TestMakeVariety:
 
 
 class TestJsonRoundTrip:
+    def test_every_family_has_a_spec(self):
+        covered = {type(spec) for spec in TestMakeVariety.SPECS}
+        assert covered == set(catalog.FAMILIES.values())
+
     def test_round_trip_all_families(self):
         for spec in TestMakeVariety.SPECS:
             doc = spec_to_json(spec)
+            assert doc["family"] in catalog.FAMILIES
             assert spec_from_json(json.loads(json.dumps(doc))) == spec
 
     def test_malformed(self):
-        with pytest.raises(SpecError):
-            spec_from_json({"family": "Nope"})
-        with pytest.raises(SpecError):
-            spec_from_json({"family": "Veronese", "params": {"dim": 2}})
-        with pytest.raises(SpecError):
-            spec_from_json([1, 2, 3])
+        docs = [
+            {"family": "Nope"},
+            {"family": "Veronese", "params": {"dim": 2}},
+            [1, 2, 3],
+            {"family": "Veronese", "params": {"dim": "x", "order": 2}},
+            {"family": "Scroll", "params": {"a": 5}},
+            {"family": 5, "params": {}},
+            {"family": ["Veronese"], "params": {"dim": 2, "order": 2}},
+            {"family": "Veronese", "params": [2, 2]},
+        ]
+        for doc in docs:
+            with pytest.raises(SpecError):
+                spec_from_json(doc)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 
+from rncgeom.catalog import FAMILIES
 from rncgeom.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
@@ -140,17 +141,19 @@ class TestOtherCommands:
         assert doc["components"][0] == "1"
 
     def test_build_every_family(self):
-        docs = [
-            '{"family":"Veronese","params":{"dim":2,"order":2}}',
-            '{"family":"Scroll","params":{"a":[2,1]}}',
-            '{"family":"StandardScroll","params":{"a":[1,1],"rho":2,"chi":1}}',
-            '{"family":"ConeStandard","params":{"r":2,"q":4}}',
-            '{"family":"QuadricVeronese","params":{"r":3,"rho":2,"rank":5}}',
-            '{"family":"SegreSpecial","params":{"r":2,"mu":4}}',
-            '{"family":"CubicSpecial","params":{"r":2,"mu_prime":2}}',
-            '{"family":"Veronese33","params":{}}',
-        ]
-        for doc in docs:
+        params = {
+            "Veronese": '{"dim":2,"order":2}',
+            "Scroll": '{"a":[2,1]}',
+            "StandardScroll": '{"a":[1,1],"rho":2,"chi":1}',
+            "ConeStandard": '{"r":2,"q":4}',
+            "QuadricVeronese": '{"r":3,"rho":2,"rank":5}',
+            "SegreSpecial": '{"r":2,"mu":4}',
+            "CubicSpecial": '{"r":2,"mu_prime":2}',
+            "Veronese33": '{}',
+        }
+        assert set(params) == set(FAMILIES)
+        for family in FAMILIES:
+            doc = f'{{"family":"{family}","params":{params[family]}}}'
             code, out = run(["build", "--spec", doc, "--format", "json"])
             assert code == EXIT_PASS
             payload = json.loads(out)

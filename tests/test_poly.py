@@ -9,9 +9,8 @@ from rncgeom.poly import (
     Polynomial,
     RationalCurve,
     curve_normalize,
-    poly_eval,
     poly_gcd_univariate,
-    poly_partial_derivative,
+    power_product,
 )
 
 
@@ -23,7 +22,7 @@ class TestDerivative:
     def test_single_t_derivative(self):
         # d/dt of t^2 s -> 2 t s
         p = P(2, {(2, 1): 1})
-        assert poly_partial_derivative(p, (1, 0)) == P(2, {(1, 1): 2})
+        assert p.partial((1, 0)) == P(2, {(1, 1): 2})
 
     def test_second_derivative(self):
         p = Polynomial.univariate([0, 0, 0, 1])  # t^3
@@ -32,17 +31,27 @@ class TestDerivative:
     def test_mixed_derivative(self):
         # frozen from the term-wise power rule: d^2/(dt ds) (ts + t^2 s^2) = 1 + 4ts
         p = P(2, {(1, 1): 1, (2, 2): 1})
-        assert poly_partial_derivative(p, (1, 1)) == P(2, {(0, 0): 1, (1, 1): 4})
+        assert p.partial((1, 1)) == P(2, {(0, 0): 1, (1, 1): 4})
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             P(2, {(1, 1): 1}).partial((1,))
 
 
+class TestPowerProduct:
+    def test_skips_zero_exponents(self):
+        t, s = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+        assert power_product([t, s, t + s], (2, 0, 1)) == t**3 + t**2 * s
+
+    def test_empty_product_is_one(self):
+        t = Polynomial.variable(1, 0)
+        assert power_product([t], (0,)) == Polynomial.one(1)
+
+
 class TestEval:
     def test_simple(self):
         p = P(2, {(2, 0): 1, (0, 1): 1})  # t^2 + s
-        assert poly_eval(p, (F(2), F(3))) == 7
+        assert p.eval((F(2), F(3))) == 7
 
     def test_zero_poly(self):
         assert Polynomial.zero(3).eval((F(1), F(2), F(3))) == 0

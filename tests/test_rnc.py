@@ -270,6 +270,9 @@ ALL_SPECS = [
 
 
 class TestFitDispatch:
+    def test_every_family_is_fitted_below(self):
+        assert {type(s) for s in ALL_SPECS} == set(catalog.FAMILIES.values())
+
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
     def test_fit_certifies_and_passes_through(self, spec):
         params = declared_class(spec)

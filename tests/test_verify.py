@@ -15,7 +15,8 @@ from rncgeom.catalog import (
     Veronese,
     Veronese33,
 )
-from rncgeom.errors import SpecError
+from rncgeom.errors import GenericityError, InvariantError, SpecError
+from rncgeom.sampling import MAX_RETRIES
 
 
 class TestMembership:
@@ -62,6 +63,34 @@ class TestMembership:
         assert report.verdict == "inconclusive"
         assert all(t["fit"] == "splitting_field_required" for t in report.trials)
         assert all("discriminant" in t for t in report.trials)
+
+
+class TestExhaustedTrial:
+    """A trial whose every attempt needs a resample is recorded as such."""
+
+    @pytest.fixture
+    def fit_always_degenerate(self, monkeypatch):
+        def degenerate(spec, points, rng=None):
+            raise GenericityError("forced rank drop")
+
+        monkeypatch.setattr(rnc, "fit_rnc_through", degenerate)
+
+    EXHAUSTED = {"seed": 0, "fit": "genericity_exhausted", "resamples": MAX_RETRIES}
+
+    def test_membership(self, fit_always_degenerate):
+        report = verify.verify_membership(Scroll(ScrollSpec((1, 1))), trials=1, seed=0)
+        assert report.verdict == "inconclusive"
+        assert report.trials == [self.EXHAUSTED]
+
+    def test_projection_keeps_nothing_of_a_failed_attempt(self, fit_always_degenerate):
+        report = verify.verify_veronese_projection(
+            StandardScroll(ScrollSpec((1, 1)), 2, 0), trials=1, seed=0
+        )
+        assert report.verdict == "inconclusive"
+        assert report.trials == [self.EXHAUSTED]
+
+    def test_invariant_errors_are_not_resampled(self):
+        assert not issubclass(InvariantError, verify.RESAMPLE_ERRORS)
 
 
 class TestProjection:
