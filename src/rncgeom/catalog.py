@@ -15,7 +15,7 @@ from typing import Optional
 from .errors import SpecError
 from .linalg import QMatrix
 from .osculation import Parametrization
-from .poly import Polynomial, grlex_key, power_product
+from .poly import Polynomial, compositions, grlex_key, power_product
 
 
 def binom(a: int, b: int) -> int:
@@ -181,21 +181,11 @@ def I_formula(a: ScrollSpec, rho: int, chi: int) -> int:
         raise SpecError("rho must be >= 1")
     degs = a.degrees
     total = 0
-    for alpha in _compositions(rho, len(degs)):
+    for alpha in compositions(rho, len(degs)):
         value = sum(x * d for x, d in zip(alpha, degs)) + chi + 1
         if value > 0:
             total += value
     return total
-
-
-def _compositions(total: int, parts: int):
-    """All tuples of non-negative ints of the given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
 
 
 def build_A(a: ScrollSpec, rho: int, chi: int) -> IndexSet:
@@ -214,7 +204,7 @@ def build_A(a: ScrollSpec, rho: int, chi: int) -> IndexSet:
     rest = a.degrees[1:]
     out = []
     for total in range(rho + 1):
-        for alpha in _compositions(total, r) if r else ([()] if total == 0 else []):
+        for alpha in compositions(total, r):
             bound = (rho - total) * a0 + sum(x * d for x, d in zip(alpha, rest)) + chi
             for k in range(0, bound + 1):
                 idx = (k,) + tuple(alpha)
@@ -240,9 +230,7 @@ def build_A_cone(r: int, q: int) -> IndexSet:
             if rem < 0:
                 continue
             for total in range(rem // 4 + 1):
-                for alpha in (
-                    _compositions(total, r - 1) if r > 1 else ([()] if total == 0 else [])
-                ):
+                for alpha in compositions(total, r - 1):
                     weight = 2 * (i + j) + 4 * total
                     if 1 <= weight <= q:
                         out.append((i, j) + tuple(alpha))
@@ -303,17 +291,16 @@ class QuadraticForm:
 #
 # A spec class holds all the catalog knows of its family: the parameters
 # (its dataclass fields, which are also the "params" of its JSON document),
-# the class (r, n, q) it claims membership of (``declared``), its affine
-# chart (``chart``) and, for the quadric families, its quadratic form
-# (``form``).  The fitter of a family is its row in ``rnc``, its
-# specialness witness (if any) its row in ``verify``.
+# the class (r, n, q) it claims membership of (``declared``), the affine
+# components of its chart (``components``, the one place a chart is
+# written) and, for the quadric families, its quadratic form (``form``).
+# The fitter of a family is its row in ``rnc``, its specialness witness
+# (if any) its row in ``verify``.
 
 
 def veronese_exponents(dim: int, order: int) -> list:
     """Exponent tuples 1 <= |alpha| <= order in graded-lex order."""
-    out = []
-    for total in range(1, order + 1):
-        out.extend(sorted(_compositions(total, dim)))
+    out = [e for total in range(1, order + 1) for e in compositions(total, dim)]
     return sorted(out, key=grlex_key)
 
 
@@ -325,16 +312,15 @@ def quadric_veronese_blocks(r: int, rho: int):
     degree rho, block B exponents over (U_2, .., U_{r+2}) of degree
     1..rho-1 (the missing constant is the leading coordinate U_0^rho).
     """
-    block_a = sorted(_compositions(rho, r + 2), key=grlex_key)
+    block_a = sorted(compositions(rho, r + 2), key=grlex_key)
     block_b = []
     for total in range(1, rho):
-        block_b.extend(sorted(_compositions(total, r + 1), key=grlex_key))
+        block_b.extend(sorted(compositions(total, r + 1), key=grlex_key))
     return block_a, block_b
 
 
-def _monomial_chart(nvars: int, exponents) -> Parametrization:
-    comps = [Polynomial.monomial(nvars, e) for e in exponents]
-    return Parametrization.from_affine(nvars, comps)
+def _monomials(nvars: int, exponents) -> list:
+    return [Polynomial.monomial(nvars, e) for e in exponents]
 
 
 @dataclass(frozen=True)
@@ -350,8 +336,8 @@ class Veronese:
     def declared(self) -> ClassParams:
         return ClassParams(self.dim - 1, 2, self.order)
 
-    def chart(self) -> Parametrization:
-        return _monomial_chart(self.dim, veronese_exponents(self.dim, self.order))
+    def components(self) -> list:
+        return _monomials(self.dim, veronese_exponents(self.dim, self.order))
 
 
 @dataclass(frozen=True)
@@ -366,9 +352,9 @@ class StandardScroll:
     def declared(self) -> ClassParams:
         return ClassParams(self.a.r, self.a.n, self.rho * (self.a.n - 1) + self.chi)
 
-    def chart(self) -> Parametrization:
+    def components(self) -> list:
         index_set = build_A(self.a, self.rho, self.chi)
-        return _monomial_chart(index_set.nvars, index_set.sorted_indices())
+        return _monomials(index_set.nvars, index_set.sorted_indices())
 
 
 @dataclass(frozen=True)
@@ -384,8 +370,8 @@ class Scroll:
     def declared(self) -> ClassParams:
         return self.standard().declared()
 
-    def chart(self) -> Parametrization:
-        return self.standard().chart()
+    def components(self) -> list:
+        return self.standard().components()
 
 
 @dataclass(frozen=True)
@@ -397,9 +383,9 @@ class ConeStandard:
     def declared(self) -> ClassParams:
         return ClassParams(self.r, 5, self.q)
 
-    def chart(self) -> Parametrization:
+    def components(self) -> list:
         index_set = build_A_cone(self.r, self.q)
-        return _monomial_chart(index_set.nvars, index_set.sorted_indices())
+        return _monomials(index_set.nvars, index_set.sorted_indices())
 
 
 @dataclass(frozen=True)
@@ -423,14 +409,14 @@ class QuadricVeronese:
         """The form h with ambient quadric U_0 U_1 + h(U_2..U_{r+2})."""
         return QuadraticForm(self.rank - 2, self.r + 1)
 
-    def chart(self) -> Parametrization:
+    def components(self) -> list:
         nv = self.r + 1
         # graph chart of the quadric: U_1 = -h(s), U_{1+j} = s_j
         u = [-self.form().poly()] + [Polynomial.variable(nv, j) for j in range(nv)]
         block_a, block_b = quadric_veronese_blocks(self.r, self.rho)
         comps = [power_product(u, beta) for beta in block_a]
         comps += [Polynomial.monomial(nv, gamma) for gamma in block_b]
-        return Parametrization.from_affine(nv, comps)
+        return comps
 
 
 @dataclass(frozen=True)
@@ -450,13 +436,12 @@ class SegreSpecial:
     def form(self) -> QuadraticForm:
         return QuadraticForm(self.mu - 2, self.r)
 
-    def chart(self) -> Parametrization:
+    def components(self) -> list:
         nv = self.r + 1  # variables (t, s_1..s_r)
         t = Polynomial.variable(nv, 0)
         s = [Polynomial.variable(nv, 1 + j) for j in range(self.r)]
         qpoly = self.form().poly().compose(s)
-        comps = [t] + s + [t * sj for sj in s] + [qpoly, t * qpoly]
-        return Parametrization.from_affine(nv, comps)
+        return [t] + s + [t * sj for sj in s] + [qpoly, t * qpoly]
 
 
 @dataclass(frozen=True)
@@ -477,19 +462,18 @@ class CubicSpecial:
     def form(self) -> QuadraticForm:
         return QuadraticForm(self.mu_prime, self.r)
 
-    def chart(self) -> Parametrization:
+    def components(self) -> list:
         nv = self.r + 1
         t = Polynomial.variable(nv, 0)
         s = [Polynomial.variable(nv, 1 + j) for j in range(self.r)]
         qpoly = self.form().poly().compose(s)
-        comps = (
+        return (
             [t, t**2, t**3]
             + s
             + [t * sj for sj in s]
             + [t**2 * sj for sj in s]
             + [qpoly, t * qpoly]
         )
-        return Parametrization.from_affine(nv, comps)
 
 
 @dataclass(frozen=True)
@@ -501,8 +485,8 @@ class Veronese33:
     def declared(self) -> ClassParams:
         return ClassParams(2, 6, 9)
 
-    def chart(self) -> Parametrization:
-        return Veronese(3, 3).chart()
+    def components(self) -> list:
+        return Veronese(3, 3).components()
 
 
 FAMILIES = {
@@ -532,8 +516,14 @@ def declared_class(spec) -> ClassParams:
 
 
 def make_variety(spec) -> Parametrization:
-    """Explicit parametrization of a catalog spec, as an affine chart."""
-    return _known(spec).chart()
+    """Explicit parametrization of a catalog spec, as an affine chart.
+
+    The one place a chart's components are wrapped (and their generic
+    rank checked); the variable count is that of the components, since
+    specs such as Veronese(1, k) declare no valid class.
+    """
+    comps = _known(spec).components()
+    return Parametrization.from_affine(comps[0].nvars, comps)
 
 
 # ---------------------------------------------------------------------------

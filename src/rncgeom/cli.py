@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from .catalog import (
     spec_from_json,
     spec_to_json,
 )
-from .errors import RncGeomError, SpecError
+from .errors import RncGeomError, SpecError, SplittingFieldRequiredError
 from .osculation import osculator
 from .rnc import certify_curve
 from .sampling import MAX_RETRIES
@@ -199,8 +200,6 @@ def cmd_fit(args) -> int:
     spec, _ = _load_spec(args)
     variety = catalog.make_variety(spec)
     params = declared_class(spec)
-    import random
-
     rng = random.Random(args.seed)
     last_error = None
     for _ in range(MAX_RETRIES + 1):
@@ -208,7 +207,7 @@ def cmd_fit(args) -> int:
             points = rnc.sample_parameter_points(spec, rng)
             curve = rnc.fit_rnc_through(spec, points, rng)
             break
-        except RncGeomError as exc:
+        except verify.RESAMPLE_ERRORS as exc:
             last_error = exc
     else:
         raise last_error
@@ -351,6 +350,10 @@ def main(argv=None) -> int:
     except (SpecError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except SplittingFieldRequiredError as exc:
+        # a real limit of the rational construction, as in the campaigns
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_INCONCLUSIVE
     except RncGeomError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_FAIL

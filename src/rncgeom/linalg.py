@@ -11,6 +11,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatchError, DirectSumError, RncGeomError
+from .poly import combine
 
 
 def _frac_row(row) -> tuple:
@@ -278,18 +279,7 @@ class LinearProjection:
 
     def apply_polys(self, components):
         """Push polynomial components through the projection matrix."""
-        out = []
-        for row in self.matrix.entries:
-            acc = None
-            for coeff, comp in zip(row, components):
-                if coeff == 0:
-                    continue
-                piece = comp.scale(coeff)
-                acc = piece if acc is None else acc + piece
-            if acc is None:
-                acc = components[0] - components[0]
-            out.append(acc)
-        return out
+        return [combine(row, components) for row in self.matrix.entries]
 
     def image_of(self, sub: ProjSubspace) -> ProjSubspace:
         rows = [self.apply_vector(v) for v in sub.basis]

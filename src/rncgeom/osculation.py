@@ -31,21 +31,7 @@ from .linalg import (
     span_of,
     try_direct_sum,
 )
-from .poly import Polynomial, RationalCurve, curve_normalize
-
-
-def _multi_indices(nvars: int, min_deg: int, max_deg: int):
-    """All exponent tuples with total degree in [min_deg, max_deg]."""
-    out = []
-    for total in range(min_deg, max_deg + 1):
-        for cuts in itertools.combinations(range(total + nvars - 1), nvars - 1):
-            prev = -1
-            expo = []
-            for c in list(cuts) + [total + nvars - 1]:
-                expo.append(c - prev - 1)
-                prev = c
-            out.append(tuple(expo))
-    return out
+from .poly import Polynomial, RationalCurve, compositions, curve_normalize
 
 
 class Parametrization:
@@ -144,8 +130,9 @@ def osculator(v: Parametrization, point, k: int, _unchecked=False) -> OsculatorR
     rows = [v.eval(point)]
     if all(x == 0 for x in rows[0]) and not _unchecked:
         raise DegenerateParametrizationError("base point of the parametrization")
-    for orders in _multi_indices(v.nparams, 1, k):
-        rows.append(tuple(c.partial(orders).eval(point) for c in v.components))
+    for total in range(1, k + 1):
+        for orders in compositions(total, v.nparams):
+            rows.append(tuple(c.partial(orders).eval(point) for c in v.components))
     sub = span_of(rows, v.ambient_dim)
     expected = math.comb(v.nparams + k, v.nparams)
     return OsculatorReport(k, sub, sub.dim + 1 == expected, expected)

@@ -19,9 +19,21 @@ from typing import Iterable, Sequence
 
 from .errors import DegenerateCurveError, DimensionMismatchError
 
+
 def grlex_key(exponents):
     """Sort key realizing the graded-lex order (use with reverse=True)."""
     return (sum(exponents), exponents)
+
+
+def compositions(total: int, parts: int) -> list:
+    """All tuples of ``parts`` non-negative ints summing to ``total``, in lex order."""
+    if parts == 0:
+        return [()] if total == 0 else []
+    return [
+        (head,) + rest
+        for head in range(total + 1)
+        for rest in compositions(total - head, parts - 1)
+    ]
 
 
 def _as_fraction(value):
@@ -264,6 +276,24 @@ class Polynomial:
             result = result + term
         return result
 
+    def homogenize(self, degree: int, weights) -> "Polynomial":
+        """Weighted homogenization in a new leading variable x_0.
+
+        Sends x^e to x_0^(degree - w.e) x^e; a term of weighted degree
+        w.e above ``degree`` raises ValueError.
+        """
+        if len(weights) != self.nvars:
+            raise DimensionMismatchError("one weight per variable")
+        terms = {}
+        for expo, coeff in self._terms.items():
+            lead = degree - sum(w * e for w, e in zip(weights, expo))
+            if lead < 0:
+                raise ValueError(f"term {expo} has weighted degree above {degree}")
+            terms[(lead,) + expo] = coeff
+        out = Polynomial(self.nvars + 1)
+        out._terms = terms
+        return out
+
     # -- univariate helpers --------------------------------------------
 
     def univariate_coeffs(self) -> list:
@@ -314,6 +344,19 @@ def power_product(factors: Sequence, exponents) -> Polynomial:
         if e:
             term = term * f**e
     return term
+
+
+def combine(coeffs: Sequence, polys: Sequence[Polynomial]) -> Polynomial:
+    """The linear combination of ``polys`` with paired ``coeffs``."""
+    terms = {}
+    for coeff, poly in zip(coeffs, polys):
+        coeff = _as_fraction(coeff)
+        if coeff:
+            for expo, c in poly._terms.items():
+                terms[expo] = terms.get(expo, 0) + coeff * c
+    out = Polynomial(polys[0].nvars)
+    out._terms = {e: c for e, c in terms.items() if c}
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from .linalg import QMatrix, intersect, nullspace, rank, rref, span_of
 from .poly import (
     Polynomial,
     RationalCurve,
+    combine,
     curve_normalize,
     poly_gcd_univariate,
     power_product,
@@ -167,14 +168,7 @@ def rnc_through_points(
             if j != i:
                 prod = prod * factors[j]
         comps_simplex.append(prod)
-    comps = []
-    for i in range(d + 1):
-        acc = Polynomial.zero(1)
-        for j in range(d + 1):
-            coeff = frame.entries[i][j]
-            if coeff:
-                acc = acc + comps_simplex[j].scale(coeff)
-        comps.append(acc)
+    comps = [combine(row, comps_simplex) for row in frame.entries]
     return curve_normalize(RationalCurve(comps))
 
 
@@ -246,19 +240,6 @@ def fit_scroll_section(a: ScrollSpec, samples: Sequence) -> SectionFit:
     return SectionFit(a, polys)
 
 
-def _pushforward_scroll(spec: StandardScroll, fit: SectionFit) -> RationalCurve:
-    """Image of a scroll section under the monomial model of A(rho, chi)."""
-    index_set = catalog.build_A(spec.a, spec.rho, spec.chi)
-    p0 = fit.polys[0]
-    prest = fit.polys[1:]
-    factors = [Polynomial.variable(1, 0)] + prest + [p0]
-    comps = [p0**spec.rho]
-    for idx in index_set.sorted_indices():
-        alpha = idx[1:]
-        comps.append(power_product(factors, idx + (spec.rho - sum(alpha),)))
-    return curve_normalize(RationalCurve(comps))
-
-
 # ---------------------------------------------------------------------------
 # conics on quadrics
 # ---------------------------------------------------------------------------
@@ -294,10 +275,7 @@ def _plane_conic(qmat: QMatrix, p1, p2, p3):
     u0 = t.scale(c)
     u1 = -(t.scale(b) + Polynomial.constant(1, a))
     u2 = t * u1
-    comps = []
-    for coord in range(n):
-        acc = u0.scale(pts[0][coord]) + u1.scale(pts[1][coord]) + u2.scale(pts[2][coord])
-        comps.append(acc)
+    comps = [combine(coords, (u0, u1, u2)) for coords in zip(*pts)]
     params = [(b, -a), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
     return comps, params
 
@@ -324,45 +302,20 @@ def projectivity_p1(sources, targets) -> QMatrix:
     return frame(targets) @ frame(sources).inverse()
 
 
-def mobius_substitute(comps, matrix: QMatrix, degree: int):
-    """Components after the parameter change (lam, mu) -> matrix . (lam, mu).
-
-    ``comps`` are affine representatives of homogeneous degree ``degree``
-    components; the result is again a list of affine polynomials.
-    """
-    lam = Polynomial.univariate([matrix.entries[0][0], matrix.entries[0][1]])
-    mu = Polynomial.univariate([matrix.entries[1][0], matrix.entries[1][1]])
-    lam_pow = [Polynomial.one(1)]
-    mu_pow = [Polynomial.one(1)]
-    for _ in range(degree):
-        lam_pow.append(lam_pow[-1] * lam)
-        mu_pow.append(mu_pow[-1] * mu)
-    out = []
-    for comp in comps:
-        acc = Polynomial.zero(1)
-        for k in range(degree + 1):
-            coeff = comp.coefficient((k,))
-            if coeff:
-                acc = acc + (mu_pow[k] * lam_pow[degree - k]).scale(coeff)
-        out.append(acc)
-    return out
-
-
 def _interpolate(points) -> Polynomial:
     """Lagrange interpolation through (x_i, y_i) with distinct x_i."""
     t = Polynomial.variable(1, 0)
-    acc = Polynomial.zero(1)
+    coeffs, basis = [], []
     for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
         num = Polynomial.one(1)
         den = Fraction(1)
         for j, (xj, _) in enumerate(points):
             if j != i:
                 num = num * (t - Polynomial.constant(1, xj))
                 den *= xi - xj
-        acc = acc + num.scale(Fraction(yi) / den)
-    return acc
+        coeffs.append(Fraction(yi) / den)
+        basis.append(num)
+    return combine(coeffs, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -399,19 +352,27 @@ def _family_row(spec):
     return row
 
 
+def _through_chart(spec, weights, degree: int, args) -> RationalCurve:
+    """Image of a parameter curve under the chart of ``spec``.
+
+    The chart [1 : spec.components()] is homogenized to ``degree`` with
+    one weight per chart variable; ``args`` are the univariate polynomials
+    substituted for the new leading variable and the chart variables.
+    """
+    comps = [Polynomial.one(len(weights))] + spec.components()
+    return curve_normalize(
+        RationalCurve([c.homogenize(degree, weights).compose(args) for c in comps])
+    )
+
+
 def _fit_veronese_line(spec: Veronese, points, rng) -> RationalCurve:
     u, v = [tuple(Fraction(x) for x in p) for p in points]
     if len(u) != spec.dim or len(v) != spec.dim:
         raise DimensionMismatchError("parameter points of wrong length")
     if u == v:
         raise GeneralPositionError("the two parameter points coincide")
-    line = [
-        Polynomial.univariate([ui, vi - ui]) for ui, vi in zip(u, v)
-    ]
-    comps = [Polynomial.one(1)]
-    for expo in catalog.veronese_exponents(spec.dim, spec.order):
-        comps.append(Polynomial.monomial(spec.dim, expo).compose(line))
-    return curve_normalize(RationalCurve(comps))
+    line = [Polynomial.univariate([ui, vi - ui]) for ui, vi in zip(u, v)]
+    return _through_chart(spec, (1,) * spec.dim, spec.order, [Polynomial.one(1)] + line)
 
 
 def _fit_standard_scroll(spec: StandardScroll, points, rng) -> RationalCurve:
@@ -420,7 +381,9 @@ def _fit_standard_scroll(spec: StandardScroll, points, rng) -> RationalCurve:
     for t, _ in samples:
         if fit.polys[0].eval((t,)) == 0:
             raise GenericityError("P_0 vanishes at a sample parameter")
-    return _pushforward_scroll(spec, fit)
+    p0, *prest = fit.polys
+    args = [p0, Polynomial.variable(1, 0)] + prest
+    return _through_chart(spec, (0,) + (1,) * spec.a.r, spec.rho, args)
 
 
 def _fit_segre(spec: SegreSpecial, points, rng) -> RationalCurve:
@@ -446,7 +409,8 @@ def _fit_segre(spec: SegreSpecial, points, rng) -> RationalCurve:
             m[1 + i][1 + j] = -qmat_inner.entries[i][j]
     conic_comps, conic_params = _plane_conic(QMatrix(m), *quadric_pts)
     mat = projectivity_p1([(Fraction(1), tau) for tau in taus], conic_params)
-    g = mobius_substitute(conic_comps, mat, 2)
+    pencil = [Polynomial.univariate(row) for row in mat.entries]
+    g = [c.homogenize(2, (1,)).compose(pencil) for c in conic_comps]
     t = Polynomial.variable(1, 0)
     g0, gs, gq = g[0], g[1 : 1 + r], g[r + 1]
     # chart order [1, t, s, t s, q, t q]
@@ -559,20 +523,15 @@ def _fit_cone(spec: ConeStandard, points, rng: Optional[random.Random]) -> Ratio
         direction = [
             Polynomial.constant(1, vv) + t.scale(ww) for vv, ww in zip(v, w)
         ]
-        qu = Polynomial.zero(1)
-        for i in range(3):
-            for j in range(3):
-                if cmat.entries[i][j]:
-                    qu = qu + (direction[i] * direction[j]).scale(cmat.entries[i][j])
-        lin = Polynomial.zero(1)
-        for i in range(3):
-            row = cmat.matvec(base)
-            if row[i]:
-                lin = lin + direction[i].scale(row[i])
+        qu = sum(
+            (d * combine(row, direction) for d, row in zip(direction, cmat.entries)),
+            Polynomial.zero(1),
+        )
+        lin = combine(cmat.matvec(base), direction)
         tpolys = [
             qu.scale(base[i]) - (lin * direction[i]).scale(2) for i in range(3)
         ]
-        t0poly, t1poly, t2poly = tpolys
+        t0poly = tpolys[0]
         # sanity: the conic parametrization must hit the five points
         for pair, p in zip(params, plane_pts):
             tv = pair[1] / pair[0]
@@ -586,50 +545,15 @@ def _fit_cone(spec: ConeStandard, points, rng: Optional[random.Random]) -> Ratio
             for tv, p in zip(tvals, pts):
                 data.append((tv, p[2 + j] * t0poly.eval((tv,)) ** 2))
             spolys.append(_interpolate(data))
-
-        index_set = catalog.build_A_cone(r, q)
-        factors = [t1poly, t2poly] + spolys + [t0poly]
-        comps = [t0poly**sigma]
-        for idx in index_set.sorted_indices():
-            i, j, alpha = idx[0], idx[1], idx[2:]
-            comps.append(
-                power_product(factors, idx + (sigma - i - j - 2 * sum(alpha),))
-            )
-        return curve_normalize(RationalCurve(comps))
+        return _through_chart(spec, (1, 1) + (2,) * (r - 1), sigma, tpolys + spolys)
     raise GenericityError("could not find a workable pencil basis")
-
-
-def _veronese_forms(dim: int, order: int):
-    """Homogeneous forms matching the affine Veronese chart ordering."""
-    nv = dim + 1
-    forms = [Polynomial.monomial(nv, (order,) + (0,) * dim)]
-    for expo in catalog.veronese_exponents(dim, order):
-        forms.append(Polynomial.monomial(nv, (order - sum(expo),) + tuple(expo)))
-    return forms
-
-
-def _cubic_special_forms(spec: CubicSpecial):
-    """Cubic forms in [T0, T1, S] matching the CubicSpecial chart order."""
-    r = spec.r
-    nv = r + 2
-    T0 = Polynomial.variable(nv, 0)
-    T1 = Polynomial.variable(nv, 1)
-    S = [Polynomial.variable(nv, 2 + j) for j in range(r)]
-    qpoly = spec.form().poly().compose(S)
-    forms = [T0**3, T0**2 * T1, T0 * T1**2, T1**3]
-    forms += [T0**2 * sj for sj in S]
-    forms += [T0 * T1 * sj for sj in S]
-    forms += [T1**2 * sj for sj in S]
-    forms += [T0 * qpoly, T1 * qpoly]
-    return forms
 
 
 def _fit_veronese33(spec: Veronese33, points, rng) -> RationalCurve:
     """Twisted cubic through the six lifted points, pushed through the cubics."""
     lifted = [(Fraction(1),) + tuple(Fraction(x) for x in p) for p in points]
     gamma = rnc_through_points(3, lifted)
-    comps = [f.compose(list(gamma.components)) for f in _veronese_forms(3, 3)]
-    return curve_normalize(RationalCurve(comps))
+    return _through_chart(spec, (1, 1, 1), 3, list(gamma.components))
 
 
 def _isqrt_fraction(value: Fraction):
@@ -699,17 +623,8 @@ def _fit_cubic_special(spec: CubicSpecial, points, rng) -> RationalCurve:
         six_in_p3.append(tuple(sol))
     gamma3 = rnc_through_points(3, six_in_p3)
     lift = QMatrix(bmat_rows).transpose()
-    ambient_comps = []
-    for i in range(r + 2):
-        acc = Polynomial.zero(1)
-        for j in range(4):
-            coeff = lift.entries[i][j]
-            if coeff:
-                acc = acc + gamma3.components[j].scale(coeff)
-        ambient_comps.append(acc)
-    forms = _cubic_special_forms(spec)
-    comps = [f.compose(ambient_comps) for f in forms]
-    return curve_normalize(RationalCurve(comps))
+    ambient = [combine(row, gamma3.components) for row in lift.entries]
+    return _through_chart(spec, (1,) * (r + 1), 3, ambient)
 
 
 def _solve_in_rowspan(rows, target):

@@ -40,9 +40,10 @@ from .osculation import (
     Parametrization,
     contact_locus_dim_monomial,
     osculating_projection_map,
+    project_curve,
     regularity_order,
 )
-from .poly import Polynomial, RationalCurve, curve_normalize
+from .poly import Polynomial
 from .rnc import certify_curve, curve_contains_point
 from .sampling import MAX_RETRIES, rand_rational
 
@@ -246,8 +247,7 @@ def verify_veronese_projection(
         record = {"image_span": {"found": span_found, "expected": image_span_expected}}
 
         curve = rnc.fit_rnc_through(spec, sampled, rng)
-        proj_comps = proj.apply_polys(list(curve.components))
-        proj_curve = curve_normalize(RationalCurve(proj_comps))
+        proj_curve = project_curve(proj, curve)
         cert = certify_curve(proj_curve)
         record["projected_curve"] = cert.to_json()
 

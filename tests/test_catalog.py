@@ -261,6 +261,21 @@ class TestMakeVariety:
             assert variety.ambient_dim == catalog.pi_formula(params), spec
             assert variety.span().dim == variety.ambient_dim, spec
 
+    def test_components_are_the_chart(self):
+        # make_variety wraps spec.components() and nothing else
+        specs = {type(spec): spec for spec in self.SPECS}
+        assert set(specs.values()) <= set(self.SPECS)
+        assert set(specs) == set(catalog.FAMILIES.values())
+        for cls, spec in specs.items():
+            assert not hasattr(cls, "chart")
+            assert make_variety(spec).components[1:] == tuple(spec.components()), spec
+
+    def test_veronese_curve_builds(self):
+        # Veronese(1, k) declares no valid class but is a twisted k-ic chart
+        variety = make_variety(Veronese(1, 3))
+        assert variety.nparams == 1 and variety.ambient_dim == 3
+        assert variety.span().dim == 3
+
     def test_segre_span_value(self):
         variety = make_variety(SegreSpecial(2, 4))
         assert variety.ambient_dim == 7  # P^{2r+3}
@@ -288,9 +303,8 @@ class TestMakeVariety:
         # independent oracle: the chosen basis must span the same function
         # space as the full (linearly dependent) order-rho system of the
         # quadric graph chart, of dimension pi + 1 including constants
-        from rncgeom.catalog import _compositions
         from rncgeom.linalg import rank
-        from rncgeom.poly import Polynomial
+        from rncgeom.poly import Polynomial, compositions
 
         for spec in (QuadricVeronese(3, 2, 5), QuadricVeronese(3, 3, 6)):
             r, rho = spec.r, spec.rho
@@ -299,7 +313,7 @@ class TestMakeVariety:
             u = [-h.poly()] + [Polynomial.variable(nv, j) for j in range(nv)]
             full = [Polynomial.one(nv)]
             for total in range(1, rho + 1):
-                for beta in _compositions(total, r + 2):
+                for beta in compositions(total, r + 2):
                     term = Polynomial.one(nv)
                     for f, e in zip(u, beta):
                         if e:

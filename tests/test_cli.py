@@ -4,6 +4,7 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 
+from rncgeom import rnc
 from rncgeom.catalog import FAMILIES
 from rncgeom.cli import (
     EXIT_FAIL,
@@ -12,6 +13,8 @@ from rncgeom.cli import (
     EXIT_USAGE,
     main,
 )
+from rncgeom.errors import GenericityError, InvariantError
+from rncgeom.sampling import MAX_RETRIES
 
 
 def run(argv):
@@ -175,6 +178,35 @@ class TestOtherCommands:
         assert code == EXIT_PASS
         doc = json.loads(out)
         assert doc["certificate"]["is_rnc"] and doc["incidence"]
+
+    def test_fit_needing_a_splitting_field_is_inconclusive(self, capsys):
+        spec = '{"family":"CubicSpecial","params":{"r":3,"mu_prime":3}}'
+        code, out = run(["fit", "--spec", spec, "--seed", "0", "--format", "json"])
+        assert code == EXIT_INCONCLUSIVE and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: intersection requires adjoining a square root of")
+
+    def test_fit_does_not_resample_a_broken_invariant(self, monkeypatch):
+        calls = []
+
+        def broken(spec, points, rng=None):
+            calls.append(points)
+            raise InvariantError("broken")
+
+        monkeypatch.setattr(rnc, "fit_rnc_through", broken)
+        code, _ = run(["fit", "--spec", SCROLL, "--seed", "0"])
+        assert code == EXIT_FAIL and len(calls) == 1
+
+    def test_fit_resamples_genericity_failures(self, monkeypatch):
+        calls = []
+
+        def unlucky(spec, points, rng=None):
+            calls.append(points)
+            raise GenericityError("unlucky")
+
+        monkeypatch.setattr(rnc, "fit_rnc_through", unlucky)
+        code, _ = run(["fit", "--spec", SCROLL, "--seed", "0"])
+        assert code == EXIT_FAIL and len(calls) == MAX_RETRIES + 1
 
     def test_witness(self):
         code, out = run(

@@ -8,6 +8,8 @@ from rncgeom.errors import DegenerateCurveError, DimensionMismatchError
 from rncgeom.poly import (
     Polynomial,
     RationalCurve,
+    combine,
+    compositions,
     curve_normalize,
     poly_gcd_univariate,
     power_product,
@@ -96,6 +98,52 @@ class TestRingAxioms:
     def test_eval_is_ring_map(self, p, q, pt):
         assert (p * q).eval(pt) == p.eval(pt) * q.eval(pt)
         assert (p + q).eval(pt) == p.eval(pt) + q.eval(pt)
+
+
+class TestCompositions:
+    def test_no_parts(self):
+        assert compositions(0, 0) == [()]
+        assert compositions(2, 0) == []
+
+    def test_lexicographic_order(self):
+        assert compositions(2, 3) == [
+            (0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)
+        ]
+
+
+class TestHomogenize:
+    @settings(max_examples=40, deadline=None)
+    @given(p=poly_strategy(), weights=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+           extra=st.integers(0, 2))
+    def test_dehomogenizes_back(self, p, weights, extra):
+        degree = extra + max(
+            (sum(w * e for w, e in zip(weights, expo)) for expo, _ in p.items()),
+            default=0,
+        )
+        args = [Polynomial.one(2), Polynomial.variable(2, 0), Polynomial.variable(2, 1)]
+        assert p.homogenize(degree, weights).compose(args) == p
+
+    def test_weighted_terms(self):
+        # t + s^2: to degree 3 with weights (1, 1), to degree 4 with weights (1, 2)
+        p = P(2, {(1, 0): 1, (0, 2): 1})
+        assert p.homogenize(3, (1, 1)) == P(3, {(2, 1, 0): 1, (1, 0, 2): 1})
+        assert p.homogenize(4, (1, 2)) == P(3, {(3, 1, 0): 1, (0, 0, 2): 1})
+
+    def test_degree_too_small(self):
+        with pytest.raises(ValueError):
+            Polynomial.variable(2, 0).homogenize(2, (3, 1))
+
+
+class TestCombine:
+    def test_linear_combination(self):
+        t, s = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+        assert combine([F(2), 0, -1], [t, s, t * s]) == t.scale(2) - t * s
+
+    def test_cancellation_and_zero_coefficients(self):
+        t = Polynomial.variable(3, 0)
+        assert combine([1, -1], [t, t]) == Polynomial.zero(3)
+        zero = combine([F(0), 0], [t, t * t])
+        assert zero == Polynomial.zero(3) and zero.nvars == 3
 
 
 class TestComposeAndText:

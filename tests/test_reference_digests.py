@@ -1,0 +1,44 @@
+"""Exact fitter outputs against the benchmark's reference digests.
+
+Runs pool input 0 of every job class of the ``membership``, ``interp_osc``
+and ``tensor`` workloads of ``perfbench/`` and compares the digest of each
+exact output with ``perfbench/reference.json``.  The benchmark directory is
+only read: its modules are loaded without writing bytecode.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_workloads():
+    name = "perfbench_workloads"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+@pytest.mark.parametrize("workload", ["membership", "interp_osc", "tensor"])
+def test_pool_input_zero_reproduces_reference(workload):
+    workloads = _load_workloads()
+    reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+    wrong = []
+    for cls in workloads.build(workload).classes:
+        inputs = cls.make(0)
+        got, ok = cls.check(inputs, cls.run(inputs))
+        if not ok or got != reference[workload][cls.key][0]:
+            wrong.append((cls.key, got, ok))
+    assert wrong == []
