@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, GeneralPositionError
@@ -23,6 +24,11 @@ class TensorStructure:
     r: int
     n: int
     m: QMatrix  # rows are the functionals, row index j*n + alpha
+
+    @cached_property
+    def m_inverse(self) -> QMatrix:
+        """Inverse of ``m``, computed once per structure."""
+        return self.m.inverse()
 
     def row(self, j: int, alpha: int) -> tuple:
         return self.m.entries[j * self.n + alpha]
@@ -148,7 +154,7 @@ def is_type_subspace(structure: TensorStructure, subspace_rows) -> Optional[tupl
     if rank(rows, dim) != dim - r:
         raise DimensionMismatchError("subspace must have codimension r")
     ann = nullspace(rows, dim)
-    minv = structure.m.inverse()
+    minv = structure.m_inverse
     coefficient_mats = []
     for psi in ann:
         coords = [
@@ -191,6 +197,7 @@ def grn_relation(ma, mb, r: int = None, n: int = None) -> Optional[tuple]:
     structure of the group G_{r,n}; None otherwise.  The factors are
     normalized so the first nonzero entry of A is 1.
     """
+    source = ma
     if isinstance(ma, TensorStructure):
         r, n, ma = ma.r, ma.n, ma.m
     if isinstance(mb, TensorStructure):
@@ -201,7 +208,10 @@ def grn_relation(ma, mb, r: int = None, n: int = None) -> Optional[tuple]:
         raise DimensionMismatchError("plain matrices need explicit r and n")
     if ma.nrows != r * n or mb.nrows != r * n:
         raise DimensionMismatchError("matrix size is not rn")
-    transition = mb @ ma.inverse()
+    if isinstance(source, TensorStructure):
+        transition = mb @ source.m_inverse
+    else:
+        transition = mb @ ma.inverse()
     blocks = {}
     for j in range(r):
         for k in range(r):

@@ -7,6 +7,7 @@ membership and join tests purely structural.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -18,12 +19,26 @@ def _frac_row(row) -> tuple:
     return tuple(Fraction(x) for x in row)
 
 
+_ZERO = Fraction(0)
+
+
+def _int_row(row) -> list:
+    """The row over Z: cleared of denominators and of its content."""
+    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    den = math.lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    content = math.gcd(*ints)
+    return [x // content for x in ints] if content > 1 else ints
+
+
 def rref(rows: Sequence[Sequence], ncols=None):
     """Reduced row echelon form.
 
     Returns ``(rows, pivots)`` with zero rows dropped and unit pivots.
+    Elimination runs on integer rows, each kept free of content, so the
+    only division is that of each pivot row by its pivot, at the end.
     """
-    work = [list(_frac_row(r)) for r in rows]
+    work = [_int_row(r) for r in rows]
     if ncols is None:
         ncols = len(work[0]) if work else 0
     for r in work:
@@ -40,17 +55,24 @@ def rref(rows: Sequence[Sequence], ncols=None):
         if pivot_row is None:
             continue
         work[row], work[pivot_row] = work[pivot_row], work[row]
-        inv = 1 / work[row][col]
-        work[row] = [x * inv for x in work[row]]
+        prow = work[row]
+        p = prow[col]
         for i in range(len(work)):
-            if i != row and work[i][col] != 0:
-                factor = work[i][col]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[row])]
+            a = work[i][col]
+            if i != row and a != 0:
+                g = math.gcd(p, a)
+                pg, ag = p // g, a // g
+                new = [pg * x - ag * y for x, y in zip(work[i], prow)]
+                content = math.gcd(*new)
+                work[i] = [x // content for x in new] if content > 1 else new
         pivots.append(col)
         row += 1
         if row == len(work):
             break
-    reduced = [tuple(r) for r in work[:row]]
+    reduced = [
+        tuple(Fraction(x, r[c]) if x else _ZERO for x in r)
+        for r, c in zip(work[:row], pivots)
+    ]
     return reduced, pivots
 
 
@@ -129,7 +151,7 @@ class QMatrix:
         n = self.nrows
         if n != self.ncols:
             raise RncGeomError("inverse of a non-square matrix")
-        aug = [list(self.entries[i]) + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
+        aug = [list(self.entries[i]) + [int(j == i) for j in range(n)] for i in range(n)]
         reduced, pivots = rref(aug, 2 * n)
         if pivots[:n] != list(range(n)) or len(reduced) < n:
             raise RncGeomError("matrix is singular")
@@ -158,15 +180,11 @@ class ProjSubspace:
 
     __slots__ = ("ambient_dim", "basis", "pivots")
 
-    def __init__(self, ambient_dim: int, basis_rows, _reduced=False):
+    def __init__(self, ambient_dim: int, basis_rows):
         self.ambient_dim = ambient_dim
-        if _reduced:
-            self.basis = tuple(tuple(r) for r in basis_rows)
-            self.pivots = [next(i for i, x in enumerate(r) if x == 1) for r in self.basis]
-        else:
-            reduced, pivots = rref(basis_rows, ambient_dim + 1)
-            self.basis = tuple(reduced)
-            self.pivots = pivots
+        reduced, pivots = rref(basis_rows, ambient_dim + 1)
+        self.basis = tuple(reduced)
+        self.pivots = pivots
 
     @property
     def dim(self) -> int:

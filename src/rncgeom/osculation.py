@@ -116,6 +116,26 @@ class OsculatorReport:
         }
 
 
+def _derivative_rows(v: Parametrization, point):
+    """Yield, for k = 1, 2, ..., the values at the point of the order-k partials.
+
+    Each order-k partial is one more derivative of an order-(k-1) one, so
+    every partial of every component is taken exactly once.
+    """
+    d = v.nparams
+    layer = {(0,) * d: v.components}
+    total = 0
+    while True:
+        total += 1
+        below, layer = layer, {}
+        for orders in compositions(total, d):
+            i = next(j for j, o in enumerate(orders) if o)
+            step = tuple(int(j == i) for j in range(d))
+            lower = orders[:i] + (orders[i] - 1,) + orders[i + 1 :]
+            layer[orders] = tuple(c.partial(step) for c in below[lower])
+        yield [tuple(c.eval(point) for c in comps) for comps in layer.values()]
+
+
 def osculator(v: Parametrization, point, k: int, _unchecked=False) -> OsculatorReport:
     """Osculating space of order k at a parameter point.
 
@@ -130,9 +150,8 @@ def osculator(v: Parametrization, point, k: int, _unchecked=False) -> OsculatorR
     rows = [v.eval(point)]
     if all(x == 0 for x in rows[0]) and not _unchecked:
         raise DegenerateParametrizationError("base point of the parametrization")
-    for total in range(1, k + 1):
-        for orders in compositions(total, v.nparams):
-            rows.append(tuple(c.partial(orders).eval(point) for c in v.components))
+    for order_rows in itertools.islice(_derivative_rows(v, point), k):
+        rows.extend(order_rows)
     sub = span_of(rows, v.ambient_dim)
     expected = math.comb(v.nparams + k, v.nparams)
     return OsculatorReport(k, sub, sub.dim + 1 == expected, expected)
@@ -141,15 +160,17 @@ def osculator(v: Parametrization, point, k: int, _unchecked=False) -> OsculatorR
 def regularity_order(v: Parametrization, point) -> int:
     """Largest k such that the map is k-regular at the point.
 
-    Terminates because the osculator dimension is capped by the ambient
-    space while the regular dimension keeps growing with k.
+    The order-k osculator is spanned by the reduced basis of the
+    order-(k-1) one and the order-k derivative rows.  Terminates because
+    the osculator dimension is capped by the ambient space while the
+    regular dimension keeps growing with k.
     """
-    k = 1
-    while True:
-        rep = osculator(v, point, k)
-        if not rep.is_regular:
+    point = tuple(Fraction(x) for x in point)
+    span = osculator(v, point, 0).subspace
+    for k, order_rows in enumerate(_derivative_rows(v, point), start=1):
+        span = span_of(list(span.basis) + order_rows, v.ambient_dim)
+        if span.dim + 1 != math.comb(v.nparams + k, v.nparams):
             return k - 1
-        k += 1
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 
@@ -120,6 +121,32 @@ class TestGrnRelation:
         subs, structure = general_position_family(rng, 2, 3)
         other = construct_structure(subs, rng=random.Random(99))
         assert grn_relation(structure, other) is not None
+
+
+class TestCachedInverse:
+    def test_inverts_m(self):
+        rng = random.Random(13)
+        _, structure = general_position_family(rng, 2, 3)
+        assert structure.m_inverse @ structure.m == QMatrix.identity(6)
+
+    def test_one_inversion_per_structure(self):
+        rng = random.Random(14)
+        r, n = 2, 3
+        subs, structure = general_position_family(rng, r, n)
+        other = construct_structure(subs, rng=random.Random(98))
+        calls = []
+        original = QMatrix.inverse
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        with mock.patch.object(QMatrix, "inverse", counting):
+            for sub in subs:
+                assert is_type_subspace(structure, sub) is not None
+            assert grn_relation(structure, other) is not None
+        assert len(subs) == n + 1
+        assert calls == [structure.m]
 
 
 class TestIntersectionLaw:

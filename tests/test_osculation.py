@@ -1,12 +1,13 @@
 import itertools
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 
 from rncgeom import catalog
 from rncgeom.catalog import ScrollSpec, SegreSpecial, StandardScroll, Veronese, Scroll
-from rncgeom.errors import GeneralPositionError
+from rncgeom.errors import DegenerateParametrizationError, GeneralPositionError
 from rncgeom.linalg import span_of
 from rncgeom.osculation import (
     Parametrization,
@@ -72,6 +73,29 @@ class TestRegularityOrder:
         assert regularity_order(v, origin(2)) == regularity_order(
             v, rand_vector(rng, 2)
         )
+
+    def test_each_partial_taken_once(self):
+        # the order-4 osculator that decides the answer has 34 derivative
+        # rows of 20 components; no lower-order row is differentiated again
+        v = catalog.make_variety(Veronese(3, 3))
+        calls = []
+        original = Polynomial.partial
+
+        def counting(self, orders):
+            calls.append(orders)
+            return original(self, orders)
+
+        with mock.patch.object(Polynomial, "partial", counting):
+            assert regularity_order(v, (F(1), F(2), F(-1))) == 3
+        assert len(calls) <= 680
+
+    def test_base_point_rejected(self):
+        x = Polynomial.variable(1, 0)
+        v = Parametrization(1, [x, x * x])
+        with pytest.raises(DegenerateParametrizationError):
+            regularity_order(v, (F(0),))
+        with pytest.raises(DegenerateParametrizationError):
+            osculator(v, (F(0),), 1)
 
 
 class TestMonomialShortcut:

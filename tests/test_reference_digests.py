@@ -1,8 +1,9 @@
 """Exact fitter outputs against the benchmark's reference digests.
 
 Runs pool input 0 of every job class of the ``membership``, ``interp_osc``
-and ``tensor`` workloads of ``perfbench/`` and compares the digest of each
-exact output with ``perfbench/reference.json``.  The benchmark directory is
+and ``tensor`` workloads of ``perfbench/``, and inputs 1-3 of every
+``tensor`` class, and compares the digest of each exact output with
+``perfbench/reference.json``.  The benchmark directory is
 only read: its modules are loaded without writing bytecode.
 """
 
@@ -31,14 +32,23 @@ def _load_workloads():
     return module
 
 
-@pytest.mark.parametrize("workload", ["membership", "interp_osc", "tensor"])
-def test_pool_input_zero_reproduces_reference(workload):
+def _wrong_digests(workload, indices):
     workloads = _load_workloads()
     reference = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
     wrong = []
     for cls in workloads.build(workload).classes:
-        inputs = cls.make(0)
-        got, ok = cls.check(inputs, cls.run(inputs))
-        if not ok or got != reference[workload][cls.key][0]:
-            wrong.append((cls.key, got, ok))
-    assert wrong == []
+        for index in indices:
+            inputs = cls.make(index)
+            got, ok = cls.check(inputs, cls.run(inputs))
+            if not ok or got != reference[workload][cls.key][index]:
+                wrong.append((cls.key, index, got, ok))
+    return wrong
+
+
+@pytest.mark.parametrize("workload", ["membership", "interp_osc", "tensor"])
+def test_pool_input_zero_reproduces_reference(workload):
+    assert _wrong_digests(workload, [0]) == []
+
+
+def test_tensor_pool_inputs_one_to_three_reproduce_reference():
+    assert _wrong_digests("tensor", [1, 2, 3]) == []
