@@ -47,10 +47,13 @@ def _dump_json(payload) -> None:
 
 
 def _parse_range(text: str):
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return range(int(lo), int(hi) + 1)
-    value = int(text)
+    try:
+        if ":" in text:
+            lo, hi = text.split(":", 1)
+            return range(int(lo), int(hi) + 1)
+        value = int(text)
+    except ValueError as exc:
+        raise SpecError(str(exc)) from exc
     return range(value, value + 1)
 
 
@@ -61,8 +64,11 @@ def _load_spec(args) -> object:
     if raw.strip().startswith("{"):
         text = raw
     else:
-        with open(raw, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            with open(raw, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise SpecError(str(exc)) from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -79,7 +85,10 @@ def _load_spec(args) -> object:
 
 
 def _parse_point(text: str):
-    return tuple(Fraction(chunk.strip()) for chunk in text.split(","))
+    try:
+        return tuple(Fraction(chunk.strip()) for chunk in text.split(","))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SpecError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -110,11 +119,17 @@ def cmd_pi_table(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    doc = json.loads(args.index_set)
-    kind = doc.get("type", "scroll")
+    try:
+        doc = json.loads(args.index_set)
+        kind = doc.get("type", "scroll")
+        if kind == "scroll":
+            a = catalog.ScrollSpec(tuple(doc["a"]))
+            rho, chi = int(doc["rho"]), int(doc["chi"])
+        elif kind == "cone":
+            r, q = int(doc["r"]), int(doc["q"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SpecError(str(exc)) from exc
     if kind == "scroll":
-        a = catalog.ScrollSpec(tuple(doc["a"]))
-        rho, chi = int(doc["rho"]), int(doc["chi"])
         index_set = build_A(a, rho, chi)
         q = rho * (a.n - 1) + chi
         expected = pi(a.r, a.n, q)
@@ -122,7 +137,6 @@ def cmd_enumerate(args) -> int:
         if chi == -1 and a.is_cone:
             flags["cone_identity"] = index_set == build_A(a, rho - 1, a.n - 2)
     elif kind == "cone":
-        r, q = int(doc["r"]), int(doc["q"])
         index_set = build_A_cone(r, q)
         expected = pi(r, 5, q)
         flags = {}
@@ -177,6 +191,8 @@ def cmd_osculate(args) -> int:
     spec, _ = _load_spec(args)
     variety = catalog.make_variety(spec)
     point = _parse_point(args.point)
+    if args.order < 0:
+        raise SpecError("order must be non-negative")
     report = osculator(variety, point, args.order)
     payload = {
         "schema": verify.SCHEMA_VERSION,
@@ -347,7 +363,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (SpecError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (SpecError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except SplittingFieldRequiredError as exc:

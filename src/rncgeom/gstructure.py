@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .errors import DimensionMismatchError, GeneralPositionError
+from .errors import DimensionMismatchError, GeneralPositionError, RncGeomError
 from .linalg import QMatrix, nullspace, rank
 
 
@@ -135,10 +135,12 @@ def construct_structure(subspaces: Sequence, rng=None) -> TensorStructure:
                         x + coeff * y for x, y in zip(component, base_row)
                     ]
             m_rows[j * n + alpha] = component
-    m = QMatrix(m_rows)
-    if not m.is_invertible():
-        raise GeneralPositionError("decomposition did not produce a basis")
-    return TensorStructure(r, n, m)
+    structure = TensorStructure(r, n, QMatrix(m_rows))
+    try:
+        structure.m_inverse  # certifies a basis; cached for later use
+    except RncGeomError:
+        raise GeneralPositionError("decomposition did not produce a basis") from None
+    return structure
 
 
 def is_type_subspace(structure: TensorStructure, subspace_rows) -> Optional[tuple]:

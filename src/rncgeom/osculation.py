@@ -37,7 +37,7 @@ from .poly import Polynomial, RationalCurve, compositions, curve_normalize
 class Parametrization:
     """Rational map C^d -> P^N with polynomial homogeneous components."""
 
-    __slots__ = ("nparams", "components", "_span")
+    __slots__ = ("nparams", "components", "_span", "_partials")
 
     def __init__(self, nparams: int, components: Sequence[Polynomial], check=True):
         comps = tuple(components)
@@ -49,6 +49,7 @@ class Parametrization:
         self.nparams = nparams
         self.components = comps
         self._span = None
+        self._partials = [{(0,) * nparams: comps}]
         if check:
             self._check_generic_rank()
 
@@ -88,6 +89,23 @@ class Parametrization:
             self._span = span_of(rows, self.ambient_dim)
         return self._span
 
+    def _partial_layer(self, k: int) -> dict:
+        """The order-k partials of the components, keyed by derivative multi-index.
+
+        Each order-k partial is one more derivative of an order-(k-1) one;
+        the layers are kept, so every partial is taken once per map.
+        """
+        layers = self._partials
+        while len(layers) <= k:
+            below, layer = layers[-1], {}
+            for orders in compositions(len(layers), self.nparams):
+                i = next(j for j, o in enumerate(orders) if o)
+                step = tuple(int(j == i) for j in range(self.nparams))
+                lower = orders[:i] + (orders[i] - 1,) + orders[i + 1 :]
+                layer[orders] = tuple(c.partial(step) for c in below[lower])
+            layers.append(layer)
+        return layers[k]
+
     def as_curve(self) -> RationalCurve:
         if self.nparams != 1:
             raise DimensionMismatchError("not a curve")
@@ -117,22 +135,9 @@ class OsculatorReport:
 
 
 def _derivative_rows(v: Parametrization, point):
-    """Yield, for k = 1, 2, ..., the values at the point of the order-k partials.
-
-    Each order-k partial is one more derivative of an order-(k-1) one, so
-    every partial of every component is taken exactly once.
-    """
-    d = v.nparams
-    layer = {(0,) * d: v.components}
-    total = 0
-    while True:
-        total += 1
-        below, layer = layer, {}
-        for orders in compositions(total, d):
-            i = next(j for j, o in enumerate(orders) if o)
-            step = tuple(int(j == i) for j in range(d))
-            lower = orders[:i] + (orders[i] - 1,) + orders[i + 1 :]
-            layer[orders] = tuple(c.partial(step) for c in below[lower])
+    """Yield, for k = 1, 2, ..., the values at the point of the order-k partials."""
+    for k in itertools.count(1):
+        layer = v._partial_layer(k)
         yield [tuple(c.eval(point) for c in comps) for comps in layer.values()]
 
 

@@ -9,13 +9,15 @@ on the exponent tuple.
 
 ``RationalCurve`` holds the homogeneous components of a rational map
 ``P^1 -> P^N`` as N+1 univariate polynomials sharing the parameter.
+Univariate gcd and exact division clear denominators and run on integer
+coefficient lists.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DegenerateCurveError, DimensionMismatchError
 
@@ -95,6 +97,19 @@ class Polynomial:
     def univariate(cls, coeffs: Sequence) -> "Polynomial":
         """Build a one-variable polynomial from coefficients, low degree first."""
         return cls(1, {(i,): _as_fraction(c) for i, c in enumerate(coeffs)})
+
+    @classmethod
+    def from_coeffs(cls, coeffs: Sequence) -> "Polynomial":
+        """One-variable polynomial from exact coefficients, low degree first.
+
+        The coefficients are stored as given, without the revalidation of
+        ``univariate``; the integer kernels below pass polynomials with
+        ``int`` coefficients to one another through it and return
+        ``Fraction`` ones.
+        """
+        out = cls(1)
+        out._terms = {(i,): c for i, c in enumerate(coeffs) if c}
+        return out
 
     # -- structure ----------------------------------------------------
 
@@ -294,17 +309,6 @@ class Polynomial:
         out._terms = terms
         return out
 
-    # -- univariate helpers --------------------------------------------
-
-    def univariate_coeffs(self) -> list:
-        """Coefficient list (low degree first) of a one-variable polynomial."""
-        if self.nvars != 1:
-            raise DimensionMismatchError("not univariate")
-        if not self._terms:
-            return []
-        deg = max(e[0] for e in self._terms)
-        return [self._terms.get((i,), Fraction(0)) for i in range(deg + 1)]
-
     # -- text form -------------------------------------------------------
 
     def to_text(self, varnames=None) -> str:
@@ -360,76 +364,100 @@ def combine(coeffs: Sequence, polys: Sequence[Polynomial]) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# univariate gcd machinery
+# univariate gcd and exact division over Z
 # ---------------------------------------------------------------------------
 
 
-def _univariate_divmod(a: Polynomial, b: Polynomial):
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    ac = a.univariate_coeffs()
-    bc = b.univariate_coeffs()
-    q = [Fraction(0)] * max(len(ac) - len(bc) + 1, 1)
-    rem = list(ac)
-    while len(rem) >= len(bc) and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) < len(bc):
-            break
-        shift = len(rem) - len(bc)
-        factor = rem[-1] / bc[-1]
-        q[shift] = factor
-        for i, c in enumerate(bc):
-            rem[shift + i] -= factor * c
-        rem.pop()
-    return Polynomial.univariate(q), Polynomial.univariate(rem)
+def integer_coefficients(polys: Sequence[Polynomial]) -> list:
+    """Coefficient lists (low degree first) of L * p for each univariate p.
+
+    L is the lcm of every coefficient denominator of ``polys``, so each
+    list holds integers; the zero polynomial gives the empty list.
+    """
+    den = math.lcm(*(c.denominator for p in polys for c in p._terms.values()))
+    out = []
+    for p in polys:
+        if p.nvars != 1:
+            raise DimensionMismatchError("not univariate")
+        coeffs = [0] * (max((e for (e,) in p._terms), default=-1) + 1)
+        for (e,), c in p._terms.items():
+            coeffs[e] = c.numerator * (den // c.denominator)
+        out.append(coeffs)
+    return out
 
 
-def _integer_content(coeffs: Iterable[Fraction]) -> Fraction:
-    """gcd of numerators over lcm of denominators; 0 for no coefficients."""
-    num = 0
-    den = 1
-    seen = False
-    for c in coeffs:
-        seen = True
-        num = math.gcd(num, abs(c.numerator))
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    if not seen:
-        return Fraction(0)
-    return Fraction(num, den)
+def _primitive(coeffs: list) -> list:
+    """An integer list divided by its content, the gcd of its entries."""
+    content = math.gcd(*coeffs)
+    return [c // content for c in coeffs] if content > 1 else coeffs
 
 
-def _primitive_positive(p: Polynomial) -> Polynomial:
-    """Scale to integer coefficients with gcd 1 and positive leading coefficient."""
-    coeffs = list(p._terms.values())
-    if not coeffs:
-        return p
-    content = _integer_content(coeffs)
-    lead = p.univariate_coeffs()[-1] if p.nvars == 1 else None
-    scaled = p.scale(1 / content)
-    if lead is not None and lead < 0:
-        scaled = -scaled
-    return scaled
+def _divexact_ints(x: list, y: list) -> list:
+    """Integer quotient x / y (low degree first); ValueError unless y divides x.
+
+    For primitive y this is exact division over Q as well: by Gauss's
+    lemma a quotient over Q of an integer list by a primitive one is an
+    integer list.
+    """
+    n = len(y)
+    rem = list(x)
+    quotient = [0] * max(len(x) - n + 1, 0)
+    for s in range(len(x) - n, -1, -1):
+        lead = rem[s + n - 1]
+        if lead:
+            factor, r = divmod(lead, y[-1])
+            if r:
+                raise ValueError("division is not exact")
+            quotient[s] = factor
+            for i in range(n - 1):
+                rem[s + i] -= factor * y[i]
+    if any(rem[: n - 1]):
+        raise ValueError("division is not exact")
+    return quotient
 
 
 def poly_gcd_univariate(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic-free canonical gcd: primitive integer coefficients, positive lead."""
+    """Canonical gcd: primitive integer coefficients, positive lead.
+
+    A primitive pseudo-remainder sequence over Z (Collins, J. ACM 14,
+    1967; Brown, J. ACM 18, 1971).  A pseudo-division step replaces rem
+    by (lc(y)/g) rem - (lead(rem)/g) t^s y with g = gcd(lc(y), lead(rem)),
+    and each full remainder is divided by its content.  gcd(0, 0) is 0.
+    """
     if a.nvars != 1 or b.nvars != 1:
         raise DimensionMismatchError("gcd requires univariate polynomials")
-    x, y = a, b
-    while not y.is_zero():
-        _, r = _univariate_divmod(x, y)
-        x, y = y, r
-    if x.is_zero():
-        return x
-    return _primitive_positive(x)
+    x, y = (_primitive(c) for c in integer_coefficients([a, b]))
+    if len(x) < len(y):
+        x, y = y, x
+    while len(y) > 1:
+        n, lc = len(y), y[-1]
+        rem = x
+        while len(rem) >= n:
+            lead = rem[-1]
+            g = math.gcd(lc, lead)
+            p, q = lc // g, lead // g
+            s = len(rem) - n
+            rem = [p * c for c in rem[:s]] + [
+                p * c - q * d for c, d in zip(rem[s:-1], y)
+            ]
+            while rem and not rem[-1]:
+                rem.pop()
+        x, y = y, _primitive(rem)
+    if y:  # a nonzero constant
+        x = [1]
+    if x and x[-1] < 0:
+        x = [-c for c in x]
+    return Polynomial.from_coeffs([Fraction(c) for c in x])
 
 
 def poly_divexact_univariate(a: Polynomial, b: Polynomial) -> Polynomial:
-    q, r = _univariate_divmod(a, b)
-    if not r.is_zero():
-        raise ValueError("division is not exact")
-    return q
+    """The quotient a / b over Q; ValueError when b does not divide a."""
+    x, y = integer_coefficients([a, b])
+    if not y:
+        raise ZeroDivisionError("polynomial division by zero")
+    content = math.gcd(*y)
+    quotient = _divexact_ints(x, [c // content for c in y])
+    return Polynomial.from_coeffs(quotient).scale(Fraction(1, content))
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +516,7 @@ class RationalCurve:
 
 def curve_normalize(curve: RationalCurve) -> RationalCurve:
     """Canonical form: gcd and content removed, first nonzero lead positive."""
-    comps = list(curve.components)
+    comps = curve.components
     g = None
     for c in comps:
         if c.is_zero():
@@ -496,18 +524,14 @@ def curve_normalize(curve: RationalCurve) -> RationalCurve:
         g = c if g is None else poly_gcd_univariate(g, c)
         if g.total_degree() == 0:
             break
-    if g is not None and g.total_degree() > 0:
-        comps = [
-            c if c.is_zero() else poly_divexact_univariate(c, g) for c in comps
-        ]
-    content = _integer_content(
-        coeff for c in comps for coeff in c._terms.values()
+    lists = integer_coefficients(comps)
+    if g.total_degree() > 0:
+        (divisor,) = integer_coefficients([g])
+        divisor = _primitive(divisor)
+        lists = [_divexact_ints(x, divisor) if x else x for x in lists]
+    content = math.gcd(*(c for x in lists for c in x))
+    if next(x[-1] for x in lists if x) < 0:
+        content = -content
+    return RationalCurve(
+        [Polynomial.from_coeffs([Fraction(c // content) for c in x]) for x in lists]
     )
-    if content not in (0, 1):
-        comps = [c.scale(1 / content) for c in comps]
-    for c in comps:
-        if not c.is_zero():
-            if c.univariate_coeffs()[-1] < 0:
-                comps = [-x for x in comps]
-            break
-    return RationalCurve(comps)

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, zip_longest
 from typing import Optional, Sequence
 
 from . import catalog, sampling
@@ -45,6 +45,7 @@ from .poly import (
     RationalCurve,
     combine,
     curve_normalize,
+    integer_coefficients,
     poly_gcd_univariate,
     power_product,
 )
@@ -80,7 +81,8 @@ def curve_contains_point(curve: RationalCurve, point, assume_normalized=False) -
 
     Works through the gcd of the 2x2 cross minors against a nonzero
     coordinate of the point; a common root, or a match with the value at
-    infinity, certifies membership.
+    infinity, certifies membership.  The point and the curve are each
+    cleared of denominators, so the minors are built on integers.
     """
     c = curve if assume_normalized else curve_normalize(curve)
     point = tuple(Fraction(x) for x in point)
@@ -88,14 +90,20 @@ def curve_contains_point(curve: RationalCurve, point, assume_normalized=False) -
         raise DimensionMismatchError("point/curve ambient mismatch")
     if all(x == 0 for x in point):
         raise ValueError("zero vector is not a projective point")
-    m = next(i for i, x in enumerate(point) if x != 0)
+    den = math.lcm(*(x.denominator for x in point))
+    p = [x.numerator * (den // x.denominator) for x in point]
+    comps = integer_coefficients(c.components)
+    m = next(i for i, x in enumerate(p) if x)
     minors = []
-    for j in range(len(point)):
+    for j, (pj, cj) in enumerate(zip(p, comps)):
         if j == m:
             continue
-        poly = c.components[j].scale(point[m]) - c.components[m].scale(point[j])
-        if not poly.is_zero():
-            minors.append(poly)
+        minor = [p[m] * a - pj * b for a, b in zip_longest(cj, comps[m], fillvalue=0)]
+        while minor and not minor[-1]:
+            minor.pop()
+        if minor:
+            content = math.gcd(*minor)
+            minors.append(Polynomial.from_coeffs([x // content for x in minor]))
     if not minors:
         return True
     g = minors[0]
@@ -105,10 +113,9 @@ def curve_contains_point(curve: RationalCurve, point, assume_normalized=False) -
             break
     if g.total_degree() >= 1:
         return True
-    inf = c.value_at_infinity()
-    return all(
-        point[m] * inf[j] - point[j] * inf[m] == 0 for j in range(len(point))
-    )
+    d = c.degree()
+    top = [x[d] if len(x) > d else 0 for x in comps]
+    return all(p[m] * top[j] - pj * top[m] == 0 for j, pj in enumerate(p))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 
+import pytest
+
 from rncgeom import rnc
 from rncgeom.catalog import FAMILIES
 from rncgeom.cli import (
@@ -219,3 +221,45 @@ class TestOtherCommands:
     def test_usage_error_on_unknown_command(self):
         code, _ = run(["frobnicate"])
         assert code == EXIT_USAGE
+
+
+VERONESE = '{"family":"Veronese","params":{"dim":2,"order":2}}'
+INT_ERROR = "invalid literal for int() with base 10: "
+JSON_ERROR = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+
+
+class TestUsageErrors:
+    """Exit 64 is for malformed input only, with the message of the parse error."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["pi-table", "--r", "x"], INT_ERROR + "'x'"),
+        (["pi-table", "--q", "1:y"], INT_ERROR + "'y'"),
+        (["enumerate", "--index-set", "{bad"], JSON_ERROR),
+        (["enumerate", "--index-set", '{"a":[1,1],"rho":1}'], "'chi'"),
+        (["enumerate", "--index-set", '{"a":[1,1],"rho":"x","chi":0}'], INT_ERROR + "'x'"),
+        (["enumerate", "--index-set", '{"a":[1,"x"],"rho":1,"chi":0}'], INT_ERROR + "'x'"),
+        (["enumerate", "--index-set", '{"type":"cone","r":"x","q":4}'], INT_ERROR + "'x'"),
+        (["enumerate", "--index-set", '{"type":"torus"}'], "unknown index-set type 'torus'"),
+        (["osculate", "--spec", VERONESE, "--point", "x,1", "--order", "1"],
+         "Invalid literal for Fraction: 'x'"),
+        (["osculate", "--spec", VERONESE, "--point", "1,2", "--order", "-1"],
+         "order must be non-negative"),
+        (["verify", "--spec", "{not json"], "spec is not valid JSON: " + JSON_ERROR),
+    ])
+    def test_malformed_input(self, argv, message, capsys):
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_undecodable_spec_file(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_bytes(b"\xff{")
+        assert main(["verify", "--spec", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
+
+    def test_library_value_error_is_not_a_usage_error(self, monkeypatch):
+        def inexact(spec, points, rng=None):
+            raise ValueError("division is not exact")
+
+        monkeypatch.setattr(rnc, "fit_rnc_through", inexact)
+        with pytest.raises(ValueError, match="division is not exact"):
+            main(["fit", "--spec", SCROLL, "--seed", "0"])

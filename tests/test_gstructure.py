@@ -4,8 +4,10 @@ from unittest import mock
 
 import pytest
 
-from rncgeom.errors import DimensionMismatchError, GeneralPositionError
+from rncgeom import linalg
+from rncgeom.errors import DimensionMismatchError, GeneralPositionError, RncGeomError
 from rncgeom.gstructure import (
+    TensorStructure,
     construct_structure,
     grn_relation,
     is_type_subspace,
@@ -130,9 +132,10 @@ class TestCachedInverse:
         assert structure.m_inverse @ structure.m == QMatrix.identity(6)
 
     def test_one_inversion_per_structure(self):
+        # the construction, n + 1 type checks and a relation invert m once
         rng = random.Random(14)
         r, n = 2, 3
-        subs, structure = general_position_family(rng, r, n)
+        subs, _ = general_position_family(rng, r, n)
         other = construct_structure(subs, rng=random.Random(98))
         calls = []
         original = QMatrix.inverse
@@ -142,11 +145,41 @@ class TestCachedInverse:
             return original(self)
 
         with mock.patch.object(QMatrix, "inverse", counting):
+            structure = construct_structure(subs)
             for sub in subs:
                 assert is_type_subspace(structure, sub) is not None
             assert grn_relation(structure, other) is not None
         assert len(subs) == n + 1
-        assert calls == [structure.m]
+        assert [m for m in calls if m == structure.m] == [structure.m]
+
+    def test_m_row_reduced_once_per_construction(self):
+        # the inverse certifies the basis and serves the type checks after
+        # it; m is not also row-reduced for its rank
+        subs, _ = general_position_family(random.Random(15), 3, 3)
+        reduced = []
+        original = linalg.rref
+
+        def counting(rows, ncols=None):
+            reduced.append([tuple(row) for row in rows])
+            return original(rows, ncols)
+
+        with mock.patch.object(linalg, "rref", counting):
+            structure = construct_structure(subs)
+            for sub in subs:
+                assert is_type_subspace(structure, sub) is not None
+        m = [tuple(row) for row in structure.m.entries]
+        on_m = [rows for rows in reduced if [row[: len(m)] for row in rows] == m]
+        assert len(on_m) == 1
+
+    def test_singular_decomposition_is_a_general_position_error(self):
+        subs, _ = general_position_family(random.Random(16), 2, 2)
+
+        def singular(self):
+            raise RncGeomError("matrix is singular")
+
+        with mock.patch.object(TensorStructure, "m_inverse", property(singular)):
+            with pytest.raises(GeneralPositionError, match="did not produce a basis"):
+                construct_structure(subs)
 
 
 class TestIntersectionLaw:

@@ -89,6 +89,22 @@ class TestRegularityOrder:
             assert regularity_order(v, (F(1), F(2), F(-1))) == 3
         assert len(calls) <= 680
 
+    def test_partials_shared_by_the_points(self):
+        # a 5-point regularity job derives the partials once, not once per point
+        v = catalog.make_variety(Veronese(3, 3))
+        points = [rand_vector(random.Random(seed), 3) for seed in range(5)]
+        expected = [regularity_order(catalog.make_variety(Veronese(3, 3)), p) for p in points]
+        calls = []
+        original = Polynomial.partial
+
+        def counting(self, orders):
+            calls.append(orders)
+            return original(self, orders)
+
+        with mock.patch.object(Polynomial, "partial", counting):
+            assert [regularity_order(v, p) for p in points] == expected == [3] * 5
+        assert len(calls) <= 680
+
     def test_base_point_rejected(self):
         x = Polynomial.variable(1, 0)
         v = Parametrization(1, [x, x * x])

@@ -1,10 +1,10 @@
 """Exact fitter outputs against the benchmark's reference digests.
 
-Runs pool input 0 of every job class of the ``membership``, ``interp_osc``
-and ``tensor`` workloads of ``perfbench/``, and inputs 1-3 of every
-``tensor`` class, and compares the digest of each exact output with
-``perfbench/reference.json``.  The benchmark directory is
-only read: its modules are loaded without writing bytecode.
+Runs pool inputs 0-3 of every job class of the ``membership``,
+``interp_osc`` and ``tensor`` workloads of ``perfbench/`` and compares
+the digest of each exact output with ``perfbench/reference.json``.  The
+benchmark directory is only read: its modules are loaded without
+writing bytecode.
 """
 
 import importlib.util
@@ -52,3 +52,8 @@ def test_pool_input_zero_reproduces_reference(workload):
 
 def test_tensor_pool_inputs_one_to_three_reproduce_reference():
     assert _wrong_digests("tensor", [1, 2, 3]) == []
+
+
+@pytest.mark.parametrize("workload", ["membership", "interp_osc"])
+def test_pool_inputs_one_to_three_reproduce_reference(workload):
+    assert _wrong_digests(workload, [1, 2, 3]) == []

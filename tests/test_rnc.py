@@ -37,6 +37,7 @@ from rncgeom.rnc import (
     sample_parameter_points,
 )
 from rncgeom.sampling import rand_vector
+from test_gcd_oracle import reference_curve_contains_point
 
 
 def monomial_curve(*degrees):
@@ -97,6 +98,42 @@ class TestContainsPoint:
     def test_off_curve(self):
         curve = monomial_curve(0, 1, 2, 3)
         assert not curve_contains_point(curve, (1, 2, 4, 9))
+
+    # a twisted cubic with Fraction coefficients, t -> (t^i (1 - t)^(3 - i) (i + 1) / 2)
+    BASE = RationalCurve([
+        Polynomial.univariate([F(i + 1, 2)]) * Polynomial.monomial(1, (i,))
+        * Polynomial.univariate([1, -1]) ** (3 - i)
+        for i in range(4)
+    ])
+
+    def _points(self):
+        on = [self.BASE.eval(t) for t in (F(0), F(2), F(-1, 3), F(5, 2))]
+        on.append(self.BASE.eval(F(1)))  # first coordinate zero
+        on.append(self.BASE.value_at_infinity())
+        off = [(F(1), F(0), F(0), F(1)), (F(0), F(1, 2), F(0), F(2)), (F(1, 3), F(1), F(2), F(3))]
+        return on, off
+
+    def test_fraction_curve_agrees_with_reference(self):
+        on, off = self._points()
+        assert on[-2][0] == 0
+        for assume_normalized in (True, False):
+            for point in on + off:
+                expected = reference_curve_contains_point(self.BASE, point, assume_normalized)
+                assert curve_contains_point(self.BASE, point, assume_normalized) == expected
+                assert expected == (point in on)
+
+    def test_curve_with_common_factor_agrees_with_reference(self):
+        # a common factor makes every minor vanish at its root, so only the
+        # normalizing call can tell the off-curve points apart
+        factor = Polynomial.univariate([F(-2, 5), F(3, 5)])
+        curve = RationalCurve([c * factor for c in self.BASE.components])
+        on, off = self._points()
+        for assume_normalized in (True, False):
+            for point in on + off:
+                expected = reference_curve_contains_point(curve, point, assume_normalized)
+                assert curve_contains_point(curve, point, assume_normalized) == expected
+                if not assume_normalized:
+                    assert expected == (point in on)
 
 
 class TestRncThroughPoints:
