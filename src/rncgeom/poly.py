@@ -386,7 +386,7 @@ def integer_coefficients(polys: Sequence[Polynomial]) -> list:
     return out
 
 
-def _primitive(coeffs: list) -> list:
+def primitive_part(coeffs: list) -> list:
     """An integer list divided by its content, the gcd of its entries."""
     content = math.gcd(*coeffs)
     return [c // content for c in coeffs] if content > 1 else coeffs
@@ -426,7 +426,7 @@ def poly_gcd_univariate(a: Polynomial, b: Polynomial) -> Polynomial:
     """
     if a.nvars != 1 or b.nvars != 1:
         raise DimensionMismatchError("gcd requires univariate polynomials")
-    x, y = (_primitive(c) for c in integer_coefficients([a, b]))
+    x, y = (primitive_part(c) for c in integer_coefficients([a, b]))
     if len(x) < len(y):
         x, y = y, x
     while len(y) > 1:
@@ -442,7 +442,7 @@ def poly_gcd_univariate(a: Polynomial, b: Polynomial) -> Polynomial:
             ]
             while rem and not rem[-1]:
                 rem.pop()
-        x, y = y, _primitive(rem)
+        x, y = y, primitive_part(rem)
     if y:  # a nonzero constant
         x = [1]
     if x and x[-1] < 0:
@@ -527,7 +527,7 @@ def curve_normalize(curve: RationalCurve) -> RationalCurve:
     lists = integer_coefficients(comps)
     if g.total_degree() > 0:
         (divisor,) = integer_coefficients([g])
-        divisor = _primitive(divisor)
+        divisor = primitive_part(divisor)
         lists = [_divexact_ints(x, divisor) if x else x for x in lists]
     content = math.gcd(*(c for x in lists for c in x))
     if next(x[-1] for x in lists if x) < 0:

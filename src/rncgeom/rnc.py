@@ -48,6 +48,7 @@ from .poly import (
     integer_coefficients,
     poly_gcd_univariate,
     power_product,
+    primitive_part,
 )
 
 
@@ -99,11 +100,8 @@ def curve_contains_point(curve: RationalCurve, point, assume_normalized=False) -
         if j == m:
             continue
         minor = [p[m] * a - pj * b for a, b in zip_longest(cj, comps[m], fillvalue=0)]
-        while minor and not minor[-1]:
-            minor.pop()
-        if minor:
-            content = math.gcd(*minor)
-            minors.append(Polynomial.from_coeffs([x // content for x in minor]))
+        if any(minor):
+            minors.append(Polynomial.from_coeffs(primitive_part(minor)))
     if not minors:
         return True
     g = minors[0]
@@ -113,9 +111,8 @@ def curve_contains_point(curve: RationalCurve, point, assume_normalized=False) -
             break
     if g.total_degree() >= 1:
         return True
-    d = c.degree()
-    top = [x[d] if len(x) > d else 0 for x in comps]
-    return all(p[m] * top[j] - pj * top[m] == 0 for j, pj in enumerate(p))
+    inf = c.value_at_infinity()
+    return all(p[m] * inf[j] - pj * inf[m] == 0 for j, pj in enumerate(p))
 
 
 # ---------------------------------------------------------------------------
