@@ -193,6 +193,8 @@ def cmd_osculate(args) -> int:
     point = _parse_point(args.point)
     if args.order < 0:
         raise SpecError("order must be non-negative")
+    if len(point) != variety.nparams:
+        raise SpecError(f"point needs {variety.nparams} coordinates, got {len(point)}")
     report = osculator(variety, point, args.order)
     payload = {
         "schema": verify.SCHEMA_VERSION,

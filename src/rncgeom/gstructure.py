@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, GeneralPositionError, RncGeomError
-from .linalg import QMatrix, nullspace, rank
+from .linalg import QMatrix, combine_rows, nullspace, rank
 
 
 @dataclass(frozen=True)
@@ -30,23 +30,12 @@ class TensorStructure:
         """Inverse of ``m``, computed once per structure."""
         return self.m.inverse()
 
-    def row(self, j: int, alpha: int) -> tuple:
-        return self.m.entries[j * self.n + alpha]
-
     def type_subspace_rows(self, t) -> list:
         """Basis of the annihilator of the type-(r, n-1) space with parameter t."""
-        t = [Fraction(x) for x in t]
         if len(t) != self.n:
             raise DimensionMismatchError("parameter must have n coordinates")
-        rows = []
-        for j in range(self.r):
-            acc = [Fraction(0)] * (self.r * self.n)
-            for alpha in range(self.n):
-                if t[alpha]:
-                    row = self.row(j, alpha)
-                    acc = [x + t[alpha] * y for x, y in zip(acc, row)]
-            rows.append(tuple(acc))
-        return rows
+        n = self.n
+        return [combine_rows(t, self.m.entries[j * n : (j + 1) * n]) for j in range(self.r)]
 
     def type_subspace(self, t) -> list:
         """Basis vectors of the type-(r, n-1) subspace cut out by t."""
@@ -54,18 +43,9 @@ class TensorStructure:
 
     def left_type_subspace(self, u) -> list:
         """Basis of the type-(r-1, n) subspace cut out by a covector u on C^r."""
-        u = [Fraction(x) for x in u]
         if len(u) != self.r:
             raise DimensionMismatchError("parameter must have r coordinates")
-        rows = []
-        for alpha in range(self.n):
-            acc = [Fraction(0)] * (self.r * self.n)
-            for j in range(self.r):
-                if u[j]:
-                    row = self.row(j, alpha)
-                    acc = [x + u[j] * y for x, y in zip(acc, row)]
-            rows.append(tuple(acc))
-        return rows
+        return [combine_rows(u, self.m.entries[alpha :: self.n]) for alpha in range(self.n)]
 
 
 def construct_structure(subspaces: Sequence, rng=None) -> TensorStructure:
@@ -82,20 +62,18 @@ def construct_structure(subspaces: Sequence, rng=None) -> TensorStructure:
     if count < 3:
         raise DimensionMismatchError("need n+1 >= 3 subspaces")
     n = count - 1
-    first = [tuple(Fraction(x) for x in row) for row in subspaces[0]]
-    dim = len(first[0])
+    dim = len(subspaces[0][0])
     if dim % n:
         raise DimensionMismatchError(f"ambient dimension {dim} not divisible by n={n}")
     r = dim // n
 
     annihilators = []
     for idx, sub in enumerate(subspaces):
-        rows = [tuple(Fraction(x) for x in row) for row in sub]
-        if rank(rows, dim) != dim - r:
+        ann = nullspace(sub, dim)
+        if len(ann) != r:
             raise DimensionMismatchError(
                 f"subspace {idx} does not have codimension r={r}"
             )
-        ann = nullspace(rows, dim)
         annihilators.append(ann)
 
     for omitted in range(n + 1):
@@ -112,29 +90,16 @@ def construct_structure(subspaces: Sequence, rng=None) -> TensorStructure:
     if rng is not None:
         from .sampling import rand_invertible_matrix
 
-        mix = rand_invertible_matrix(rng, r)
-        phis = [
-            tuple(
-                sum(mix.entries[i][j] * phis[j][c] for j in range(r))
-                for c in range(dim)
-            )
-            for i in range(r)
-        ]
+        phis = [combine_rows(row, phis) for row in rand_invertible_matrix(rng, r).entries]
 
-    basis_rows = [row for ann in annihilators[1:] for row in ann]
-    change = QMatrix(basis_rows).transpose().inverse()
-    m_rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for j, phi in enumerate(phis):
-        coords = change.matvec(phi)
-        for alpha in range(n):
-            block = coords[alpha * r : (alpha + 1) * r]
-            component = [Fraction(0)] * dim
-            for coeff, base_row in zip(block, annihilators[1 + alpha]):
-                if coeff:
-                    component = [
-                        x + coeff * y for x, y in zip(component, base_row)
-                    ]
-            m_rows[j * n + alpha] = component
+    # coordinates of phi_j in the basis of the sum of the annihilators of F_1..F_n;
+    # row j*n + alpha of m is the component of phi_j along that of F_{alpha+1}
+    change = QMatrix([row for ann in annihilators[1:] for row in ann]).inverse()
+    m_rows = [
+        combine_rows(coords[alpha * r : (alpha + 1) * r], annihilators[1 + alpha])
+        for coords in (combine_rows(phi, change.entries) for phi in phis)
+        for alpha in range(n)
+    ]
     structure = TensorStructure(r, n, QMatrix(m_rows))
     try:
         structure.m_inverse  # certifies a basis; cached for later use
@@ -152,17 +117,13 @@ def is_type_subspace(structure: TensorStructure, subspace_rows) -> Optional[tupl
     """
     r, n = structure.r, structure.n
     dim = r * n
-    rows = [tuple(Fraction(x) for x in row) for row in subspace_rows]
-    if rank(rows, dim) != dim - r:
+    ann = nullspace(subspace_rows, dim)
+    if len(ann) != r:
         raise DimensionMismatchError("subspace must have codimension r")
-    ann = nullspace(rows, dim)
     minv = structure.m_inverse
     coefficient_mats = []
     for psi in ann:
-        coords = [
-            sum(psi[c] * minv.entries[c][row_idx] for c in range(dim))
-            for row_idx in range(dim)
-        ]
+        coords = combine_rows(psi, minv.entries)
         coefficient_mats.append([coords[j * n : (j + 1) * n] for j in range(r)])
 
     t = None

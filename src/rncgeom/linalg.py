@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatchError, DirectSumError, RncGeomError
-from .poly import combine
+from .poly import clear_denominators, combine, primitive_part
 
 
 def _frac_row(row) -> tuple:
@@ -22,15 +22,6 @@ def _frac_row(row) -> tuple:
 _ZERO = Fraction(0)
 
 
-def _int_row(row) -> list:
-    """The row over Z: cleared of denominators and of its content."""
-    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-    den = math.lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (den // x.denominator) for x in row]
-    content = math.gcd(*ints)
-    return [x // content for x in ints] if content > 1 else ints
-
-
 def rref(rows: Sequence[Sequence], ncols=None):
     """Reduced row echelon form.
 
@@ -38,7 +29,7 @@ def rref(rows: Sequence[Sequence], ncols=None):
     Elimination runs on integer rows, each kept free of content, so the
     only division is that of each pivot row by its pivot, at the end.
     """
-    work = [_int_row(r) for r in rows]
+    work = [primitive_part(clear_denominators(r)[0]) for r in rows]
     if ncols is None:
         ncols = len(work[0]) if work else 0
     for r in work:
@@ -94,6 +85,25 @@ def nullspace(rows, ncols: int):
     return basis
 
 
+def combine_rows(coeffs, rows) -> tuple:
+    """The linear combination of ``rows`` with paired ``coeffs``.
+
+    The vector analogue of ``poly.combine``: the coefficients, then the
+    rows they select, are cleared to integers once, the sum is accumulated
+    over Z, and each output entry is one Fraction over the product of the
+    two denominators.
+    """
+    nums, coeff_den = clear_denominators(coeffs)
+    terms = [(a, row) for a, row in zip(nums, rows) if a]
+    ints, den = clear_denominators([x for _, row in terms for x in row])
+    width = len(rows[0]) if rows else 0
+    acc = [0] * width
+    for k, (a, _) in enumerate(terms):
+        acc = [x + a * y for x, y in zip(acc, ints[k * width : (k + 1) * width])]
+    den *= coeff_den
+    return tuple(Fraction(x, den) if x else _ZERO for x in acc)
+
+
 class QMatrix:
     """Dense exact matrix; small sizes only, immutable."""
 
@@ -128,18 +138,17 @@ class QMatrix:
         return QMatrix(list(zip(*self.entries)))
 
     def matvec(self, vec) -> tuple:
-        vec = _frac_row(vec)
+        vec = tuple(vec)
         if len(vec) != self.ncols:
             raise DimensionMismatchError("matvec size mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
+        if not vec:
+            return (_ZERO,) * self.nrows
+        return combine_rows(vec, list(zip(*self.entries)))
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.ncols != other.nrows:
             raise DimensionMismatchError("matmul size mismatch")
-        cols = other.transpose().entries
-        return QMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.entries]
-        )
+        return QMatrix([combine_rows(row, other.entries) for row in self.entries])
 
     def rank(self) -> int:
         return rank(self.entries, self.ncols)

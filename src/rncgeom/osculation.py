@@ -106,11 +106,6 @@ class Parametrization:
             layers.append(layer)
         return layers[k]
 
-    def as_curve(self) -> RationalCurve:
-        if self.nparams != 1:
-            raise DimensionMismatchError("not a curve")
-        return RationalCurve(self.components)
-
     @classmethod
     def from_curve(cls, curve: RationalCurve, check=False) -> "Parametrization":
         return cls(1, curve.components, check=check)

@@ -386,6 +386,17 @@ def integer_coefficients(polys: Sequence[Polynomial]) -> list:
     return out
 
 
+def clear_denominators(values) -> tuple:
+    """``(ints, den)`` with each value equal to its integer over ``den``.
+
+    ``den`` is the lcm of the denominators; entries that are neither int
+    nor Fraction go through ``Fraction`` first.
+    """
+    values = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
+    den = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
 def primitive_part(coeffs: list) -> list:
     """An integer list divided by its content, the gcd of its entries."""
     content = math.gcd(*coeffs)

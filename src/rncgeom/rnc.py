@@ -43,6 +43,7 @@ from .linalg import QMatrix, intersect, nullspace, rank, rref, span_of
 from .poly import (
     Polynomial,
     RationalCurve,
+    clear_denominators,
     combine,
     curve_normalize,
     integer_coefficients,
@@ -86,13 +87,11 @@ def curve_contains_point(curve: RationalCurve, point, assume_normalized=False) -
     cleared of denominators, so the minors are built on integers.
     """
     c = curve if assume_normalized else curve_normalize(curve)
-    point = tuple(Fraction(x) for x in point)
-    if len(point) != c.ambient_dim + 1:
+    p, _ = clear_denominators(point)
+    if len(p) != c.ambient_dim + 1:
         raise DimensionMismatchError("point/curve ambient mismatch")
-    if all(x == 0 for x in point):
+    if not any(p):
         raise ValueError("zero vector is not a projective point")
-    den = math.lcm(*(x.denominator for x in point))
-    p = [x.numerator * (den // x.denominator) for x in point]
     comps = integer_coefficients(c.components)
     m = next(i for i, x in enumerate(p) if x)
     minors = []
@@ -249,6 +248,11 @@ def fit_scroll_section(a: ScrollSpec, samples: Sequence) -> SectionFit:
 # ---------------------------------------------------------------------------
 
 
+def _pairing(qmat: QMatrix, u, v):
+    """The symmetric bilinear form of ``qmat`` on u and v."""
+    return sum(x * y for x, y in zip(qmat.matvec(u), v))
+
+
 def _plane_conic(qmat: QMatrix, p1, p2, p3):
     """Conic cut on a quadric by the plane of three of its points.
 
@@ -259,19 +263,13 @@ def _plane_conic(qmat: QMatrix, p1, p2, p3):
     n = qmat.nrows
     if any(len(p) != n for p in pts):
         raise DimensionMismatchError("point length disagrees with the form")
-    for p in pts:
-        value = sum(x * y for x, y in zip(qmat.matvec(p), p))
-        if value != 0:
-            raise GeneralPositionError("point does not lie on the quadric")
+    if any(_pairing(qmat, p, p) for p in pts):
+        raise GeneralPositionError("point does not lie on the quadric")
     if rank(pts, n) != 3:
         raise GeneralPositionError("the three points do not span a plane")
-
-    def pairing(u, v):
-        return sum(x * y for x, y in zip(qmat.matvec(u), v))
-
-    a = 2 * pairing(pts[0], pts[1])
-    b = 2 * pairing(pts[0], pts[2])
-    c = 2 * pairing(pts[1], pts[2])
+    a = 2 * _pairing(qmat, pts[0], pts[1])
+    b = 2 * _pairing(qmat, pts[0], pts[2])
+    c = 2 * _pairing(qmat, pts[1], pts[2])
     if a == 0 or b == 0 or c == 0:
         raise GeneralPositionError("plane section is a degenerate conic")
 
@@ -491,10 +489,6 @@ def _fit_cone(spec: ConeStandard, points, rng: Optional[random.Random]) -> Ratio
         raise GenericityError("conic through the plane points is degenerate")
 
     base = plane_pts[0]
-
-    def pairing(u, v):
-        return sum(x * y for x, y in zip(cmat.matvec(u), v))
-
     for _ in range(sampling.MAX_RETRIES + 1):
         v = sampling.rand_vector(rng, 3)
         w = sampling.rand_vector(rng, 3)
@@ -507,8 +501,8 @@ def _fit_cone(spec: ConeStandard, points, rng: Optional[random.Random]) -> Ratio
         for idx, p in enumerate(plane_pts):
             if idx == 0:
                 # base point sits at the tangent direction of the pencil
-                av = pairing(base, v)
-                aw = pairing(base, w)
+                av = _pairing(cmat, base, v)
+                aw = _pairing(cmat, base, w)
                 pair = (aw, -av)
             else:
                 c = frame.matvec(p)

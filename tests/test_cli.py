@@ -245,6 +245,8 @@ class TestUsageErrors:
         (["osculate", "--spec", VERONESE, "--point", "1,2", "--order", "-1"],
          "order must be non-negative"),
         (["verify", "--spec", "{not json"], "spec is not valid JSON: " + JSON_ERROR),
+        (["osculate", "--spec", VERONESE, "--point", "1,2,3", "--order", "1"],
+         "point needs 2 coordinates, got 3"),
     ])
     def test_malformed_input(self, argv, message, capsys):
         assert main(argv) == EXIT_USAGE

@@ -61,6 +61,15 @@ class TestConstruct:
         t0 = is_type_subspace(structure, subs[0])
         assert all(x == t0[0] != 0 for x in t0)
 
+    @pytest.mark.parametrize("defect", ["row dropped", "row repeated"])
+    def test_wrong_codimension(self, defect):
+        # F_2 with dim - r rows but codimension r + 1 is rejected as well
+        # as one with a row too few
+        subs, _ = general_position_family(random.Random(17), 2, 3)
+        subs[2] = subs[2][:-1] + ([subs[2][0]] if defect == "row repeated" else [])
+        with pytest.raises(DimensionMismatchError, match="subspace 2 .* codimension r=2"):
+            construct_structure(subs)
+
     def test_general_position_witness(self):
         rng = random.Random(4)
         sub = random_codim_r(rng, 2, 2)
@@ -171,6 +180,26 @@ class TestCachedInverse:
         m = [tuple(row) for row in structure.m.entries]
         on_m = [rows for rows in reduced if [row[: len(m)] for row in rows] == m]
         assert len(on_m) == 1
+
+    def test_each_subspace_row_reduced_once(self):
+        # the kernel of F_i gives its codimension; F_i is not also
+        # row-reduced for its rank, in the construction or in a type check
+        subs, _ = general_position_family(random.Random(18), 2, 3)
+        given = [[tuple(F(x) for x in row) for row in sub] for sub in subs]
+        reduced = []
+        original = linalg.rref
+
+        def counting(rows, ncols=None):
+            reduced.append([tuple(F(x) for x in row) for row in rows])
+            return original(rows, ncols)
+
+        with mock.patch.object(linalg, "rref", counting):
+            structure = construct_structure(subs)
+            assert [reduced.count(sub) for sub in given] == [1] * len(subs)
+            reduced.clear()
+            for sub in subs:
+                assert is_type_subspace(structure, sub) is not None
+        assert [reduced.count(sub) for sub in given] == [1] * len(subs)
 
     def test_singular_decomposition_is_a_general_position_error(self):
         subs, _ = general_position_family(random.Random(16), 2, 2)
