@@ -131,9 +131,6 @@ class QMatrix:
             [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
         )
 
-    def row(self, i) -> tuple:
-        return self.entries[i]
-
     def transpose(self) -> "QMatrix":
         return QMatrix(list(zip(*self.entries)))
 

@@ -9,8 +9,9 @@ on the exponent tuple.
 
 ``RationalCurve`` holds the homogeneous components of a rational map
 ``P^1 -> P^N`` as N+1 univariate polynomials sharing the parameter.
-Univariate gcd and exact division clear denominators and run on integer
-coefficient lists.
+Univariate gcd and exact division, the substitution of univariate
+arguments into forms (``projective_compose``) and the normalization of
+curves clear denominators and run on integer coefficient lists.
 """
 
 from __future__ import annotations
@@ -461,6 +462,50 @@ def poly_gcd_univariate(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial.from_coeffs([Fraction(c) for c in x])
 
 
+def _mul_ints(x: list, y: list) -> list:
+    """Product of two integer coefficient lists (low degree first)."""
+    if not x or not y:
+        return []
+    out = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        if a:
+            for k, b in enumerate(y, i):
+                out[k] += a * b
+    return out
+
+
+def projective_compose(forms: Sequence[Polynomial], args: Sequence[Polynomial]) -> list:
+    """``L^top K f(args)`` with int coefficients for each form f.
+
+    ``args`` are univariate, one per variable of the forms.  L clears every
+    arg and K every coefficient of the forms, and a term x^e is scaled by
+    L^(top - |e|), top the largest total degree |e|; as curve components
+    the outputs give the map f(args), and ``curve_normalize`` strips L^top K.
+    """
+    if any(f.nvars != len(args) for f in forms):
+        raise DimensionMismatchError("one substitution polynomial per variable")
+    den = math.lcm(*(c.denominator for a in args for c in a._terms.values()))
+    scale = math.lcm(*(c.denominator for f in forms for c in f._terms.values()))
+    top = max((sum(e) for f in forms for e in f._terms), default=0)
+    # powers of each argument, grown on demand
+    powers = [[[1], x] for x in integer_coefficients(args)]
+    out = []
+    for f in forms:
+        acc = []
+        for expo, c in f._terms.items():
+            term = [c.numerator * (scale // c.denominator) * den ** (top - sum(expo))]
+            for col, e in zip(powers, expo):
+                if e:
+                    while len(col) <= e:
+                        col.append(_mul_ints(col[-1], col[1]))
+                    term = _mul_ints(term, col[e])
+            acc += [0] * (len(term) - len(acc))
+            for k, x in enumerate(term):
+                acc[k] += x
+        out.append(Polynomial.from_coeffs(acc))
+    return out
+
+
 def poly_divexact_univariate(a: Polynomial, b: Polynomial) -> Polynomial:
     """The quotient a / b over Q; ValueError when b does not divide a."""
     x, y = integer_coefficients([a, b])
@@ -477,9 +522,13 @@ def poly_divexact_univariate(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 class RationalCurve:
-    """Rational map P^1 -> P^N given by N+1 univariate components."""
+    """Rational map P^1 -> P^N given by N+1 univariate components.
 
-    __slots__ = ("components",)
+    Only ``curve_normalize`` marks a curve normalized, and builds it with
+    its primitive integer lists; the constructor never does.
+    """
+
+    __slots__ = ("components", "_lists", "_normalized")
 
     def __init__(self, components: Sequence[Polynomial]):
         comps = tuple(components)
@@ -491,6 +540,8 @@ class RationalCurve:
         if all(c.is_zero() for c in comps):
             raise DegenerateCurveError("all curve components are zero")
         self.components = comps
+        self._lists = None
+        self._normalized = False
 
     @property
     def ambient_dim(self) -> int:
@@ -507,6 +558,13 @@ class RationalCurve:
         """Coefficient vector of t^degree across components."""
         d = self.degree()
         return tuple(c.coefficient((d,)) for c in self.components)
+
+    def integer_lists(self) -> list:
+        """``integer_coefficients`` of the components, computed once and
+        shared (not to be changed); primitive for a normalized curve."""
+        if self._lists is None:
+            self._lists = integer_coefficients(self.components)
+        return self._lists
 
     def coefficient_vectors(self) -> list:
         """Exact coefficient lists (low degree first), one per component."""
@@ -526,7 +584,12 @@ class RationalCurve:
 
 
 def curve_normalize(curve: RationalCurve) -> RationalCurve:
-    """Canonical form: gcd and content removed, first nonzero lead positive."""
+    """Canonical form: gcd and content removed, first nonzero lead positive.
+
+    A curve already marked normalized is returned as it is.
+    """
+    if curve._normalized:
+        return curve
     comps = curve.components
     g = None
     for c in comps:
@@ -535,7 +598,7 @@ def curve_normalize(curve: RationalCurve) -> RationalCurve:
         g = c if g is None else poly_gcd_univariate(g, c)
         if g.total_degree() == 0:
             break
-    lists = integer_coefficients(comps)
+    lists = curve.integer_lists()
     if g.total_degree() > 0:
         (divisor,) = integer_coefficients([g])
         divisor = primitive_part(divisor)
@@ -543,6 +606,7 @@ def curve_normalize(curve: RationalCurve) -> RationalCurve:
     content = math.gcd(*(c for x in lists for c in x))
     if next(x[-1] for x in lists if x) < 0:
         content = -content
-    return RationalCurve(
-        [Polynomial.from_coeffs([Fraction(c // content) for c in x]) for x in lists]
-    )
+    lists = [[c // content for c in x] for x in lists]
+    out = RationalCurve([Polynomial.from_coeffs([Fraction(c) for c in x]) for x in lists])
+    out._lists, out._normalized = lists, True
+    return out

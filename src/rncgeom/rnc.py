@@ -46,10 +46,10 @@ from .poly import (
     clear_denominators,
     combine,
     curve_normalize,
-    integer_coefficients,
     poly_gcd_univariate,
     power_product,
     primitive_part,
+    projective_compose,
 )
 
 
@@ -71,9 +71,8 @@ def certify_curve(curve: RationalCurve) -> CurveCertificate:
     degree = c.degree()
     if degree < 1:
         raise DegenerateCurveError("constant curve has no certificate")
-    rows = []
-    for power in range(degree + 1):
-        rows.append([comp.coefficient((power,)) for comp in c.components])
+    lists = c.integer_lists()
+    rows = [[x[k] if k < len(x) else 0 for x in lists] for k in range(degree + 1)]
     span_dim = rank(rows, c.ambient_dim + 1) - 1
     return CurveCertificate(degree, span_dim, degree == span_dim)
 
@@ -83,8 +82,9 @@ def curve_contains_point(curve: RationalCurve, point, assume_normalized=False) -
 
     Works through the gcd of the 2x2 cross minors against a nonzero
     coordinate of the point; a common root, or a match with the value at
-    infinity, certifies membership.  The point and the curve are each
-    cleared of denominators, so the minors are built on integers.
+    infinity, certifies membership.  The point is cleared of denominators
+    and the curve gives its integer lists, so the minors are built on
+    integers.
     """
     c = curve if assume_normalized else curve_normalize(curve)
     p, _ = clear_denominators(point)
@@ -92,7 +92,7 @@ def curve_contains_point(curve: RationalCurve, point, assume_normalized=False) -
         raise DimensionMismatchError("point/curve ambient mismatch")
     if not any(p):
         raise ValueError("zero vector is not a projective point")
-    comps = integer_coefficients(c.components)
+    comps = c.integer_lists()
     m = next(i for i, x in enumerate(p) if x)
     minors = []
     for j, (pj, cj) in enumerate(zip(p, comps)):
@@ -362,9 +362,8 @@ def _through_chart(spec, weights, degree: int, args) -> RationalCurve:
     substituted for the new leading variable and the chart variables.
     """
     comps = [Polynomial.one(len(weights))] + spec.components()
-    return curve_normalize(
-        RationalCurve([c.homogenize(degree, weights).compose(args) for c in comps])
-    )
+    forms = [c.homogenize(degree, weights) for c in comps]
+    return curve_normalize(RationalCurve(projective_compose(forms, args)))
 
 
 def _fit_veronese_line(spec: Veronese, points, rng) -> RationalCurve:
@@ -412,7 +411,8 @@ def _fit_segre(spec: SegreSpecial, points, rng) -> RationalCurve:
     conic_comps, conic_params = _plane_conic(QMatrix(m), *quadric_pts)
     mat = projectivity_p1([(Fraction(1), tau) for tau in taus], conic_params)
     pencil = [Polynomial.univariate(row) for row in mat.entries]
-    g = [c.homogenize(2, (1,)).compose(pencil) for c in conic_comps]
+    # g0, gs and gq share one scale factor, which curve_normalize strips
+    g = projective_compose([c.homogenize(2, (1,)) for c in conic_comps], pencil)
     t = Polynomial.variable(1, 0)
     g0, gs, gq = g[0], g[1 : 1 + r], g[r + 1]
     # chart order [1, t, s, t s, q, t q]

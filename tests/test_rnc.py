@@ -1,12 +1,13 @@
 import itertools
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rncgeom import catalog, rnc
+from rncgeom import catalog, poly, rnc
 from rncgeom.catalog import (
     ConeStandard,
     CubicSpecial,
@@ -26,7 +27,7 @@ from rncgeom.errors import (
 )
 from rncgeom.linalg import QMatrix, try_direct_sum
 from rncgeom.osculation import Parametrization, osculator
-from rncgeom.poly import Polynomial, RationalCurve
+from rncgeom.poly import Polynomial, RationalCurve, curve_normalize
 from rncgeom.rnc import (
     certify_curve,
     conic_on_quadric,
@@ -358,6 +359,81 @@ class TestFitDispatch:
             points = sample_parameter_points(spec, rng)
             curve = fit_rnc_through(spec, points)
             assert certify_curve(curve).degree == params.q
+
+
+def _fit(spec, seed=20):
+    rng = random.Random(seed)
+    for attempt in range(9):
+        try:
+            points = sample_parameter_points(spec, rng)
+            return points, fit_rnc_through(spec, points, rng)
+        except (GenericityError, GeneralPositionError):
+            if attempt == 8:
+                raise
+
+
+def _callers(monkeypatch, name) -> list:
+    """Replace every binding of ``poly.<name>`` in the rncgeom modules by a
+    wrapper; the list it returns receives the caller's name on each call."""
+    original = getattr(poly, name)
+    callers = []
+
+    def counting(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(*args)
+
+    for key, module in list(sys.modules.items()):
+        if key == "rncgeom" or key.startswith("rncgeom."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return callers
+
+
+class TestNormalizedCurves:
+    """A fitted curve is born normalized and keeps its primitive integer lists."""
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
+    def test_fitted_curve_is_its_own_normal_form(self, spec):
+        _, curve = _fit(spec)
+        assert curve_normalize(curve) is curve
+        rebuilt = RationalCurve(curve.components)
+        assert curve_normalize(rebuilt) is not rebuilt
+        assert curve_normalize(rebuilt) == curve
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
+    def test_no_second_normalization(self, spec, monkeypatch):
+        points, curve = _fit(spec)
+        variety = catalog.make_variety(spec)
+        gcds = _callers(monkeypatch, "poly_gcd_univariate")
+        lists = _callers(monkeypatch, "integer_coefficients")
+        assert certify_curve(curve).is_rnc
+        assert gcds == [] and lists == []
+        for assume_normalized in (True, False):
+            for p in points:
+                assert curve_contains_point(curve, variety.eval(p), assume_normalized)
+        # the only gcd calls are those of the cross minors, which clear
+        # their own operands
+        assert set(gcds) <= {"curve_contains_point"}
+        assert set(lists) <= {"poly_gcd_univariate"}
+
+    def test_hand_built_curve_is_normalized(self, monkeypatch):
+        # the twisted cubic of TestContainsPoint times a common factor: every
+        # cross minor vanishes at the root of the factor, so only
+        # normalization rejects the point off the curve
+        factor = Polynomial.univariate([F(-2, 5), F(3, 5)])
+        base = TestContainsPoint.BASE
+        curve = RationalCurve([c * factor for c in base.components])
+        off = (F(1), F(0), F(0), F(1))
+        gcds = _callers(monkeypatch, "poly_gcd_univariate")
+        cert = certify_curve(curve)
+        assert (cert.degree, cert.span_dim, cert.is_rnc) == (3, 3, True)
+        assert "curve_normalize" in gcds
+        del gcds[:]
+        assert not curve_contains_point(curve, off, assume_normalized=False)
+        assert "curve_normalize" in gcds
+        assert curve_contains_point(curve, off, assume_normalized=True)
+        assert curve_normalize(curve) == curve_normalize(base)
 
 
 class TestOsculatorDecomposition:
