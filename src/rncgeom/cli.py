@@ -261,6 +261,8 @@ def cmd_fit(args) -> int:
 
 def cmd_verify(args) -> int:
     spec, declare = _load_spec(args)
+    if args.trials < 1:
+        raise SpecError("--trials must be at least 1")
     report = verify.verify_membership(
         spec, trials=args.trials, seed=args.seed, declare=declare
     )

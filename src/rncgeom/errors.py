@@ -23,12 +23,11 @@ class DirectSumError(RncGeomError):
     Carries the achieved join dimension and the expected one.
     """
 
-    def __init__(self, achieved_dim, expected_dim, message=None):
+    def __init__(self, achieved_dim, expected_dim):
         self.achieved_dim = achieved_dim
         self.expected_dim = expected_dim
         super().__init__(
-            message
-            or f"join has projective dimension {achieved_dim}, expected {expected_dim}"
+            f"join has projective dimension {achieved_dim}, expected {expected_dim}"
         )
 
 

@@ -151,47 +151,32 @@ def is_type_subspace(structure: TensorStructure, subspace_rows) -> Optional[tupl
     return tuple(x / t[pivot] for x in t)
 
 
-def grn_relation(ma, mb, r: int = None, n: int = None) -> Optional[tuple]:
+def grn_relation(sa: TensorStructure, sb: TensorStructure) -> Optional[tuple]:
     """Kronecker factorization of the transition between two dual bases.
 
-    Accepts TensorStructure values (carrying their own r, n) or plain
-    QMatrix bases together with explicit r, n.  Returns (C, A) with
-    mb = (C (x) A) ma when the transition matrix has the block rank-one
-    structure of the group G_{r,n}; None otherwise.  The factors are
-    normalized so the first nonzero entry of A is 1.
+    Returns (C, A) with sb.m = (C (x) A) sa.m when the transition matrix
+    has the block rank-one structure of the group G_{r,n}; None otherwise.
+    The factors are normalized so the first nonzero entry of A is 1.
     """
-    source = ma
-    if isinstance(ma, TensorStructure):
-        r, n, ma = ma.r, ma.n, ma.m
-    if isinstance(mb, TensorStructure):
-        if (r, n) != (mb.r, mb.n):
-            raise DimensionMismatchError("structures disagree on (r, n)")
-        mb = mb.m
-    if r is None or n is None:
-        raise DimensionMismatchError("plain matrices need explicit r and n")
-    if ma.nrows != r * n or mb.nrows != r * n:
+    r, n = sa.r, sa.n
+    if (r, n) != (sb.r, sb.n):
+        raise DimensionMismatchError("structures disagree on (r, n)")
+    if sa.m.nrows != r * n or sb.m.nrows != r * n:
         raise DimensionMismatchError("matrix size is not rn")
-    if isinstance(source, TensorStructure):
-        transition = mb @ source.m_inverse
-    else:
-        transition = mb @ ma.inverse()
-    blocks = {}
-    for j in range(r):
-        for k in range(r):
-            block = [
-                [transition.entries[j * n + alpha][k * n + beta] for beta in range(n)]
-                for alpha in range(n)
-            ]
-            blocks[j, k] = block
-    flat = {key: [x for row in b for x in row] for key, b in blocks.items()}
-    reference = None
-    for key in sorted(flat):
-        if any(flat[key]):
-            reference = key
-            break
-    if reference is None:
+    transition = (sb.m @ sa.m_inverse).entries
+    # block (j, k) of the transition, flattened row by row
+    flat = {
+        (j, k): [
+            transition[j * n + alpha][k * n + beta]
+            for alpha in range(n)
+            for beta in range(n)
+        ]
+        for j in range(r)
+        for k in range(r)
+    }
+    a_flat = next((values for values in flat.values() if any(values)), None)
+    if a_flat is None:
         return None
-    a_flat = flat[reference]
     pivot = next(i for i, x in enumerate(a_flat) if x != 0)
     scale = a_flat[pivot]
     a_flat = [x / scale for x in a_flat]

@@ -54,10 +54,10 @@ class Parametrization:
             self._check_generic_rank()
 
     @classmethod
-    def from_affine(cls, nparams: int, affine_components, check=True):
+    def from_affine(cls, nparams: int, affine_components):
         """Chart x = v(t) embedded projectively as [1 : v(t)]."""
         comps = [Polynomial.one(nparams)] + list(affine_components)
-        return cls(nparams, comps, check=check)
+        return cls(nparams, comps)
 
     @property
     def ambient_dim(self) -> int:
@@ -70,9 +70,10 @@ class Parametrization:
         rng = random.Random(0xA11CE)
         for _ in range(sampling.MAX_RETRIES):
             p = sampling.rand_vector(rng, self.nparams)
-            if self.eval(p) == (0,) * len(self.components):
-                continue
-            rep = osculator(self, p, 1, _unchecked=True)
+            try:
+                rep = osculator(self, p, 1)
+            except DegenerateParametrizationError:
+                continue  # a base point of the map
             if rep.subspace.dim == self.nparams:
                 return
         raise DegenerateParametrizationError(
@@ -107,8 +108,8 @@ class Parametrization:
         return layers[k]
 
     @classmethod
-    def from_curve(cls, curve: RationalCurve, check=False) -> "Parametrization":
-        return cls(1, curve.components, check=check)
+    def from_curve(cls, curve: RationalCurve) -> "Parametrization":
+        return cls(1, curve.components, check=False)
 
 
 @dataclass
@@ -136,7 +137,7 @@ def _derivative_rows(v: Parametrization, point):
         yield [tuple(c.eval(point) for c in comps) for comps in layer.values()]
 
 
-def osculator(v: Parametrization, point, k: int, _unchecked=False) -> OsculatorReport:
+def osculator(v: Parametrization, point, k: int) -> OsculatorReport:
     """Osculating space of order k at a parameter point.
 
     Spanned by the lifted point and all derivative vectors of order
@@ -148,7 +149,7 @@ def osculator(v: Parametrization, point, k: int, _unchecked=False) -> OsculatorR
     if len(point) != v.nparams:
         raise DimensionMismatchError("point length mismatch")
     rows = [v.eval(point)]
-    if all(x == 0 for x in rows[0]) and not _unchecked:
+    if all(x == 0 for x in rows[0]):
         raise DegenerateParametrizationError("base point of the parametrization")
     for order_rows in itertools.islice(_derivative_rows(v, point), k):
         rows.extend(order_rows)

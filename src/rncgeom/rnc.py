@@ -36,10 +36,11 @@ from .errors import (
     GeneralPositionError,
     GenericityError,
     InvariantError,
+    RncGeomError,
     SpecError,
     SplittingFieldRequiredError,
 )
-from .linalg import QMatrix, intersect, nullspace, rank, rref, span_of
+from .linalg import QMatrix, combine_rows, intersect, nullspace, rank, span_of
 from .poly import (
     Polynomial,
     RationalCurve,
@@ -326,8 +327,9 @@ def _interpolate(points) -> Polynomial:
 #
 # Every family draws n parameter points of Q^{r+1} for its class (r, n, q):
 # a sampler is called as sampler(rng, n, r + 1), a fitter as
-# fitter(spec, points, rng).  The table _FAMILY_ROWS at the end of the
-# module holds one row per family.
+# fitter(spec, points, rng), with the points already checked by
+# fit_rnc_through.  The table _FAMILY_ROWS at the end of the module holds
+# one row per family.
 
 
 def sample_parameter_points(spec, rng: random.Random):
@@ -340,11 +342,19 @@ def sample_parameter_points(spec, rng: random.Random):
 def fit_rnc_through(spec, points, rng: Optional[random.Random] = None) -> RationalCurve:
     """Rational normal curve of the class degree through the given points.
 
-    ``points`` are parameter points of the chart built by make_variety;
-    genericity failures raise GenericityError so callers can resample.
+    ``points`` are the n parameter points of Q^{r+1} of the spec's class
+    (r, n, q), in the chart built by make_variety, converted and checked
+    here for every fitter.  Genericity failures raise GenericityError so
+    callers can resample.
     """
     _, fitter = _family_row(spec)
-    return fitter(spec, points, rng)
+    params = declared_class(spec)
+    pts = [tuple(Fraction(x) for x in p) for p in points]
+    if len(pts) != params.n or any(len(p) != params.r + 1 for p in pts):
+        raise DimensionMismatchError(
+            f"{spec.family} needs {params.n} parameter points in Q^{params.r + 1}"
+        )
+    return fitter(spec, pts, rng)
 
 
 def _family_row(spec):
@@ -367,9 +377,7 @@ def _through_chart(spec, weights, degree: int, args) -> RationalCurve:
 
 
 def _fit_veronese_line(spec: Veronese, points, rng) -> RationalCurve:
-    u, v = [tuple(Fraction(x) for x in p) for p in points]
-    if len(u) != spec.dim or len(v) != spec.dim:
-        raise DimensionMismatchError("parameter points of wrong length")
+    u, v = points
     if u == v:
         raise GeneralPositionError("the two parameter points coincide")
     line = [Polynomial.univariate([ui, vi - ui]) for ui, vi in zip(u, v)]
@@ -389,15 +397,12 @@ def _fit_standard_scroll(spec: StandardScroll, points, rng) -> RationalCurve:
 
 def _fit_segre(spec: SegreSpecial, points, rng) -> RationalCurve:
     r = spec.r
-    pts = [tuple(Fraction(x) for x in p) for p in points]
-    if len(pts) != 3 or any(len(p) != r + 1 for p in pts):
-        raise DimensionMismatchError("need three (tau, s) parameter points")
-    taus = [p[0] for p in pts]
+    taus = [p[0] for p in points]
     if len(set(taus)) != 3:
         raise GeneralPositionError("tau values must be distinct")
     qf = spec.form()
     quadric_pts = [
-        (Fraction(1),) + p[1:] + (qf.eval(p[1:]),) for p in pts
+        (Fraction(1),) + p[1:] + (qf.eval(p[1:]),) for p in points
     ]
     # ambient quadric U_0 U_{r+1} = q(U_1..U_r)
     size = r + 2
@@ -430,20 +435,11 @@ def _fit_quadric_veronese(spec: QuadricVeronese, points, rng) -> RationalCurve:
     fact by the degree/span/incidence checks.
     """
     r, rho = spec.r, spec.rho
-    pts = [tuple(Fraction(x) for x in p) for p in points]
-    if len(pts) != 3 or any(len(p) != r + 1 for p in pts):
-        raise DimensionMismatchError("need three parameter points in Q^{r+1}")
     h = spec.form()
-    lifted = [(Fraction(1), -h.eval(p)) + p for p in pts]
-    size = r + 3
-    m = [[Fraction(0)] * size for _ in range(size)]
-    m[0][1] = Fraction(1, 2)
-    m[1][0] = Fraction(1, 2)
-    hmat = h.matrix()
-    for i in range(r + 1):
-        for j in range(r + 1):
-            m[2 + i][2 + j] = hmat.entries[i][j]
-    conic_comps, _ = _plane_conic(QMatrix(m), *lifted)
+    lifted = [(Fraction(1), -h.eval(p)) + p for p in points]
+    # U_0 U_1 + h(U_2..U_{r+2}) is the hyperbolic normal form of its rank
+    quadric = catalog.QuadraticForm(spec.rank, r + 3)
+    conic_comps, _ = _plane_conic(quadric.matrix(), *lifted)
     x0 = conic_comps[0]
     xprime = conic_comps[1:]  # U_1 .. U_{r+2} along the conic
     if x0.is_zero():
@@ -462,10 +458,7 @@ def _fit_cone(spec: ConeStandard, points, rng: Optional[random.Random]) -> Ratio
     r, q = spec.r, spec.q
     rng = rng or random.Random(0)
     sigma = q // 2
-    pts = [tuple(Fraction(x) for x in p) for p in points]
-    if len(pts) != 5 or any(len(p) != r + 1 for p in pts):
-        raise DimensionMismatchError("need five parameter points in Q^{r+1}")
-    plane_pts = [(Fraction(1), p[0], p[1]) for p in pts]
+    plane_pts = [(Fraction(1), p[0], p[1]) for p in points]
     if len(set(plane_pts)) != 5:
         raise GeneralPositionError("coincident (t1, t2) plane points")
 
@@ -492,10 +485,11 @@ def _fit_cone(spec: ConeStandard, points, rng: Optional[random.Random]) -> Ratio
     for _ in range(sampling.MAX_RETRIES + 1):
         v = sampling.rand_vector(rng, 3)
         w = sampling.rand_vector(rng, 3)
-        if rank([base, v, w], 3) != 3:
-            continue
         # parameters (lam : mu) of the five points in the pencil through base
-        frame = QMatrix([base, v, w]).transpose().inverse()
+        try:
+            frame = QMatrix([base, v, w]).transpose().inverse()
+        except RncGeomError:
+            continue
         params = []
         ok = True
         for idx, p in enumerate(plane_pts):
@@ -540,7 +534,7 @@ def _fit_cone(spec: ConeStandard, points, rng: Optional[random.Random]) -> Ratio
         spolys = []
         for j in range(r - 1):
             data = []
-            for tv, p in zip(tvals, pts):
+            for tv, p in zip(tvals, points):
                 data.append((tv, p[2 + j] * t0poly.eval((tv,)) ** 2))
             spolys.append(_interpolate(data))
         return _through_chart(spec, (1, 1) + (2,) * (r - 1), sigma, tpolys + spolys)
@@ -549,7 +543,7 @@ def _fit_cone(spec: ConeStandard, points, rng: Optional[random.Random]) -> Ratio
 
 def _fit_veronese33(spec: Veronese33, points, rng) -> RationalCurve:
     """Twisted cubic through the six lifted points, pushed through the cubics."""
-    lifted = [(Fraction(1),) + tuple(Fraction(x) for x in p) for p in points]
+    lifted = [(Fraction(1),) + p for p in points]
     gamma = rnc_through_points(3, lifted)
     return _through_chart(spec, (1, 1, 1), 3, list(gamma.components))
 
@@ -567,19 +561,13 @@ def _isqrt_fraction(value: Fraction):
 
 def _fit_cubic_special(spec: CubicSpecial, points, rng) -> RationalCurve:
     r = spec.r
-    pts = [tuple(Fraction(x) for x in p) for p in points]
-    if len(pts) != 4 or any(len(p) != r + 1 for p in pts):
-        raise DimensionMismatchError("need four parameter points in Q^{r+1}")
-    lifted = [(Fraction(1),) + p for p in pts]
+    lifted = [(Fraction(1),) + p for p in points]
     span4 = span_of(lifted, r + 1)
     if span4.dim != 3:
         raise GenericityError("the four points do not span a P^3")
-    s_plane_rows = []
-    for j in range(r):
-        row = [Fraction(0)] * (r + 2)
-        row[2 + j] = Fraction(1)
-        s_plane_rows.append(row)
-    s_plane = span_of(s_plane_rows, r + 1)
+    s_plane = span_of(
+        [[Fraction(int(i == 2 + j)) for i in range(r + 2)] for j in range(r)], r + 1
+    )
     line = intersect(span4, s_plane)
     if line.dim != 1:
         raise GenericityError("span meets {T0 = T1 = 0} in the wrong dimension")
@@ -609,34 +597,18 @@ def _fit_cubic_special(spec: CubicSpecial, points, rng) -> RationalCurve:
     for lam, mu in roots:
         qpts.append(tuple(lam * x + mu * y for x, y in zip(w1, w2)))
 
-    six = lifted + qpts
-    # express the six points in coordinates of the spanning P^3
-    basis = list(span4.basis)
-    bmat_rows = [list(v) for v in basis]
+    # the basis is in reduced echelon form: a point of the span has its
+    # coordinates at the pivot columns
     six_in_p3 = []
-    for p in six:
-        sol = _solve_in_rowspan(bmat_rows, p)
-        if sol is None:
+    for p in lifted + qpts:
+        coords = tuple(p[c] for c in span4.pivots)
+        if combine_rows(coords, span4.basis) != p:
             raise GenericityError("intersection point escaped the span")
-        six_in_p3.append(tuple(sol))
+        six_in_p3.append(coords)
     gamma3 = rnc_through_points(3, six_in_p3)
-    lift = QMatrix(bmat_rows).transpose()
+    lift = QMatrix(span4.basis).transpose()
     ambient = [combine(row, gamma3.components) for row in lift.entries]
     return _through_chart(spec, (1,) * (r + 1), 3, ambient)
-
-
-def _solve_in_rowspan(rows, target):
-    """Coefficients expressing target in the span of rows, or None."""
-    aug = [list(r) for r in QMatrix(rows).transpose().entries]
-    for i, value in enumerate(target):
-        aug[i].append(value)
-    reduced, pivots = rref(aug, len(rows) + 1)
-    if len(rows) in pivots:
-        return None
-    sol = [Fraction(0)] * len(rows)
-    for row, p in zip(reduced, pivots):
-        sol[p] = row[-1]
-    return sol
 
 
 # spec class -> (parameter sampler, fitter)

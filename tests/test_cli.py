@@ -247,6 +247,8 @@ class TestUsageErrors:
         (["verify", "--spec", "{not json"], "spec is not valid JSON: " + JSON_ERROR),
         (["osculate", "--spec", VERONESE, "--point", "1,2,3", "--order", "1"],
          "point needs 2 coordinates, got 3"),
+        (["verify", "--spec", VERONESE, "--trials", "0"], "--trials must be at least 1"),
+        (["verify", "--spec", VERONESE, "--trials", "-3"], "--trials must be at least 1"),
     ])
     def test_malformed_input(self, argv, message, capsys):
         assert main(argv) == EXIT_USAGE

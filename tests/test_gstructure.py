@@ -116,7 +116,7 @@ class TestGrnRelation:
         c = rand_invertible_matrix(rng, 2)
         a = rand_invertible_matrix(rng, 3)
         moved = kron(c, a) @ structure.m
-        result = grn_relation(structure.m, moved, r=2, n=3)
+        result = grn_relation(structure, TensorStructure(2, 3, moved))
         assert result is not None
         c2, a2 = result
         assert kron(c2, a2) == kron(c, a)
@@ -125,7 +125,7 @@ class TestGrnRelation:
         rng = random.Random(10)
         _, structure = general_position_family(rng, 2, 3)
         scrambled = rand_invertible_matrix(rng, 6) @ structure.m
-        assert grn_relation(structure.m, scrambled, r=2, n=3) is None
+        assert grn_relation(structure, TensorStructure(2, 3, scrambled)) is None
 
     def test_independent_constructions_related(self):
         rng = random.Random(11)

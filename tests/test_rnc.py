@@ -22,6 +22,7 @@ from rncgeom.catalog import (
 )
 from rncgeom.errors import (
     DegenerateCurveError,
+    DimensionMismatchError,
     GeneralPositionError,
     GenericityError,
 )
@@ -359,6 +360,53 @@ class TestFitDispatch:
             points = sample_parameter_points(spec, rng)
             curve = fit_rnc_through(spec, points)
             assert certify_curve(curve).degree == params.q
+
+
+# one spec per catalog family, the first of its family in ALL_SPECS
+SPEC_OF_FAMILY = {spec.family: spec for spec in reversed(ALL_SPECS)}
+
+
+class TestPointContract:
+    """fit_rnc_through checks the n points of Q^{r+1} of the declared class."""
+
+    def test_every_family_has_a_spec(self):
+        assert set(SPEC_OF_FAMILY) == set(catalog.FAMILIES)
+
+    @pytest.mark.parametrize("family", sorted(catalog.FAMILIES))
+    def test_one_point_dropped(self, family):
+        spec = SPEC_OF_FAMILY[family]
+        points = sample_parameter_points(spec, random.Random(20))
+        with pytest.raises(DimensionMismatchError, match=family):
+            fit_rnc_through(spec, points[:-1], random.Random(20))
+
+    @pytest.mark.parametrize("family", sorted(catalog.FAMILIES))
+    def test_one_coordinate_appended(self, family):
+        spec = SPEC_OF_FAMILY[family]
+        points = sample_parameter_points(spec, random.Random(20))
+        points[-1] = tuple(points[-1]) + (F(1),)
+        with pytest.raises(DimensionMismatchError, match=family):
+            fit_rnc_through(spec, points, random.Random(20))
+
+
+def _hand_built_quadric(h, r):
+    """Gram matrix of U_0 U_1 + h(U_2..U_{r+2}), written out entry by entry."""
+    size = r + 3
+    m = [[F(0)] * size for _ in range(size)]
+    m[0][1] = F(1, 2)
+    m[1][0] = F(1, 2)
+    hmat = h.matrix()
+    for i in range(r + 1):
+        for j in range(r + 1):
+            m[2 + i][2 + j] = hmat.entries[i][j]
+    return QMatrix(m)
+
+
+@pytest.mark.parametrize("r", range(2, 6))
+def test_quadric_veronese_quadric_is_the_hyperbolic_form(r):
+    for rank in range(5, r + 4):
+        h = QuadricVeronese(r, 1, rank).form()
+        expected = _hand_built_quadric(h, r)
+        assert catalog.QuadraticForm(rank, r + 3).matrix() == expected
 
 
 def _fit(spec, seed=20):
