@@ -27,7 +27,11 @@ class TensorStructure:
 
     @cached_property
     def m_inverse(self) -> QMatrix:
-        """Inverse of ``m``, computed once per structure."""
+        """Inverse of ``m``, computed once per structure.
+
+        ``construct_structure`` seeds it from the inversions that certify
+        its input, so a constructed ``m`` is never row-reduced.
+        """
         return self.m.inverse()
 
     def type_subspace_rows(self, t) -> list:
@@ -57,11 +61,22 @@ def construct_structure(subspaces: Sequence, rng=None) -> TensorStructure:
     the distinguished dual basis.  Passing ``rng`` remixes the basis of
     the first annihilator, which changes the output only by a G_{r,n}
     transition.
+
+    The inversions that build the structure also certify general
+    position.  The annihilators of F_1..F_n span the dual exactly when
+    their stack S is invertible.  Given that, those of F_0 and of all
+    F_beta but F_{alpha+1} span it exactly when the r x r block C_alpha,
+    the coordinates of the phis along the annihilator of F_{alpha+1}, is
+    invertible.  Then m = D S, where D places C_alpha[j] in row
+    j*n + alpha, so m^-1 = S^-1 D^-1 is assembled from these inverses.
     """
     count = len(subspaces)
     if count < 3:
         raise DimensionMismatchError("need n+1 >= 3 subspaces")
     n = count - 1
+    for idx, sub in enumerate(subspaces):
+        if not len(sub):
+            raise DimensionMismatchError(f"subspace {idx} has an empty basis")
     dim = len(subspaces[0][0])
     if dim % n:
         raise DimensionMismatchError(f"ambient dimension {dim} not divisible by n={n}")
@@ -76,15 +91,16 @@ def construct_structure(subspaces: Sequence, rng=None) -> TensorStructure:
             )
         annihilators.append(ann)
 
-    for omitted in range(n + 1):
-        stacked = [
-            row for idx, ann in enumerate(annihilators) if idx != omitted for row in ann
-        ]
-        if rank(stacked, dim) != dim:
-            witness = tuple(i for i in range(n + 1) if i != omitted)
-            raise GeneralPositionError(
-                f"annihilators {witness} do not span the dual", witness=witness
-            )
+    def not_spanning(omitted):
+        witness = tuple(i for i in range(n + 1) if i != omitted)
+        return GeneralPositionError(
+            f"annihilators {witness} do not span the dual", witness=witness
+        )
+
+    try:
+        change = QMatrix([row for ann in annihilators[1:] for row in ann]).inverse()
+    except RncGeomError:
+        raise not_spanning(0) from None
 
     phis = annihilators[0]
     if rng is not None:
@@ -94,17 +110,29 @@ def construct_structure(subspaces: Sequence, rng=None) -> TensorStructure:
 
     # coordinates of phi_j in the basis of the sum of the annihilators of F_1..F_n;
     # row j*n + alpha of m is the component of phi_j along that of F_{alpha+1}
-    change = QMatrix([row for ann in annihilators[1:] for row in ann]).inverse()
+    coords = [combine_rows(phi, change.entries) for phi in phis]
+    block_inverses = []
+    for alpha in range(n):
+        block = QMatrix([row[alpha * r : (alpha + 1) * r] for row in coords])
+        try:
+            block_inverses.append(block.inverse().entries)
+        except RncGeomError:
+            raise not_spanning(alpha + 1) from None
     m_rows = [
-        combine_rows(coords[alpha * r : (alpha + 1) * r], annihilators[1 + alpha])
-        for coords in (combine_rows(phi, change.entries) for phi in phis)
+        combine_rows(row[alpha * r : (alpha + 1) * r], annihilators[1 + alpha])
+        for row in coords
         for alpha in range(n)
     ]
+    # entry j*n + alpha of row k of m^-1 is sum_i change[k][alpha*r + i] C_alpha^-1[i][j]
+    inverse_rows = []
+    for row in change.entries:
+        parts = [
+            combine_rows(row[alpha * r : (alpha + 1) * r], block_inverses[alpha])
+            for alpha in range(n)
+        ]
+        inverse_rows.append([parts[alpha][j] for j in range(r) for alpha in range(n)])
     structure = TensorStructure(r, n, QMatrix(m_rows))
-    try:
-        structure.m_inverse  # certifies a basis; cached for later use
-    except RncGeomError:
-        raise GeneralPositionError("decomposition did not produce a basis") from None
+    vars(structure)["m_inverse"] = QMatrix(inverse_rows)  # seeds the cached property
     return structure
 
 

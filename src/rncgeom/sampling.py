@@ -9,6 +9,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .errors import GenericityError
+
 NUMERATOR_RANGE = (-9, 9)
 DENOMINATORS = (1, 2, 3)
 
@@ -62,4 +64,4 @@ def rand_invertible_matrix(rng: random.Random, n: int):
         m = QMatrix([rand_vector(rng, n) for _ in range(n)])
         if m.is_invertible():
             return m
-    raise RuntimeError("failed to sample an invertible matrix")
+    raise GenericityError("failed to sample an invertible matrix")

@@ -1,11 +1,12 @@
 import random
+import re
 from fractions import Fraction as F
 from unittest import mock
 
 import pytest
 
 from rncgeom import linalg
-from rncgeom.errors import DimensionMismatchError, GeneralPositionError, RncGeomError
+from rncgeom.errors import DimensionMismatchError, GeneralPositionError, GenericityError
 from rncgeom.gstructure import (
     TensorStructure,
     construct_structure,
@@ -68,6 +69,13 @@ class TestConstruct:
         subs, _ = general_position_family(random.Random(17), 2, 3)
         subs[2] = subs[2][:-1] + ([subs[2][0]] if defect == "row repeated" else [])
         with pytest.raises(DimensionMismatchError, match="subspace 2 .* codimension r=2"):
+            construct_structure(subs)
+
+    @pytest.mark.parametrize("empty", [0, 1, 3])
+    def test_empty_basis(self, empty):
+        subs, _ = general_position_family(random.Random(19), 2, 3)
+        subs[empty] = []
+        with pytest.raises(DimensionMismatchError, match=f"subspace {empty} has an empty basis"):
             construct_structure(subs)
 
     def test_general_position_witness(self):
@@ -140,13 +148,15 @@ class TestCachedInverse:
         _, structure = general_position_family(rng, 2, 3)
         assert structure.m_inverse @ structure.m == QMatrix.identity(6)
 
-    def test_one_inversion_per_structure(self):
-        # the construction inverts its change of basis and m; n + 1 type
-        # checks and a relation invert nothing more
+    def test_inversions_per_construction(self):
+        # the construction inverts the stack S of the annihilators of
+        # F_1..F_n and the n r x r blocks C_alpha with m = D S, nothing
+        # else; n + 1 type checks and a relation invert nothing more
         rng = random.Random(14)
         r, n = 2, 3
         subs, _ = general_position_family(rng, r, n)
         other = construct_structure(subs, rng=random.Random(98))
+        stack = QMatrix([row for sub in subs[1:] for row in nullspace(sub, r * n)])
         calls = []
         original = QMatrix.inverse
 
@@ -160,11 +170,20 @@ class TestCachedInverse:
                 assert is_type_subspace(structure, sub) is not None
             assert grn_relation(structure, other) is not None
         assert len(subs) == n + 1
-        assert len(calls) == 2 and calls[-1] == structure.m
+        assert len(calls) == 1 + n and calls[0] == stack
+        blocks = calls[1:]
+        assert all((block.nrows, block.ncols) == (r, r) for block in blocks)
+        d = [[F(0)] * (r * n) for _ in range(r * n)]
+        for alpha, block in enumerate(blocks):
+            for j in range(r):
+                for i in range(r):
+                    d[j * n + alpha][alpha * r + i] = block.entries[j][i]
+        assert QMatrix(d) @ stack == structure.m
 
-    def test_m_row_reduced_once_per_construction(self):
-        # the inverse certifies the basis and serves the type checks after
-        # it; m is not also row-reduced for its rank
+    def test_m_never_row_reduced(self):
+        # m^-1 is assembled from the inverses of S and of the blocks; no
+        # elimination receives a row of m, plain or remixed, in the
+        # construction, the type checks or a relation
         subs, _ = general_position_family(random.Random(15), 3, 3)
         reduced = []
         original = linalg.rref
@@ -175,11 +194,14 @@ class TestCachedInverse:
 
         with mock.patch.object(linalg, "rref", counting):
             structure = construct_structure(subs)
+            other = construct_structure(subs, rng=random.Random(97))
             for sub in subs:
                 assert is_type_subspace(structure, sub) is not None
-        m = [tuple(row) for row in structure.m.entries]
-        on_m = [rows for rows in reduced if [row[: len(m)] for row in rows] == m]
-        assert len(on_m) == 1
+            assert grn_relation(structure, other) is not None
+        dim = structure.m.nrows
+        m_rows = set(structure.m.entries) | set(other.m.entries)
+        assert reduced
+        assert not any(tuple(row[:dim]) in m_rows for rows in reduced for row in rows)
 
     def test_each_subspace_row_reduced_once(self):
         # the kernel of F_i gives its codimension; F_i is not also
@@ -201,15 +223,70 @@ class TestCachedInverse:
                 assert is_type_subspace(structure, sub) is not None
         assert [reduced.count(sub) for sub in given] == [1] * len(subs)
 
-    def test_singular_decomposition_is_a_general_position_error(self):
-        subs, _ = general_position_family(random.Random(16), 2, 2)
+    @pytest.mark.parametrize("r, n", [(1, 2), (2, 2), (2, 3), (3, 3), (2, 4)])
+    def test_each_defect_raises_its_witness(self, r, n):
+        # for k = 0, ann_1 shares a row with ann_2; for k >= 1, the first
+        # row of ann_0 lies in the sum of the ann_beta with beta not in
+        # {0, k}.  The first failing witness in the order 0, 1, ..., n is
+        # raised, with or without a remix.
+        dim = r * n
+        subs, _ = general_position_family(random.Random(40 + 10 * r + n), r, n)
+        for k in range(n + 1):
+            anns = [[list(row) for row in nullspace(sub, dim)] for sub in subs]
+            if k == 0:
+                anns[1][0] = anns[2][0]
+            else:
+                anns[0][0] = [
+                    sum(col) for col in zip(*(anns[b][0] for b in range(1, n + 1) if b != k))
+                ]
+            family = [nullspace(ann, dim) for ann in anns]
+            failing = [
+                omitted
+                for omitted in range(n + 1)
+                if rank([row for i, ann in enumerate(anns) if i != omitted for row in ann], dim)
+                != dim
+            ]
+            assert failing[0] == k and (k == 0 or failing == [k])
+            witness = tuple(i for i in range(n + 1) if i != k)
+            message = re.escape(f"annihilators {witness} do not span the dual")
+            for mix in (None, random.Random(k)):
+                with pytest.raises(GeneralPositionError, match=f"^{message}$") as info:
+                    construct_structure(family, rng=mix)
+                assert info.value.witness == witness
 
-        def singular(self):
-            raise RncGeomError("matrix is singular")
 
-        with mock.patch.object(TensorStructure, "m_inverse", property(singular)):
-            with pytest.raises(GeneralPositionError, match="did not produce a basis"):
-                construct_structure(subs)
+class TestAssembledInverse:
+    @pytest.mark.parametrize("r", range(1, 5))
+    @pytest.mark.parametrize("n", range(2, 5))
+    def test_matches_row_reduction(self, r, n):
+        # the rref route of QMatrix.inverse is the oracle
+        rng = random.Random(70 + 10 * r + n)
+        subs, plain = general_position_family(rng, r, n)
+        remixed = construct_structure(subs, rng=random.Random(5))
+        for structure in (plain, remixed):
+            assert structure.m_inverse == structure.m.inverse()
+            assert structure.m_inverse @ structure.m == QMatrix.identity(r * n)
+
+    @pytest.mark.parametrize("r, n", [(1, 2), (2, 3), (3, 4)])
+    def test_remix_draws_once(self, r, n):
+        subs, _ = general_position_family(random.Random(80 + r), r, n)
+        rng = random.Random(123)
+        construct_structure(subs, rng=rng)
+        fresh = random.Random(123)
+        rand_invertible_matrix(fresh, r)
+        assert rng.getstate() == fresh.getstate()
+
+    def test_exhausted_remix_is_a_genericity_error(self):
+        # every draw of this generator is the zero matrix
+        class Zeros(random.Random):
+            def randint(self, a, b):
+                return 0
+
+        with pytest.raises(GenericityError, match="invertible matrix"):
+            rand_invertible_matrix(Zeros(0), 2)
+        subs, _ = general_position_family(random.Random(81), 2, 2)
+        with pytest.raises(GenericityError):
+            construct_structure(subs, rng=Zeros(0))
 
 
 class TestIntersectionLaw:
