@@ -38,8 +38,11 @@ class TensorStructure:
         """Basis of the annihilator of the type-(r, n-1) space with parameter t."""
         if len(t) != self.n:
             raise DimensionMismatchError("parameter must have n coordinates")
-        n = self.n
-        return [combine_rows(t, self.m.entries[j * n : (j + 1) * n]) for j in range(self.r)]
+        # row j of the basis is sum_alpha t_alpha m_{j,alpha}
+        return [
+            combine_rows([x if k == j else 0 for k in range(self.r) for x in t], self.m)
+            for j in range(self.r)
+        ]
 
     def type_subspace(self, t) -> list:
         """Basis vectors of the type-(r, n-1) subspace cut out by t."""
@@ -49,7 +52,11 @@ class TensorStructure:
         """Basis of the type-(r-1, n) subspace cut out by a covector u on C^r."""
         if len(u) != self.r:
             raise DimensionMismatchError("parameter must have r coordinates")
-        return [combine_rows(u, self.m.entries[alpha :: self.n]) for alpha in range(self.n)]
+        # row alpha of the basis is sum_j u_j m_{j,alpha}
+        return [
+            combine_rows([x if k == alpha else 0 for x in u for k in range(self.n)], self.m)
+            for alpha in range(self.n)
+        ]
 
 
 def construct_structure(subspaces: Sequence, rng=None) -> TensorStructure:
@@ -89,7 +96,7 @@ def construct_structure(subspaces: Sequence, rng=None) -> TensorStructure:
             raise DimensionMismatchError(
                 f"subspace {idx} does not have codimension r={r}"
             )
-        annihilators.append(ann)
+        annihilators.append(QMatrix(ann))
 
     def not_spanning(omitted):
         witness = tuple(i for i in range(n + 1) if i != omitted)
@@ -98,7 +105,7 @@ def construct_structure(subspaces: Sequence, rng=None) -> TensorStructure:
         )
 
     try:
-        change = QMatrix([row for ann in annihilators[1:] for row in ann]).inverse()
+        change = QMatrix([row for ann in annihilators[1:] for row in ann.entries]).inverse()
     except RncGeomError:
         raise not_spanning(0) from None
 
@@ -106,16 +113,16 @@ def construct_structure(subspaces: Sequence, rng=None) -> TensorStructure:
     if rng is not None:
         from .sampling import rand_invertible_matrix
 
-        phis = [combine_rows(row, phis) for row in rand_invertible_matrix(rng, r).entries]
+        phis = rand_invertible_matrix(rng, r) @ phis
 
     # coordinates of phi_j in the basis of the sum of the annihilators of F_1..F_n;
     # row j*n + alpha of m is the component of phi_j along that of F_{alpha+1}
-    coords = [combine_rows(phi, change.entries) for phi in phis]
+    coords = (phis @ change).entries
     block_inverses = []
     for alpha in range(n):
         block = QMatrix([row[alpha * r : (alpha + 1) * r] for row in coords])
         try:
-            block_inverses.append(block.inverse().entries)
+            block_inverses.append(block.inverse())
         except RncGeomError:
             raise not_spanning(alpha + 1) from None
     m_rows = [
@@ -151,7 +158,7 @@ def is_type_subspace(structure: TensorStructure, subspace_rows) -> Optional[tupl
     minv = structure.m_inverse
     coefficient_mats = []
     for psi in ann:
-        coords = combine_rows(psi, minv.entries)
+        coords = combine_rows(psi, minv)
         coefficient_mats.append([coords[j * n : (j + 1) * n] for j in range(r)])
 
     t = None

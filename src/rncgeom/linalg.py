@@ -16,7 +16,7 @@ from .poly import clear_denominators, combine, primitive_part
 
 
 def _frac_row(row) -> tuple:
-    return tuple(Fraction(x) for x in row)
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in row)
 
 
 _ZERO = Fraction(0)
@@ -88,26 +88,35 @@ def nullspace(rows, ncols: int):
 def combine_rows(coeffs, rows) -> tuple:
     """The linear combination of ``rows`` with paired ``coeffs``.
 
-    The vector analogue of ``poly.combine``: the coefficients, then the
-    rows they select, are cleared to integers once, the sum is accumulated
-    over Z, and each output entry is one Fraction over the product of the
-    two denominators.
+    The vector analogue of ``poly.combine``: the coefficients are cleared
+    to integers, the rows are read in the cleared form their ``QMatrix``
+    keeps (a plain row list is wrapped once), the sum is accumulated over
+    Z, and each output entry is one Fraction over the product of the two
+    denominators.
     """
+    if not isinstance(rows, QMatrix):
+        rows = QMatrix(rows)
+    if len(coeffs) != rows.nrows:
+        raise DimensionMismatchError("coefficient count differs from row count")
+    ints, den = rows.cleared
     nums, coeff_den = clear_denominators(coeffs)
-    terms = [(a, row) for a, row in zip(nums, rows) if a]
-    ints, den = clear_denominators([x for _, row in terms for x in row])
-    width = len(rows[0]) if rows else 0
-    acc = [0] * width
-    for k, (a, _) in enumerate(terms):
-        acc = [x + a * y for x, y in zip(acc, ints[k * width : (k + 1) * width])]
+    acc = [0] * rows.ncols
+    for a, row in zip(nums, ints):
+        if a:
+            acc = [x + a * y for x, y in zip(acc, row)]
     den *= coeff_den
     return tuple(Fraction(x, den) if x else _ZERO for x in acc)
 
 
 class QMatrix:
-    """Dense exact matrix; small sizes only, immutable."""
+    """Dense exact matrix; small sizes only, immutable.
 
-    __slots__ = ("entries",)
+    ``cleared`` holds the entries as integer rows over one common
+    denominator.  It is filled on first use and, the matrix being
+    immutable, never goes stale.
+    """
+
+    __slots__ = ("entries", "_cleared")
 
     def __init__(self, entries):
         rows = tuple(_frac_row(r) for r in entries)
@@ -116,6 +125,16 @@ class QMatrix:
             if any(len(r) != w for r in rows):
                 raise DimensionMismatchError("ragged matrix")
         self.entries = rows
+        self._cleared = None
+
+    @property
+    def cleared(self) -> tuple:
+        """``(int_rows, den)`` with each entry equal to its integer over ``den``."""
+        if self._cleared is None:
+            ints, den = clear_denominators([x for row in self.entries for x in row])
+            w = self.ncols
+            self._cleared = ([ints[i * w : (i + 1) * w] for i in range(self.nrows)], den)
+        return self._cleared
 
     @property
     def nrows(self) -> int:
@@ -145,7 +164,7 @@ class QMatrix:
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.ncols != other.nrows:
             raise DimensionMismatchError("matmul size mismatch")
-        return QMatrix([combine_rows(row, other.entries) for row in self.entries])
+        return QMatrix([combine_rows(row, other) for row in self.entries])
 
     def rank(self) -> int:
         return rank(self.entries, self.ncols)

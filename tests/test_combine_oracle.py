@@ -1,8 +1,9 @@
 """The integer row-combination kernel against plain ``Fraction`` sums.
 
-``linalg.combine_rows`` clears its coefficients and rows to integers and
-builds one ``Fraction`` per output entry; ``QMatrix.matvec`` and
-``QMatrix.__matmul__`` go through it.  The references below are the
+``linalg.combine_rows`` clears its coefficients to integers, reads the
+rows in the cleared form their ``QMatrix`` keeps (a plain row list is
+wrapped once) and builds one ``Fraction`` per output entry;
+``QMatrix.matvec`` and ``QMatrix.__matmul__`` go through it.  The references below are the
 textbook sums over ``Fraction``, one product per term.
 """
 
@@ -87,6 +88,96 @@ class TestCombineRows:
             Fraction(1, 3),
             0,
         )
+
+    @pytest.mark.parametrize("coeffs", [[1, 2, 3], [1], []])
+    def test_coefficient_count_must_match(self, coeffs):
+        with pytest.raises(DimensionMismatchError):
+            combine_rows(coeffs, [[1], [2]])
+        with pytest.raises(DimensionMismatchError):
+            combine_rows(coeffs, QMatrix([[1], [2]]))
+
+    def test_ragged_rows(self):
+        with pytest.raises(DimensionMismatchError):
+            combine_rows([1, 2], [[1, 2], [3]])
+
+
+def _row_den(row):
+    return math.lcm(*(Fraction(x).denominator for x in row))
+
+
+@st.composite
+def reused_matrices(draw, max_rows=6, max_cols=8):
+    """``(rows, [coeffs, ...])``: one matrix, several coefficient vectors.
+
+    The matrix is sometimes all zero.  A coefficient vector is sometimes
+    zero on every row whose denominator is the largest, so that the
+    common denominator of the matrix comes from rows it does not select.
+    """
+    nrows = draw(st.integers(0, max_rows))
+    ncols = draw(st.integers(0, max_cols))
+    if draw(st.booleans()):
+        rows = [[0] * ncols for _ in range(nrows)]
+    else:
+        rows = draw(matrix(nrows, ncols))
+    top = max((_row_den(row) for row in rows), default=1)
+    vectors = []
+    for _ in range(draw(st.integers(1, 6))):
+        coeffs = draw(st.lists(ENTRY, min_size=nrows, max_size=nrows))
+        if draw(st.booleans()):
+            coeffs = [0 if _row_den(row) == top else a for a, row in zip(coeffs, rows)]
+        vectors.append(coeffs)
+    return rows, vectors
+
+
+class TestClearedMatrix:
+    @settings(max_examples=200, deadline=None)
+    @given(reused_matrices())
+    @example(([[1, 2], [Fraction(1, 7), 3]], [[1, 0], [0, 1], [5, 0]]))
+    @example(([[0, 0, 0], [0, 0, 0]], [[1, Fraction(1, 2)], [0, 0]]))
+    @example(([[], [], []], [[1, 2, 3], [0, 0, 0]]))
+    @example(([], [[]]))
+    def test_reused_matrix_against_reference(self, case):
+        rows, vectors = case
+        m = QMatrix(rows)
+        for coeffs in vectors:
+            got = combine_rows(coeffs, m)
+            assert got == reference_combine(coeffs, rows)
+            assert got == combine_rows(coeffs, rows)
+            assert _exact(got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_cleared_form(self, data):
+        nrows = data.draw(st.integers(0, 6))
+        ncols = data.draw(st.integers(0, 6))
+        m = QMatrix(data.draw(matrix(nrows, ncols)))
+        ints, den = m.cleared
+        assert m.cleared is m.cleared
+        assert den == math.lcm(*(x.denominator for row in m.entries for x in row))
+        assert [[Fraction(x, den) for x in row] for row in ints] == [
+            list(row) for row in m.entries
+        ]
+        assert all(type(x) is int for row in ints for x in row)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_products_before_and_after_the_form_is_filled(self, data):
+        p = data.draw(st.integers(1, 5))
+        q = data.draw(st.integers(1, 5))
+        s = data.draw(st.integers(1, 5))
+        m = QMatrix(data.draw(matrix(p, q)))
+        a = QMatrix(data.draw(matrix(s, p)))
+        b = QMatrix(data.draw(matrix(q, s)))
+        vec = data.draw(st.lists(ENTRY, min_size=q, max_size=q))
+        expected = (
+            tuple(reference_dot(row, vec) for row in m.entries),
+            QMatrix([[reference_dot(row, col) for col in zip(*m.entries)] for row in a.entries]),
+            QMatrix([[reference_dot(row, col) for col in zip(*b.entries)] for row in m.entries]),
+        )
+        # the first ``a @ m`` fills the form of m; the second pass reads it
+        for _ in range(2):
+            assert (m.matvec(vec), a @ m, m @ b) == expected
+            assert m.cleared[1] >= 1
 
 
 class TestMatrixProducts:

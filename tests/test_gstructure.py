@@ -267,6 +267,33 @@ class TestAssembledInverse:
             assert structure.m_inverse == structure.m.inverse()
             assert structure.m_inverse @ structure.m == QMatrix.identity(r * n)
 
+    def test_m_inverse_cleared_once(self):
+        # a construction, its n + 1 type checks and a relation clear the
+        # entries of m^-1 to integers once, all of them together
+        subs, _ = general_position_family(random.Random(16), 2, 3)
+        other = construct_structure(subs, rng=random.Random(98))
+        cleared = []
+        original = linalg.clear_denominators
+
+        def recording(values):
+            values = list(values)
+            cleared.append(values)
+            return original(values)
+
+        with mock.patch.object(linalg, "clear_denominators", recording):
+            structure = construct_structure(subs)
+            for sub in subs:
+                assert is_type_subspace(structure, sub) is not None
+            assert grn_relation(structure, other) is not None
+        dim = structure.m.nrows
+        rows = set(structure.m_inverse.entries)
+        touching = [
+            values
+            for values in cleared
+            if any(tuple(values[i : i + dim]) in rows for i in range(0, len(values), dim))
+        ]
+        assert touching == [[x for row in structure.m_inverse.entries for x in row]]
+
     @pytest.mark.parametrize("r, n", [(1, 2), (2, 3), (3, 4)])
     def test_remix_draws_once(self, r, n):
         subs, _ = general_position_family(random.Random(80 + r), r, n)
@@ -287,6 +314,25 @@ class TestAssembledInverse:
         subs, _ = general_position_family(random.Random(81), 2, 2)
         with pytest.raises(GenericityError):
             construct_structure(subs, rng=Zeros(0))
+
+
+class TestTypeRows:
+    @pytest.mark.parametrize("r, n", [(1, 2), (2, 2), (3, 2), (2, 4)])
+    def test_match_the_definition(self, r, n):
+        # row j of the type-(r, n-1) rows is sum_alpha t_alpha m_{j,alpha};
+        # row alpha of the type-(r-1, n) rows is sum_j u_j m_{j,alpha}
+        rng = random.Random(90 + 10 * r + n)
+        _, structure = general_position_family(rng, r, n)
+        m = structure.m.entries
+        t, u = rand_vector(rng, n), rand_vector(rng, r)
+        assert structure.type_subspace_rows(t) == [
+            tuple(sum(t[a] * m[j * n + a][k] for a in range(n)) for k in range(r * n))
+            for j in range(r)
+        ]
+        assert structure.left_type_subspace(u) == [
+            tuple(sum(u[j] * m[j * n + a][k] for j in range(r)) for k in range(r * n))
+            for a in range(n)
+        ]
 
 
 class TestIntersectionLaw:

@@ -139,6 +139,16 @@ class TestQMatrix:
             m = QMatrix([rand_vector(rng, 3) for _ in range(3)])
         assert m @ m.inverse() == QMatrix.identity(3)
 
+    def test_entries_are_fractions(self):
+        # Fraction entries are kept as given; the rest are converted
+        kept = F(-3, 4)
+        given = [[2, "5/6", True, kept], [0, "-7", False, F(8, 2)]]
+        m = QMatrix(given)
+        for row, source in zip(m.entries, given):
+            assert all(type(x) is F for x in row)
+            assert row == tuple(F(x) for x in source)
+        assert m.entries[0][3] is kept
+
     def test_kron_shape(self):
         a = QMatrix([[1, 2], [3, 4]])
         b = QMatrix([[0, 1], [1, 0]])
