@@ -154,12 +154,13 @@ class QMatrix:
         return QMatrix(list(zip(*self.entries)))
 
     def matvec(self, vec) -> tuple:
-        vec = tuple(vec)
-        if len(vec) != self.ncols:
+        nums, den = clear_denominators(vec)
+        if len(nums) != self.ncols:
             raise DimensionMismatchError("matvec size mismatch")
-        if not vec:
-            return (_ZERO,) * self.nrows
-        return combine_rows(vec, list(zip(*self.entries)))
+        ints, row_den = self.cleared
+        den *= row_den
+        dots = (sum(a * x for a, x in zip(row, nums)) for row in ints)
+        return tuple(Fraction(s, den) if s else _ZERO for s in dots)
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.ncols != other.nrows:

@@ -3,9 +3,10 @@
 The interpolation routine through d+3 points uses the classical frame
 normalization: d+2 points go to the coordinate simplex and unit point,
 the curve becomes x_i(t) = prod_{j != i} (t - b_j), and the nodes b_j are
-read off the remaining point by exact ratio equations.  The two leftover
-Moebius parameters are fixed by an explicit choice that callers may vary
-to probe projective uniqueness.
+read off the remaining point by exact ratio equations; their one inverse
+also certifies general position.  The two leftover Moebius parameters are
+fixed by an explicit choice that callers may vary to probe projective
+uniqueness.
 """
 
 from __future__ import annotations
@@ -120,14 +121,6 @@ def curve_contains_point(curve: RationalCurve, point, assume_normalized=False) -
 # ---------------------------------------------------------------------------
 
 
-def _check_general_position(d: int, points) -> None:
-    for subset in combinations(range(len(points)), d + 1):
-        if rank([points[i] for i in subset], d + 1) != d + 1:
-            raise GeneralPositionError(
-                f"points {list(subset)} span less than a P^{d}", witness=subset
-            )
-
-
 def rnc_through_points(
     d: int, points: Sequence, free_params=(Fraction(0), Fraction(-1))
 ) -> RationalCurve:
@@ -135,33 +128,38 @@ def rnc_through_points(
 
     ``free_params`` = (t_w, kappa) fixes the leftover Moebius freedom;
     any choice with kappa != 0 yields the same curve as a point set.
+
+    General position is read off B^-1, B the first d+1 points as columns:
+    with g_i = (lam_i, w_i) = B^-1 (p_{d+1}, p_{d+2}) for i <= d and
+    g_{d+1} = (-1, 0), g_{d+2} = (0, -1), the points that omit p_a and
+    p_b are independent iff det(g_a, g_b) != 0 (Gale duality).
     """
     pts = [tuple(Fraction(x) for x in p) for p in points]
     if len(pts) != d + 3:
         raise DimensionMismatchError(f"need {d + 3} points, got {len(pts)}")
     if any(len(p) != d + 1 for p in pts):
         raise DimensionMismatchError("points must have d+1 homogeneous coordinates")
-    _check_general_position(d, pts)
+    simplex = pts[: d + 1]
+    try:
+        base_inv = QMatrix(simplex).transpose().inverse()
+    except RncGeomError:
+        g = None  # B is singular: the first subset below is its columns
+    else:
+        lam, w = base_inv.matvec(pts[d + 1]), base_inv.matvec(pts[d + 2])
+        g = [*zip(lam, w), (-1, 0), (0, -1)]
+    for subset in combinations(range(d + 3), d + 1):
+        a, b = (i for i in range(d + 3) if i not in subset)
+        if g is None or g[a][0] * g[b][1] == g[a][1] * g[b][0]:
+            raise GeneralPositionError(
+                f"points {list(subset)} span less than a P^{d}", witness=subset
+            )
 
     t_w, kappa = (Fraction(x) for x in free_params)
     if kappa == 0:
         raise ValueError("kappa must be nonzero")
-
-    simplex = pts[: d + 1]
-    unit_target = pts[d + 1]
-    last = pts[d + 2]
-
-    base = QMatrix(simplex).transpose()
-    lam = base.inverse().matvec(unit_target)
-    if any(x == 0 for x in lam):
-        raise InvariantError("general position left a zero frame coefficient")
-    frame = QMatrix(
-        [[lam[j] * simplex[j][i] for j in range(d + 1)] for i in range(d + 1)]
-    )
-    w = frame.inverse().matvec(last)
-    if any(x == 0 for x in w) or len(set(w)) != len(w):
-        raise InvariantError("general position left w with a zero or repeated entry")
-    nodes = [t_w - kappa / wi for wi in w]
+    # the frame B diag(lam) sends p_{d+2} to the vector with entries w_j / lam_j
+    frame = [[lj * x for lj, x in zip(lam, row)] for row in zip(*simplex)]
+    nodes = [t_w - kappa * lj / wj for lj, wj in zip(lam, w)]
 
     t = Polynomial.variable(1, 0)
     factors = [t - Polynomial.constant(1, b) for b in nodes]
@@ -172,7 +170,7 @@ def rnc_through_points(
             if j != i:
                 prod = prod * factors[j]
         comps_simplex.append(prod)
-    comps = [combine(row, comps_simplex) for row in frame.entries]
+    comps = [combine(row, comps_simplex) for row in frame]
     return curve_normalize(RationalCurve(comps))
 
 
@@ -524,12 +522,12 @@ def _fit_cone(spec: ConeStandard, points, rng: Optional[random.Random]) -> Ratio
             qu.scale(base[i]) - (lin * direction[i]).scale(2) for i in range(3)
         ]
         t0poly = tpolys[0]
-        # sanity: the conic parametrization must hit the five points
+        # holds by construction: the nondegenerate conic contains no line
         for pair, p in zip(params, plane_pts):
             tv = pair[1] / pair[0]
             val = tuple(c.eval((tv,)) for c in tpolys)
             if rank([val, p], 3) != 1:
-                raise GenericityError("conic parametrization missed a point")
+                raise InvariantError("conic parametrization missed a point")
 
         spolys = []
         for j in range(r - 1):
@@ -603,7 +601,7 @@ def _fit_cubic_special(spec: CubicSpecial, points, rng) -> RationalCurve:
     for p in lifted + qpts:
         coords = tuple(p[c] for c in span4.pivots)
         if combine_rows(coords, span4.basis) != p:
-            raise GenericityError("intersection point escaped the span")
+            raise InvariantError("intersection point escaped the span")
         six_in_p3.append(coords)
     gamma3 = rnc_through_points(3, six_in_p3)
     lift = QMatrix(span4.basis).transpose()

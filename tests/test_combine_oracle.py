@@ -3,8 +3,9 @@
 ``linalg.combine_rows`` clears its coefficients to integers, reads the
 rows in the cleared form their ``QMatrix`` keeps (a plain row list is
 wrapped once) and builds one ``Fraction`` per output entry;
-``QMatrix.matvec`` and ``QMatrix.__matmul__`` go through it.  The references below are the
-textbook sums over ``Fraction``, one product per term.
+``QMatrix.__matmul__`` goes through it.  ``QMatrix.matvec`` takes its dot
+products over Z against the same cleared form.  The references below are
+the textbook sums over ``Fraction``, one product per term.
 """
 
 import math
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rncgeom import linalg
 from rncgeom.errors import DimensionMismatchError
 from rncgeom.linalg import QMatrix, combine_rows
 from rncgeom.poly import clear_denominators
@@ -205,6 +207,31 @@ class TestMatrixProducts:
         got = a @ b
         assert got == expected
         assert all(_exact(row) for row in got.entries)
+
+    def test_matvec_on_many_vectors_clears_the_matrix_once(self, monkeypatch):
+        m = QMatrix([[1, Fraction(1, 2), 3, 0], [Fraction(2, 3), 0, 1, 5], [0, 0, 0, 0]])
+        vectors = [[1, 2, 3, 4], [Fraction(1, 2), 0, 0, Fraction(-1, 5)], [0, 0, 0, 0]]
+        built, cleared = [], []
+        init = QMatrix.__init__
+
+        def counting_init(self, entries):
+            built.append(entries)
+            init(self, entries)
+
+        def counting_clear(values):
+            values = list(values)
+            cleared.append(len(values))
+            return clear_denominators(values)
+
+        monkeypatch.setattr(QMatrix, "__init__", counting_init)
+        monkeypatch.setattr(linalg, "clear_denominators", counting_clear)
+        got = [m.matvec(vec) for vec in vectors]
+        monkeypatch.undo()
+        assert built == []
+        # one clearing of the 12 entries of m, one per vector of length 4
+        assert sorted(cleared) == [4, 4, 4, 12]
+        assert got == [tuple(reference_dot(row, vec) for row in m.entries) for vec in vectors]
+        assert all(_exact(row) for row in got)
 
     def test_size_mismatch(self):
         m = QMatrix([[1, 2], [3, 4]])

@@ -1,6 +1,8 @@
-"""Whole-package checks: no stripped invariants, and the benchmark's tracer fits."""
+"""Whole-package checks: no stripped invariants, no dead private helpers, and
+the benchmark's tracer fits."""
 
 import ast
+import collections
 import importlib.util
 from pathlib import Path
 
@@ -19,6 +21,48 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _private_definitions(tree):
+    """``(name, node)`` for each private module-level function or constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _reads(node):
+    """Names and attributes read anywhere under ``node``."""
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute)
+        or (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+    )
+
+
+def test_every_private_helper_is_used():
+    # a private function or constant read nowhere but in its own body is dead
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    reads = sum((_reads(tree) for tree in trees.values()), collections.Counter())
+    dead = [
+        f"{filename}:{name}"
+        for filename, tree in trees.items()
+        for name, node in _private_definitions(tree)
+        if reads[name] == _reads(node)[name]
+    ]
+    assert dead == []
 
 
 def _load_tracing():

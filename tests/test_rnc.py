@@ -1,13 +1,14 @@
+import collections
 import itertools
 import random
 import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rncgeom import catalog, poly, rnc
+from rncgeom import catalog, linalg, poly, rnc
 from rncgeom.catalog import (
     ConeStandard,
     CubicSpecial,
@@ -138,6 +139,91 @@ class TestContainsPoint:
                     assert expected == (point in on)
 
 
+def _reference_rnc_through_points(d, points, free_params):
+    """``rnc_through_points`` with one rank per (d+1)-subset and a second
+    inverse for the frame, the plain reading of its preconditions."""
+    pts = [tuple(F(x) for x in p) for p in points]
+    for subset in itertools.combinations(range(d + 3), d + 1):
+        if linalg.rank([pts[i] for i in subset], d + 1) != d + 1:
+            raise GeneralPositionError(
+                f"points {list(subset)} span less than a P^{d}", witness=subset
+            )
+    t_w, kappa = (F(x) for x in free_params)
+    if kappa == 0:
+        raise ValueError("kappa must be nonzero")
+    simplex = pts[: d + 1]
+    lam = QMatrix(simplex).transpose().inverse().matvec(pts[d + 1])
+    frame = QMatrix(
+        [[lam[j] * simplex[j][i] for j in range(d + 1)] for i in range(d + 1)]
+    )
+    w = frame.inverse().matvec(pts[d + 2])
+    t = Polynomial.variable(1, 0)
+    factors = [t - Polynomial.constant(1, t_w - kappa / wi) for wi in w]
+    comps = []
+    for i in range(d + 1):
+        prod = Polynomial.one(1)
+        for j in range(d + 1):
+            if j != i:
+                prod = prod * factors[j]
+        comps.append(prod)
+    return curve_normalize(
+        RationalCurve([poly.combine(row, comps) for row in frame.entries])
+    )
+
+
+def _outcome(function, *args):
+    try:
+        curve = function(*args)
+    except (GeneralPositionError, ValueError) as exc:
+        return type(exc), str(exc).encode(), getattr(exc, "witness", None)
+    return curve.coefficient_vectors()
+
+
+@st.composite
+def rnc_inputs(draw):
+    """``(d, points, free_params)`` with one chosen degeneracy, if any.
+
+    The d+3 points are built as B, B lam and B w from a matrix B of
+    simplex columns, so that a zero coordinate, a repeated ratio
+    lam_a / w_a or a singular B can be forced before the points are
+    shuffled.  kappa is sometimes 0.
+    """
+    d = draw(st.integers(1, 5))
+    entry = st.integers(-4, 4)
+    nonzero = st.fractions(-4, 4, max_denominator=3).filter(bool)
+    cols = [[draw(entry) for _ in range(d + 1)] for _ in range(d + 1)]
+    lam = [draw(nonzero) for _ in range(d + 1)]
+    w = [draw(nonzero) for _ in range(d + 1)]
+    a, b = draw(st.permutations(range(d + 1)))[:2]
+    case = draw(
+        st.sampled_from(
+            ["general", "singular", "zero_lam", "zero_w", "equal_ratio", "zero_point"]
+        )
+    )
+    if case == "singular":
+        cols[a] = [draw(entry) * x for x in cols[b]]
+    elif case == "zero_lam":
+        lam[a] = F(0)
+    elif case == "zero_w":
+        w[a] = F(0)
+    elif case == "equal_ratio":
+        c = draw(nonzero)
+        lam[b], w[b] = c * lam[a], c * w[a]
+    points = [tuple(col) for col in cols]
+    for coeffs in (lam, w):
+        points.append(
+            tuple(sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(d + 1))
+        )
+    if case == "zero_point":
+        points[draw(st.integers(0, d + 2))] = (0,) * (d + 1)
+    points = [points[k] for k in draw(st.permutations(range(d + 3)))]
+    free_params = (
+        draw(st.fractions(-3, 3, max_denominator=2)),
+        draw(st.sampled_from([F(-1), F(0), F(1, 2), F(3)])),
+    )
+    return d, points, free_params
+
+
 class TestRncThroughPoints:
     def test_conic_satisfies_implicit_equation(self):
         # oracle: the conic through e0, e1, e2, [1:1:1], [1:2:3] satisfies
@@ -212,6 +298,40 @@ class TestRncThroughPoints:
         with pytest.raises(GeneralPositionError) as err:
             rnc_through_points(2, points)
         assert err.value.witness is not None
+
+    def test_one_inverse_and_no_rank_on_general_points(self, monkeypatch):
+        # the inverse of the simplex decides every (d+1)-subset: no second
+        # inverse for the frame and no rank per subset
+        rng = random.Random(6)
+        points = [(F(1),) + rand_vector(rng, 5) for _ in range(8)]
+        calls = collections.Counter()
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(QMatrix, "inverse", counting("inverse", QMatrix.inverse))
+        for module in (rnc, linalg):
+            monkeypatch.setattr(module, "rank", counting("rank", module.rank))
+        curve = rnc_through_points(5, points)
+        assert calls == {"inverse": 1}
+        monkeypatch.undo()
+        assert certify_curve(curve).is_rnc
+        assert all(curve_contains_point(curve, p) for p in points)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rnc_inputs())
+    @example((2, [(1, 0, 0), (1, 0, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)], (0, 0)))
+    @example((1, [(0, 0), (0, 1), (1, 1), (2, 5)], (0, -1)))
+    @example((3, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                  (1, 2, 0, 3), (2, 1, 1, 1)], (1, 2)))
+    def test_agrees_with_a_rank_per_subset(self, case):
+        d, points, free_params = case
+        expected = _outcome(_reference_rnc_through_points, d, points, free_params)
+        assert _outcome(rnc_through_points, d, points, free_params) == expected
 
 
 class TestScrollSection:

@@ -92,6 +92,25 @@ class TestExhaustedTrial:
     def test_invariant_errors_are_not_resampled(self):
         assert not issubclass(InvariantError, verify.RESAMPLE_ERRORS)
 
+    def test_conic_parametrization_check_is_an_invariant(self, monkeypatch):
+        # the check compares each parametrized point with its plane point
+        real_rank = rnc.rank
+
+        def rank(rows, ncols=None):
+            if ncols == 3 and len(rows) == 2:
+                return 2
+            return real_rank(rows, ncols)
+
+        monkeypatch.setattr(rnc, "rank", rank)
+        with pytest.raises(InvariantError, match="conic parametrization missed a point"):
+            verify.verify_membership(ConeStandard(1, 4), trials=1, seed=0)
+
+    def test_span_coordinates_check_is_an_invariant(self, monkeypatch):
+        # the check rebuilds each point of the P^3 from its pivot coordinates
+        monkeypatch.setattr(rnc, "combine_rows", lambda coeffs, rows: ())
+        with pytest.raises(InvariantError, match="intersection point escaped the span"):
+            verify.verify_membership(CubicSpecial(2, 2), trials=1, seed=0)
+
 
 class TestProjection:
     @pytest.mark.parametrize(
