@@ -43,7 +43,7 @@ rng = random.Random(12)
 for spec in (StandardScroll(ScrollSpec((1, 1)), 2, 0), SegreSpecial(2, 4)):
     variety = make_variety(spec)
     pts = sample_parameter_points(spec, rng)
-    curve = fit_rnc_through(spec, pts, rng)
+    curve = fit_rnc_through(spec, pts)
     cert = certify_curve(curve)
     hit = all(curve_contains_point(curve, variety.eval(p)) for p in pts)
     print(

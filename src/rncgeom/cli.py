@@ -223,7 +223,7 @@ def cmd_fit(args) -> int:
     for _ in range(MAX_RETRIES + 1):
         try:
             points = rnc.sample_parameter_points(spec, rng)
-            curve = rnc.fit_rnc_through(spec, points, rng)
+            curve = rnc.fit_rnc_through(spec, points)
             break
         except verify.RESAMPLE_ERRORS as exc:
             last_error = exc
@@ -304,9 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, spec=True):
-        p.add_argument("--seed", type=int, default=0, help="PRNG seed")
-        p.add_argument("--trials", type=int, default=20, help="number of trials")
+    def add_common(p, spec=True, seed=False, trials=False):
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="PRNG seed")
+        if trials:
+            p.add_argument("--trials", type=int, default=20, help="number of trials")
         p.add_argument(
             "--format", choices=("table", "json"), default="table", help="output format"
         )
@@ -344,11 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_osculate)
 
     p = sub.add_parser("fit", help="fit a rational normal curve through random points")
-    add_common(p)
+    add_common(p, seed=True)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("verify", help="membership verification campaign")
-    add_common(p)
+    add_common(p, seed=True, trials=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("witness", help="specialness witness for a spec")

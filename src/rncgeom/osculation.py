@@ -196,17 +196,15 @@ def admissibility_check(
     v: Parametrization,
     points: Sequence,
     weights: Sequence[int],
-    rng: Optional[random.Random] = None,
-    sample_limit: int = 40,
 ) -> AdmissibilityReport:
     """Direct-sum admissibility test for an n-tuple of parameter points.
 
     ``weights`` is the pondération (rho_1..rho_{n-1}); its multiset must
     match the shifted Euclidean division of q = sum(rho_i + 1) - 1 by
     n - 1.  Every choice of an omitted point and of a weight assignment
-    to the rest (all of them for n <= 5, a seeded sample otherwise) must
-    give regular osculators in projective direct sum equal to the span
-    of the variety.
+    to the rest (all of them for n <= 5 or up to 40 choices, otherwise 40
+    drawn with random.Random(0)) must give regular osculators in
+    projective direct sum equal to the span of the variety.
 
     This certifies the direct-sum condition at the given points only; it
     does not (and cannot, pointwise) certify that admissible tuples form
@@ -241,9 +239,8 @@ def admissibility_check(
         kept = [i for i in range(n) if i != omitted]
         for perm in perms:
             assignments.append(tuple(zip(kept, perm)))
-    if len(assignments) > sample_limit and n > 5:
-        rng = rng or random.Random(0)
-        assignments = rng.sample(assignments, sample_limit)
+    if len(assignments) > 40 and n > 5:
+        assignments = random.Random(0).sample(assignments, 40)
 
     tested = 0
     for assignment in assignments:

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, zip_longest
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import catalog, sampling
 from .catalog import (
@@ -134,6 +134,15 @@ def rnc_through_points(
     g_{d+1} = (-1, 0), g_{d+2} = (0, -1), the points that omit p_a and
     p_b are independent iff det(g_a, g_b) != 0 (Gale duality).
     """
+    return _rnc_and_parameters(d, points, free_params)[0]
+
+
+def _rnc_and_parameters(d: int, points: Sequence, free_params=(Fraction(0), Fraction(-1))):
+    """``rnc_through_points`` with the parameter (s : u) of each input point.
+
+    The frame puts the simplex points at (b_i : 1), the unit point
+    p_{d+1} at (1 : 0) and p_{d+2} at (t_w : 1).
+    """
     pts = [tuple(Fraction(x) for x in p) for p in points]
     if len(pts) != d + 3:
         raise DimensionMismatchError(f"need {d + 3} points, got {len(pts)}")
@@ -171,7 +180,9 @@ def rnc_through_points(
                 prod = prod * factors[j]
         comps_simplex.append(prod)
     comps = [combine(row, comps_simplex) for row in frame]
-    return curve_normalize(RationalCurve(comps))
+    one, zero = Fraction(1), Fraction(0)
+    params = [(b, one) for b in nodes] + [(one, zero), (t_w, one)]
+    return curve_normalize(RationalCurve(comps)), params
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +336,10 @@ def _interpolate(points) -> Polynomial:
 #
 # Every family draws n parameter points of Q^{r+1} for its class (r, n, q):
 # a sampler is called as sampler(rng, n, r + 1), a fitter as
-# fitter(spec, points, rng), with the points already checked by
-# fit_rnc_through.  The table _FAMILY_ROWS at the end of the module holds
-# one row per family.
+# fitter(spec, points), with the points already checked by
+# fit_rnc_through; a fitter draws nothing, so its curve is a function of
+# the points.  The table _FAMILY_ROWS at the end of the module holds one
+# row per family.
 
 
 def sample_parameter_points(spec, rng: random.Random):
@@ -337,7 +349,7 @@ def sample_parameter_points(spec, rng: random.Random):
     return sampler(rng, params.n, params.r + 1)
 
 
-def fit_rnc_through(spec, points, rng: Optional[random.Random] = None) -> RationalCurve:
+def fit_rnc_through(spec, points) -> RationalCurve:
     """Rational normal curve of the class degree through the given points.
 
     ``points`` are the n parameter points of Q^{r+1} of the spec's class
@@ -352,7 +364,7 @@ def fit_rnc_through(spec, points, rng: Optional[random.Random] = None) -> Ration
         raise DimensionMismatchError(
             f"{spec.family} needs {params.n} parameter points in Q^{params.r + 1}"
         )
-    return fitter(spec, pts, rng)
+    return fitter(spec, pts)
 
 
 def _family_row(spec):
@@ -374,7 +386,7 @@ def _through_chart(spec, weights, degree: int, args) -> RationalCurve:
     return curve_normalize(RationalCurve(projective_compose(forms, args)))
 
 
-def _fit_veronese_line(spec: Veronese, points, rng) -> RationalCurve:
+def _fit_veronese_line(spec: Veronese, points) -> RationalCurve:
     u, v = points
     if u == v:
         raise GeneralPositionError("the two parameter points coincide")
@@ -382,7 +394,7 @@ def _fit_veronese_line(spec: Veronese, points, rng) -> RationalCurve:
     return _through_chart(spec, (1,) * spec.dim, spec.order, [Polynomial.one(1)] + line)
 
 
-def _fit_standard_scroll(spec: StandardScroll, points, rng) -> RationalCurve:
+def _fit_standard_scroll(spec: StandardScroll, points) -> RationalCurve:
     samples = [(p[0], tuple(p[1:])) for p in points]
     fit = fit_scroll_section(spec.a, samples)
     for t, _ in samples:
@@ -393,7 +405,7 @@ def _fit_standard_scroll(spec: StandardScroll, points, rng) -> RationalCurve:
     return _through_chart(spec, (0,) + (1,) * spec.a.r, spec.rho, args)
 
 
-def _fit_segre(spec: SegreSpecial, points, rng) -> RationalCurve:
+def _fit_segre(spec: SegreSpecial, points) -> RationalCurve:
     r = spec.r
     taus = [p[0] for p in points]
     if len(set(taus)) != 3:
@@ -423,7 +435,7 @@ def _fit_segre(spec: SegreSpecial, points, rng) -> RationalCurve:
     return curve_normalize(RationalCurve(comps))
 
 
-def _fit_quadric_veronese(spec: QuadricVeronese, points, rng) -> RationalCurve:
+def _fit_quadric_veronese(spec: QuadricVeronese, points) -> RationalCurve:
     """Plane section of the quadric pushed through the order-rho system.
 
     The curve-through-points construction for this family is not spelled
@@ -452,94 +464,37 @@ def _fit_quadric_veronese(spec: QuadricVeronese, points, rng) -> RationalCurve:
     return curve_normalize(RationalCurve(comps))
 
 
-def _fit_cone(spec: ConeStandard, points, rng: Optional[random.Random]) -> RationalCurve:
-    r, q = spec.r, spec.q
-    rng = rng or random.Random(0)
-    sigma = q // 2
+def _fit_cone(spec: ConeStandard, points) -> RationalCurve:
+    """The conic through the plane points (1, t1, t2), with each s_j
+    interpolated along it as S_j / x0^2.
+
+    The conic is the d = 2 case of rnc_through_points, which puts
+    points[3] at (1 : 0); so S_j = s_j(p_3) x0^2 + C_j, C_j the cubic with
+    C_j(tau) = (s_j(p) - s_j(p_3)) x0(tau)^2 at the other four points.
+    """
+    r = spec.r
     plane_pts = [(Fraction(1), p[0], p[1]) for p in points]
-    if len(set(plane_pts)) != 5:
-        raise GeneralPositionError("coincident (t1, t2) plane points")
-
-    # implicit conic through the five plane points
-    monos = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
-    rows = []
-    for p in plane_pts:
-        rows.append([p[0] ** e0 * p[1] ** e1 * p[2] ** e2 for e0, e1, e2 in monos])
-    kernel = nullspace(rows, 6)
-    if len(kernel) != 1:
-        raise GenericityError("conic through the plane points is not unique")
-    coeffs = kernel[0]
-    cmat = QMatrix(
-        [
-            [coeffs[0], coeffs[1] / 2, coeffs[2] / 2],
-            [coeffs[1] / 2, coeffs[3], coeffs[4] / 2],
-            [coeffs[2] / 2, coeffs[4] / 2, coeffs[5]],
-        ]
-    )
-    if cmat.rank() != 3:
-        raise GenericityError("conic through the plane points is degenerate")
-
-    base = plane_pts[0]
-    for _ in range(sampling.MAX_RETRIES + 1):
-        v = sampling.rand_vector(rng, 3)
-        w = sampling.rand_vector(rng, 3)
-        # parameters (lam : mu) of the five points in the pencil through base
-        try:
-            frame = QMatrix([base, v, w]).transpose().inverse()
-        except RncGeomError:
-            continue
-        params = []
-        ok = True
-        for idx, p in enumerate(plane_pts):
-            if idx == 0:
-                # base point sits at the tangent direction of the pencil
-                av = _pairing(cmat, base, v)
-                aw = _pairing(cmat, base, w)
-                pair = (aw, -av)
-            else:
-                c = frame.matvec(p)
-                pair = (c[1], c[2])
-            if pair[0] == 0:
-                ok = False
-                break
-            params.append(pair)
-        if not ok:
-            continue
-        tvals = [mu / lam for lam, mu in params]
-        if len(set(tvals)) != 5:
-            continue
-
-        t = Polynomial.variable(1, 0)
-        direction = [
-            Polynomial.constant(1, vv) + t.scale(ww) for vv, ww in zip(v, w)
-        ]
-        qu = sum(
-            (d * combine(row, direction) for d, row in zip(direction, cmat.entries)),
-            Polynomial.zero(1),
-        )
-        lin = combine(cmat.matvec(base), direction)
-        tpolys = [
-            qu.scale(base[i]) - (lin * direction[i]).scale(2) for i in range(3)
-        ]
-        t0poly = tpolys[0]
-        # holds by construction: the nondegenerate conic contains no line
-        for pair, p in zip(params, plane_pts):
-            tv = pair[1] / pair[0]
-            val = tuple(c.eval((tv,)) for c in tpolys)
-            if rank([val, p], 3) != 1:
-                raise InvariantError("conic parametrization missed a point")
-
-        spolys = []
-        for j in range(r - 1):
-            data = []
-            for tv, p in zip(tvals, points):
-                data.append((tv, p[2 + j] * t0poly.eval((tv,)) ** 2))
-            spolys.append(_interpolate(data))
-        return _through_chart(spec, (1, 1) + (2,) * (r - 1), sigma, tpolys + spolys)
-    raise GenericityError("could not find a workable pencil basis")
+    conic, params = _rnc_and_parameters(2, plane_pts)
+    finite = []
+    for (s, u), plane_pt, p in zip(params, plane_pts, points):
+        val = conic.eval(s / u) if u else conic.value_at_infinity()
+        # holds by construction: the frame sends each parameter to its point
+        if any(val[i] * plane_pt[k] != val[k] * plane_pt[i]
+               for i, k in combinations(range(3), 2)):
+            raise InvariantError("conic parametrization missed a point")
+        if u:
+            finite.append((s / u, val[0] ** 2, p))
+    x0, p3 = conic.components[0], points[3]
+    spolys = [
+        (x0 * x0).scale(p3[j])
+        + _interpolate([(tau, (p[j] - p3[j]) * x0_sq) for tau, x0_sq, p in finite])
+        for j in range(2, r + 1)
+    ]
+    args = list(conic.components) + spolys
+    return _through_chart(spec, (1, 1) + (2,) * (r - 1), spec.q // 2, args)
 
 
-def _fit_veronese33(spec: Veronese33, points, rng) -> RationalCurve:
+def _fit_veronese33(spec: Veronese33, points) -> RationalCurve:
     """Twisted cubic through the six lifted points, pushed through the cubics."""
     lifted = [(Fraction(1),) + p for p in points]
     gamma = rnc_through_points(3, lifted)
@@ -557,7 +512,7 @@ def _isqrt_fraction(value: Fraction):
     return None
 
 
-def _fit_cubic_special(spec: CubicSpecial, points, rng) -> RationalCurve:
+def _fit_cubic_special(spec: CubicSpecial, points) -> RationalCurve:
     r = spec.r
     lifted = [(Fraction(1),) + p for p in points]
     span4 = span_of(lifted, r + 1)
@@ -614,7 +569,7 @@ _FAMILY_ROWS = {
     Veronese: (sampling.rand_distinct_points, _fit_veronese_line),
     Scroll: (
         sampling.rand_points_distinct_first_coord,
-        lambda spec, points, rng: _fit_standard_scroll(spec.standard(), points, rng),
+        lambda spec, points: _fit_standard_scroll(spec.standard(), points),
     ),
     StandardScroll: (sampling.rand_points_distinct_first_coord, _fit_standard_scroll),
     ConeStandard: (sampling.rand_points, _fit_cone),

@@ -151,7 +151,7 @@ def verify_membership(
 
     def attempt(rng, resamples):
         points = rnc.sample_parameter_points(spec, rng)
-        curve = rnc.fit_rnc_through(spec, points, rng)
+        curve = rnc.fit_rnc_through(spec, points)
         cert = certify_curve(curve)
         incidence = all(
             curve_contains_point(curve, variety.eval(p), assume_normalized=True)
@@ -246,7 +246,7 @@ def verify_veronese_projection(
         span_found = image.span().dim
         record = {"image_span": {"found": span_found, "expected": image_span_expected}}
 
-        curve = rnc.fit_rnc_through(spec, sampled, rng)
+        curve = rnc.fit_rnc_through(spec, sampled)
         proj_curve = project_curve(proj, curve)
         cert = certify_curve(proj_curve)
         record["projected_curve"] = cert.to_json()

@@ -254,6 +254,24 @@ class TestUsageErrors:
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["pi-table"],
+        ["enumerate", "--index-set", '{"type":"cone","r":2,"q":4}'],
+        ["build", "--spec", VERONESE],
+        ["osculate", "--spec", VERONESE, "--point", "1,2", "--order", "1"],
+        ["witness", "--spec", '{"family":"Veronese33","params":{}}'],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("flag", ["--seed", "--trials"])
+    def test_flag_the_command_does_not_read(self, argv, flag, capsys):
+        # only fit reads --seed, and only verify reads --seed and --trials
+        assert main(argv) == EXIT_PASS
+        assert main(argv + [flag, "3"]) == EXIT_USAGE
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+    def test_fit_takes_no_trials(self, capsys):
+        assert main(["fit", "--spec", SCROLL, "--trials", "3"]) == EXIT_USAGE
+        assert "unrecognized arguments: --trials 3" in capsys.readouterr().err
+
     def test_undecodable_spec_file(self, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_bytes(b"\xff{")

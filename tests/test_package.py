@@ -1,5 +1,5 @@
-"""Whole-package checks: no stripped invariants, no dead private helpers, and
-the benchmark's tracer fits."""
+"""Whole-package checks: no stripped invariants, no dead private helpers, no
+unread parameters, and the benchmark's tracer fits."""
 
 import ast
 import collections
@@ -63,6 +63,51 @@ def test_every_private_helper_is_used():
         if reads[name] == _reads(node)[name]
     ]
     assert dead == []
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _unread_parameters(tree):
+    """``name(param)`` for each parameter of a module-level function or a
+    method that its body never reads.  A method's receiver (``self`` or
+    ``cls``) is exempt, and so are nested closures, whose signature a
+    caller inside the module fixes."""
+    functions = [(node, 0) for node in tree.body if isinstance(node, FUNCTIONS)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, FUNCTIONS):
+                    static = any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in node.decorator_list
+                    )
+                    functions.append((node, 0 if static else 1))
+    for node, receivers in functions:
+        reads = {
+            n.id
+            for statement in node.body
+            for n in ast.walk(statement)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        args = node.args
+        params = args.posonlyargs + args.args
+        params = params[receivers:] + args.kwonlyargs + [args.vararg, args.kwarg]
+        for param in params:
+            if param is not None and param.arg not in reads:
+                yield f"{node.name}({param.arg})"
+
+
+def test_every_parameter_is_read():
+    # a parameter no body reads is a setting every caller passes for nothing
+    unread = [
+        f"{path.name}:{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _unread_parameters(
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        )
+    ]
+    assert unread == []
 
 
 def _load_tracing():

@@ -40,6 +40,7 @@ from rncgeom.rnc import (
     sample_parameter_points,
 )
 from rncgeom.sampling import rand_vector
+from rncgeom.verify import RESAMPLE_ERRORS
 from test_gcd_oracle import reference_curve_contains_point
 
 
@@ -171,6 +172,19 @@ def _reference_rnc_through_points(d, points, free_params):
     )
 
 
+def _at(curve, pair):
+    """The point of ``curve`` at the homogeneous parameter (s : u)."""
+    s, u = pair
+    return curve.eval(s / u) if u else curve.value_at_infinity()
+
+
+def _proportional(u, v):
+    """Whether u and v are nonzero and the same projective point."""
+    return any(u) and any(v) and all(
+        u[i] * v[k] == u[k] * v[i] for i, k in itertools.combinations(range(len(u)), 2)
+    )
+
+
 def _outcome(function, *args):
     try:
         curve = function(*args)
@@ -262,11 +276,40 @@ class TestRncThroughPoints:
     def test_uniqueness_across_free_parameters(self):
         rng = random.Random(5)
         points = [(F(1),) + rand_vector(rng, 3) for _ in range(6)]
-        a = rnc_through_points(3, points)
-        b = rnc_through_points(3, points, free_params=(F(2), F(3)))
-        assert a != b or True  # parametrizations may differ
+        a, a_params = rnc._rnc_and_parameters(3, points)
+        b, b_params = rnc._rnc_and_parameters(3, points, free_params=(F(2), F(3)))
+        assert a == rnc_through_points(3, points)
+        assert b == rnc_through_points(3, points, free_params=(F(2), F(3)))
+        assert a != b  # two parametrizations of one curve
         for t in (F(0), F(1), F(-1), F(1, 2), F(7, 3)):
             assert curve_contains_point(b, a.eval(t))
+            assert curve_contains_point(a, b.eval(t))
+        for curve, params in ((a, a_params), (b, b_params)):
+            for p, pair in zip(points, params):
+                assert _proportional(_at(curve, pair), p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(1, 5),
+        data=st.data(),
+        t_w=st.fractions(-3, 3, max_denominator=3),
+        kappa=st.fractions(-3, 3, max_denominator=3).filter(bool),
+    )
+    def test_core_reports_the_parameter_of_each_point(self, d, data, t_w, kappa):
+        # simplex points at (b_i : 1), the unit point at (1 : 0), the last at (t_w : 1)
+        coord = st.fractions(-4, 4, max_denominator=2)
+        points = data.draw(
+            st.lists(st.tuples(*[coord] * (d + 1)), min_size=d + 3, max_size=d + 3)
+        )
+        try:
+            curve, params = rnc._rnc_and_parameters(d, points, (t_w, kappa))
+        except GeneralPositionError:
+            assume(False)
+        assert curve == rnc_through_points(d, points, (t_w, kappa))
+        assert all(u == 1 for _, u in params[: d + 1])
+        assert params[d + 1:] == [(1, 0), (t_w, 1)]
+        for p, pair in zip(points, params):
+            assert _proportional(_at(curve, pair), p)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -440,7 +483,7 @@ class TestFitDispatch:
         for attempt in range(9):
             try:
                 points = sample_parameter_points(spec, rng)
-                curve = fit_rnc_through(spec, points, rng)
+                curve = fit_rnc_through(spec, points)
                 break
             except (GenericityError, GeneralPositionError):
                 if attempt == 8:
@@ -482,6 +525,44 @@ class TestFitDispatch:
             assert certify_curve(curve).degree == params.q
 
 
+class TestConeFit:
+    """The cone's conic is rnc_through_points at d = 2 on the plane points."""
+
+    def test_rejects_exactly_when_three_plane_points_are_dependent(self):
+        rng = random.Random(12)
+        specs = [ConeStandard(r, q) for r, q in ((1, 4), (2, 4), (2, 6), (3, 4))]
+        varieties = {spec: catalog.make_variety(spec) for spec in specs}
+        outcomes = collections.Counter()
+        for index in range(120):
+            spec = rng.choice(specs)
+            points = [rand_vector(rng, spec.r + 1) for _ in range(5)]
+            i, j, k = rng.sample(range(5), 3)
+            if index % 3 == 1:  # coincident plane points
+                points[k] = points[i][:2] + points[k][2:]
+            elif index % 3 == 2:  # collinear plane points
+                c = F(rng.randint(-2, 2), rng.choice([1, 3]))
+                line = tuple(a + c * (b - a) for a, b in zip(points[i][:2], points[j][:2]))
+                points[k] = line + points[k][2:]
+            plane = [(F(1),) + p[:2] for p in points]
+            dependent = any(
+                linalg.rank(list(triple), 3) < 3
+                for triple in itertools.combinations(plane, 3)
+            )
+            try:
+                curve = fit_rnc_through(spec, points)
+            except RESAMPLE_ERRORS:
+                assert dependent, points
+                outcomes["rejected"] += 1
+                continue
+            assert not dependent, points
+            cert = certify_curve(curve)
+            assert cert.is_rnc and cert.degree == spec.q
+            assert all(curve_contains_point(curve, varieties[spec].eval(p)) for p in points)
+            outcomes["accepted"] += 1
+        # two thirds of the inputs are forced to be dependent
+        assert outcomes["accepted"] >= 20 and outcomes["rejected"] >= 80
+
+
 # one spec per catalog family, the first of its family in ALL_SPECS
 SPEC_OF_FAMILY = {spec.family: spec for spec in reversed(ALL_SPECS)}
 
@@ -497,7 +578,7 @@ class TestPointContract:
         spec = SPEC_OF_FAMILY[family]
         points = sample_parameter_points(spec, random.Random(20))
         with pytest.raises(DimensionMismatchError, match=family):
-            fit_rnc_through(spec, points[:-1], random.Random(20))
+            fit_rnc_through(spec, points[:-1])
 
     @pytest.mark.parametrize("family", sorted(catalog.FAMILIES))
     def test_one_coordinate_appended(self, family):
@@ -505,7 +586,7 @@ class TestPointContract:
         points = sample_parameter_points(spec, random.Random(20))
         points[-1] = tuple(points[-1]) + (F(1),)
         with pytest.raises(DimensionMismatchError, match=family):
-            fit_rnc_through(spec, points, random.Random(20))
+            fit_rnc_through(spec, points)
 
 
 def _hand_built_quadric(h, r):
@@ -534,7 +615,7 @@ def _fit(spec, seed=20):
     for attempt in range(9):
         try:
             points = sample_parameter_points(spec, rng)
-            return points, fit_rnc_through(spec, points, rng)
+            return points, fit_rnc_through(spec, points)
         except (GenericityError, GeneralPositionError):
             if attempt == 8:
                 raise

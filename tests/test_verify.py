@@ -93,15 +93,15 @@ class TestExhaustedTrial:
         assert not issubclass(InvariantError, verify.RESAMPLE_ERRORS)
 
     def test_conic_parametrization_check_is_an_invariant(self, monkeypatch):
-        # the check compares each parametrized point with its plane point
-        real_rank = rnc.rank
+        # the check compares the conic at each reported parameter with its
+        # plane point; shifting the finite parameters by one breaks it
+        real_core = rnc._rnc_and_parameters
 
-        def rank(rows, ncols=None):
-            if ncols == 3 and len(rows) == 2:
-                return 2
-            return real_rank(rows, ncols)
+        def shifted(d, points, free_params=(0, -1)):
+            curve, params = real_core(d, points, free_params)
+            return curve, [(s + u, u) for s, u in params]
 
-        monkeypatch.setattr(rnc, "rank", rank)
+        monkeypatch.setattr(rnc, "_rnc_and_parameters", shifted)
         with pytest.raises(InvariantError, match="conic parametrization missed a point"):
             verify.verify_membership(ConeStandard(1, 4), trials=1, seed=0)
 
@@ -214,7 +214,7 @@ class TestAdmissibilityAtFittedPoints:
         for attempt in range(9):
             points = rnc.sample_parameter_points(spec, rng)
             try:
-                rnc.fit_rnc_through(spec, points, rng)
+                rnc.fit_rnc_through(spec, points)
             except (GenericityError, GeneralPositionError):
                 continue
             report = admissibility_check(variety, points, weights)
