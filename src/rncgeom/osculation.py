@@ -292,9 +292,12 @@ def osculating_projection(v: Parametrization, centers) -> Parametrization:
 
 
 def project_curve(proj: LinearProjection, curve: RationalCurve) -> RationalCurve:
-    """Image of a curve under a linear projection, in normalized form."""
+    """Image of a curve under a linear projection, in normalized form.
+
+    The image keeps the curve's parameter pairs: the parameter does not change.
+    """
     comps = proj.apply_polys(list(curve.components))
-    return curve_normalize(RationalCurve(comps))
+    return curve_normalize(RationalCurve(comps, curve.params))
 
 
 def curve_projection_check(curve: RationalCurve, t0, k: int) -> bool:

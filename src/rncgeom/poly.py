@@ -429,16 +429,23 @@ def _divexact_ints(x: list, y: list) -> list:
 
 
 def poly_gcd_univariate(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Canonical gcd: primitive integer coefficients, positive lead.
+    """Canonical gcd: primitive integer coefficients, positive lead."""
+    if a.nvars != 1 or b.nvars != 1:
+        raise DimensionMismatchError("gcd requires univariate polynomials")
+    x, y = (primitive_part(c) for c in integer_coefficients([a, b]))
+    return Polynomial.from_coeffs([Fraction(c) for c in _gcd_ints(x, y)])
+
+
+def _gcd_ints(x: list, y: list) -> list:
+    """Canonical gcd of two primitive integer lists (low degree first, no
+    trailing zeros).
 
     A primitive pseudo-remainder sequence over Z (Collins, J. ACM 14,
     1967; Brown, J. ACM 18, 1971).  A pseudo-division step replaces rem
     by (lc(y)/g) rem - (lead(rem)/g) t^s y with g = gcd(lc(y), lead(rem)),
-    and each full remainder is divided by its content.  gcd(0, 0) is 0.
+    and each full remainder is divided by its content.  The result is
+    primitive with a positive lead; gcd(0, 0) is the empty list.
     """
-    if a.nvars != 1 or b.nvars != 1:
-        raise DimensionMismatchError("gcd requires univariate polynomials")
-    x, y = (primitive_part(c) for c in integer_coefficients([a, b]))
     if len(x) < len(y):
         x, y = y, x
     while len(y) > 1:
@@ -459,7 +466,7 @@ def poly_gcd_univariate(a: Polynomial, b: Polynomial) -> Polynomial:
         x = [1]
     if x and x[-1] < 0:
         x = [-c for c in x]
-    return Polynomial.from_coeffs([Fraction(c) for c in x])
+    return x
 
 
 def _mul_ints(x: list, y: list) -> list:
@@ -521,16 +528,36 @@ def poly_divexact_univariate(a: Polynomial, b: Polynomial) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
+def eval_homogeneous(lists: Sequence[list], pairs) -> list:
+    """Integer value vectors of coefficient lists at homogeneous pairs.
+
+    A pair (s : u) stands for t = s/u, and (1 : 0) for the point at
+    infinity.  It is cleared to integers (S : U), and each list (low
+    degree first), read as a form of the degree D of the longest list,
+    gives sum_k c_k S^k U^(D-k); at (1 : 0) that is the leading vector.
+    """
+    top = max(len(x) for x in lists) - 1
+    out = []
+    for pair in pairs:
+        (s, u), _ = clear_denominators(pair)
+        weights = [s**k * u ** (top - k) for k in range(top + 1)]
+        out.append([sum(c * w for c, w in zip(x, weights)) for x in lists])
+    return out
+
+
 class RationalCurve:
     """Rational map P^1 -> P^N given by N+1 univariate components.
 
+    ``params`` are homogeneous parameter pairs (s : u), t = s/u, one per
+    point the curve was fitted through and in their order; they are claims
+    that incidence checks (``rnc.curve_contains_point``), never trusts.
     Only ``curve_normalize`` marks a curve normalized, and builds it with
     its primitive integer lists; the constructor never does.
     """
 
-    __slots__ = ("components", "_lists", "_normalized")
+    __slots__ = ("components", "params", "_lists", "_values", "_normalized")
 
-    def __init__(self, components: Sequence[Polynomial]):
+    def __init__(self, components: Sequence[Polynomial], params=()):
         comps = tuple(components)
         if not comps:
             raise DegenerateCurveError("a curve needs at least one component")
@@ -540,7 +567,9 @@ class RationalCurve:
         if all(c.is_zero() for c in comps):
             raise DegenerateCurveError("all curve components are zero")
         self.components = comps
+        self.params = tuple((_as_fraction(s), _as_fraction(u)) for s, u in params)
         self._lists = None
+        self._values = None
         self._normalized = False
 
     @property
@@ -566,6 +595,13 @@ class RationalCurve:
             self._lists = integer_coefficients(self.components)
         return self._lists
 
+    def witness_values(self) -> list:
+        """``eval_homogeneous`` of the integer lists at ``params``, computed
+        once and shared (not to be changed)."""
+        if self._values is None:
+            self._values = eval_homogeneous(self.integer_lists(), self.params)
+        return self._values
+
     def coefficient_vectors(self) -> list:
         """Exact coefficient lists (low degree first), one per component."""
         d = self.degree()
@@ -586,27 +622,27 @@ class RationalCurve:
 def curve_normalize(curve: RationalCurve) -> RationalCurve:
     """Canonical form: gcd and content removed, first nonzero lead positive.
 
-    A curve already marked normalized is returned as it is.
+    A curve already marked normalized is returned as it is; the parameter
+    pairs are kept, since the parameter does not change.
     """
     if curve._normalized:
         return curve
-    comps = curve.components
-    g = None
-    for c in comps:
-        if c.is_zero():
-            continue
-        g = c if g is None else poly_gcd_univariate(g, c)
-        if g.total_degree() == 0:
-            break
     lists = curve.integer_lists()
-    if g.total_degree() > 0:
-        (divisor,) = integer_coefficients([g])
-        divisor = primitive_part(divisor)
-        lists = [_divexact_ints(x, divisor) if x else x for x in lists]
+    g = None
+    for x in lists:
+        if not x:
+            continue
+        g = primitive_part(x) if g is None else _gcd_ints(g, primitive_part(x))
+        if len(g) == 1:
+            break
+    if len(g) > 1:
+        lists = [_divexact_ints(x, g) if x else x for x in lists]
     content = math.gcd(*(c for x in lists for c in x))
     if next(x[-1] for x in lists if x) < 0:
         content = -content
     lists = [[c // content for c in x] for x in lists]
-    out = RationalCurve([Polynomial.from_coeffs([Fraction(c) for c in x]) for x in lists])
+    out = RationalCurve(
+        [Polynomial.from_coeffs([Fraction(c) for c in x]) for x in lists], curve.params
+    )
     out._lists, out._normalized = lists, True
     return out

@@ -7,6 +7,11 @@ read off the remaining point by exact ratio equations; their one inverse
 also certifies general position.  The two leftover Moebius parameters are
 fixed by an explicit choice that callers may vary to probe projective
 uniqueness.
+
+Every fitter knows the parameter at which its curve passes through each
+input point, and the curve carries these pairs (``RationalCurve.params``).
+Incidence checks them first, on integers, and falls back to the gcd of the
+cross minors when none of them verifies.
 """
 
 from __future__ import annotations
@@ -45,10 +50,11 @@ from .linalg import QMatrix, combine_rows, intersect, nullspace, rank, span_of
 from .poly import (
     Polynomial,
     RationalCurve,
+    _gcd_ints,
     clear_denominators,
     combine,
     curve_normalize,
-    poly_gcd_univariate,
+    eval_homogeneous,
     power_product,
     primitive_part,
     projective_compose,
@@ -79,14 +85,21 @@ def certify_curve(curve: RationalCurve) -> CurveCertificate:
     return CurveCertificate(degree, span_dim, degree == span_dim)
 
 
+def _is_multiple(value, p) -> bool:
+    """Whether the integer vector ``value`` is a nonzero multiple of ``p``."""
+    m = next(i for i, x in enumerate(p) if x)
+    return value[m] != 0 and all(value[m] * x == v * p[m] for v, x in zip(value, p))
+
+
 def curve_contains_point(curve: RationalCurve, point, assume_normalized=False) -> bool:
     """Exact membership of a projective point in the image of the curve.
 
-    Works through the gcd of the 2x2 cross minors against a nonzero
-    coordinate of the point; a common root, or a match with the value at
-    infinity, certifies membership.  The point is cleared of denominators
-    and the curve gives its integer lists, so the minors are built on
-    integers.
+    The point is cleared of denominators.  A carried parameter pair whose
+    value (``RationalCurve.witness_values``) is a nonzero multiple of the
+    point certifies membership.  When no pair does, the answer comes from
+    the gcd of the 2x2 cross minors against a nonzero coordinate of the
+    point, built on the curve's integer lists: a common root, or a match
+    with the value at infinity, certifies membership.
     """
     c = curve if assume_normalized else curve_normalize(curve)
     p, _ = clear_denominators(point)
@@ -94,6 +107,8 @@ def curve_contains_point(curve: RationalCurve, point, assume_normalized=False) -
         raise DimensionMismatchError("point/curve ambient mismatch")
     if not any(p):
         raise ValueError("zero vector is not a projective point")
+    if any(_is_multiple(value, p) for value in c.witness_values()):
+        return True
     comps = c.integer_lists()
     m = next(i for i, x in enumerate(p) if x)
     minors = []
@@ -101,16 +116,18 @@ def curve_contains_point(curve: RationalCurve, point, assume_normalized=False) -
         if j == m:
             continue
         minor = [p[m] * a - pj * b for a, b in zip_longest(cj, comps[m], fillvalue=0)]
-        if any(minor):
-            minors.append(Polynomial.from_coeffs(primitive_part(minor)))
+        while minor and not minor[-1]:
+            minor.pop()
+        if minor:
+            minors.append(primitive_part(minor))
     if not minors:
         return True
     g = minors[0]
-    for poly in minors[1:]:
-        g = poly_gcd_univariate(g, poly)
-        if g.total_degree() == 0:
+    for minor in minors[1:]:
+        g = _gcd_ints(g, minor)
+        if len(g) == 1:
             break
-    if g.total_degree() >= 1:
+    if len(g) > 1:
         return True
     inf = c.value_at_infinity()
     return all(p[m] * inf[j] - pj * inf[m] == 0 for j, pj in enumerate(p))
@@ -140,8 +157,9 @@ def rnc_through_points(
 def _rnc_and_parameters(d: int, points: Sequence, free_params=(Fraction(0), Fraction(-1))):
     """``rnc_through_points`` with the parameter (s : u) of each input point.
 
-    The frame puts the simplex points at (b_i : 1), the unit point
-    p_{d+1} at (1 : 0) and p_{d+2} at (t_w : 1).
+    A pair (s : u) stands for t = s/u.  The frame puts the simplex points
+    at (b_i : 1), the unit point p_{d+1} at (1 : 0) and p_{d+2} at
+    (t_w : 1).  The curve carries the same pairs.
     """
     pts = [tuple(Fraction(x) for x in p) for p in points]
     if len(pts) != d + 3:
@@ -182,7 +200,7 @@ def _rnc_and_parameters(d: int, points: Sequence, free_params=(Fraction(0), Frac
     comps = [combine(row, comps_simplex) for row in frame]
     one, zero = Fraction(1), Fraction(0)
     params = [(b, one) for b in nodes] + [(one, zero), (t_w, one)]
-    return curve_normalize(RationalCurve(comps)), params
+    return curve_normalize(RationalCurve(comps, params)), params
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +285,9 @@ def _plane_conic(qmat: QMatrix, p1, p2, p3):
     """Conic cut on a quadric by the plane of three of its points.
 
     Returns the ambient components (degree <= 2 polynomials in the affine
-    parameter) and the three parameter values as homogeneous pairs.
+    parameter t) and the parameter of each point as a homogeneous pair
+    (u : s), t = s/u: the reverse of the (s : u) pairs of
+    ``_rnc_and_parameters`` and ``RationalCurve.params``.
     """
     pts = [tuple(Fraction(x) for x in p) for p in (p1, p2, p3)]
     n = qmat.nrows
@@ -338,8 +358,9 @@ def _interpolate(points) -> Polynomial:
 # a sampler is called as sampler(rng, n, r + 1), a fitter as
 # fitter(spec, points), with the points already checked by
 # fit_rnc_through; a fitter draws nothing, so its curve is a function of
-# the points.  The table _FAMILY_ROWS at the end of the module holds one
-# row per family.
+# the points.  The curve carries the parameter pair (s : u) of each point,
+# in their order.  The table _FAMILY_ROWS at the end of the module holds
+# one row per family.
 
 
 def sample_parameter_points(spec, rng: random.Random):
@@ -374,16 +395,17 @@ def _family_row(spec):
     return row
 
 
-def _through_chart(spec, weights, degree: int, args) -> RationalCurve:
+def _through_chart(spec, weights, degree: int, args, params) -> RationalCurve:
     """Image of a parameter curve under the chart of ``spec``.
 
     The chart [1 : spec.components()] is homogenized to ``degree`` with
     one weight per chart variable; ``args`` are the univariate polynomials
     substituted for the new leading variable and the chart variables.
+    The image carries ``params``, the pairs of the input points.
     """
     comps = [Polynomial.one(len(weights))] + spec.components()
     forms = [c.homogenize(degree, weights) for c in comps]
-    return curve_normalize(RationalCurve(projective_compose(forms, args)))
+    return curve_normalize(RationalCurve(projective_compose(forms, args), params))
 
 
 def _fit_veronese_line(spec: Veronese, points) -> RationalCurve:
@@ -391,7 +413,8 @@ def _fit_veronese_line(spec: Veronese, points) -> RationalCurve:
     if u == v:
         raise GeneralPositionError("the two parameter points coincide")
     line = [Polynomial.univariate([ui, vi - ui]) for ui, vi in zip(u, v)]
-    return _through_chart(spec, (1,) * spec.dim, spec.order, [Polynomial.one(1)] + line)
+    args = [Polynomial.one(1)] + line
+    return _through_chart(spec, (1,) * spec.dim, spec.order, args, [(0, 1), (1, 1)])
 
 
 def _fit_standard_scroll(spec: StandardScroll, points) -> RationalCurve:
@@ -402,7 +425,8 @@ def _fit_standard_scroll(spec: StandardScroll, points) -> RationalCurve:
             raise GenericityError("P_0 vanishes at a sample parameter")
     p0, *prest = fit.polys
     args = [p0, Polynomial.variable(1, 0)] + prest
-    return _through_chart(spec, (0,) + (1,) * spec.a.r, spec.rho, args)
+    params = [(t, 1) for t, _ in samples]
+    return _through_chart(spec, (0,) + (1,) * spec.a.r, spec.rho, args, params)
 
 
 def _fit_segre(spec: SegreSpecial, points) -> RationalCurve:
@@ -432,7 +456,7 @@ def _fit_segre(spec: SegreSpecial, points) -> RationalCurve:
     g0, gs, gq = g[0], g[1 : 1 + r], g[r + 1]
     # chart order [1, t, s, t s, q, t q]
     comps = [g0, t * g0] + gs + [t * gj for gj in gs] + [gq, t * gq]
-    return curve_normalize(RationalCurve(comps))
+    return curve_normalize(RationalCurve(comps, [(tau, 1) for tau in taus]))
 
 
 def _fit_quadric_veronese(spec: QuadricVeronese, points) -> RationalCurve:
@@ -449,7 +473,7 @@ def _fit_quadric_veronese(spec: QuadricVeronese, points) -> RationalCurve:
     lifted = [(Fraction(1), -h.eval(p)) + p for p in points]
     # U_0 U_1 + h(U_2..U_{r+2}) is the hyperbolic normal form of its rank
     quadric = catalog.QuadraticForm(spec.rank, r + 3)
-    conic_comps, _ = _plane_conic(quadric.matrix(), *lifted)
+    conic_comps, conic_params = _plane_conic(quadric.matrix(), *lifted)
     x0 = conic_comps[0]
     xprime = conic_comps[1:]  # U_1 .. U_{r+2} along the conic
     if x0.is_zero():
@@ -461,7 +485,8 @@ def _fit_quadric_veronese(spec: QuadricVeronese, points) -> RationalCurve:
         power_product([x0] + xprime[1:], (rho - sum(gamma),) + gamma)
         for gamma in block_b
     ]
-    return curve_normalize(RationalCurve(comps))
+    # _plane_conic gives (u : s) pairs
+    return curve_normalize(RationalCurve(comps, [(s, u) for u, s in conic_params]))
 
 
 def _fit_cone(spec: ConeStandard, points) -> RationalCurve:
@@ -475,30 +500,26 @@ def _fit_cone(spec: ConeStandard, points) -> RationalCurve:
     r = spec.r
     plane_pts = [(Fraction(1), p[0], p[1]) for p in points]
     conic, params = _rnc_and_parameters(2, plane_pts)
-    finite = []
-    for (s, u), plane_pt, p in zip(params, plane_pts, points):
-        val = conic.eval(s / u) if u else conic.value_at_infinity()
-        # holds by construction: the frame sends each parameter to its point
-        if any(val[i] * plane_pt[k] != val[k] * plane_pt[i]
-               for i, k in combinations(range(3), 2)):
+    # holds by construction: the frame sends each parameter to its point
+    for value, pt in zip(eval_homogeneous(conic.integer_lists(), params), plane_pts):
+        if not _is_multiple(value, clear_denominators(pt)[0]):
             raise InvariantError("conic parametrization missed a point")
-        if u:
-            finite.append((s / u, val[0] ** 2, p))
     x0, p3 = conic.components[0], points[3]
+    finite = [(s / u, x0.eval((s / u,)) ** 2, p) for (s, u), p in zip(params, points) if u]
     spolys = [
         (x0 * x0).scale(p3[j])
         + _interpolate([(tau, (p[j] - p3[j]) * x0_sq) for tau, x0_sq, p in finite])
         for j in range(2, r + 1)
     ]
     args = list(conic.components) + spolys
-    return _through_chart(spec, (1, 1) + (2,) * (r - 1), spec.q // 2, args)
+    return _through_chart(spec, (1, 1) + (2,) * (r - 1), spec.q // 2, args, params)
 
 
 def _fit_veronese33(spec: Veronese33, points) -> RationalCurve:
     """Twisted cubic through the six lifted points, pushed through the cubics."""
     lifted = [(Fraction(1),) + p for p in points]
     gamma = rnc_through_points(3, lifted)
-    return _through_chart(spec, (1, 1, 1), 3, list(gamma.components))
+    return _through_chart(spec, (1, 1, 1), 3, list(gamma.components), gamma.params)
 
 
 def _isqrt_fraction(value: Fraction):
@@ -561,7 +582,8 @@ def _fit_cubic_special(spec: CubicSpecial, points) -> RationalCurve:
     gamma3 = rnc_through_points(3, six_in_p3)
     lift = QMatrix(span4.basis).transpose()
     ambient = [combine(row, gamma3.components) for row in lift.entries]
-    return _through_chart(spec, (1,) * (r + 1), 3, ambient)
+    # the last two of the six points are the quadric points, not input points
+    return _through_chart(spec, (1,) * (r + 1), 3, ambient, gamma3.params[:4])
 
 
 # spec class -> (parameter sampler, fitter)

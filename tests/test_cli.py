@@ -3,10 +3,11 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 
-from rncgeom import rnc
+from rncgeom import catalog, rnc
 from rncgeom.catalog import FAMILIES
 from rncgeom.cli import (
     EXIT_FAIL,
@@ -16,7 +17,10 @@ from rncgeom.cli import (
     main,
 )
 from rncgeom.errors import GenericityError, InvariantError
+from rncgeom.poly import Polynomial, RationalCurve
 from rncgeom.sampling import MAX_RETRIES
+from test_gcd_oracle import reference_curve_contains_point
+from test_rnc import _callers
 
 
 def run(argv):
@@ -27,6 +31,22 @@ def run(argv):
 
 
 SCROLL = '{"family":"Scroll","params":{"a":[1,1]}}'
+
+# one spec of every family, as JSON params
+FAMILY_PARAMS = {
+    "Veronese": '{"dim":2,"order":2}',
+    "Scroll": '{"a":[2,1]}',
+    "StandardScroll": '{"a":[1,1],"rho":2,"chi":1}',
+    "ConeStandard": '{"r":2,"q":4}',
+    "QuadricVeronese": '{"r":3,"rho":2,"rank":5}',
+    "SegreSpecial": '{"r":2,"mu":4}',
+    "CubicSpecial": '{"r":2,"mu_prime":2}',
+    "Veronese33": '{}',
+}
+
+
+def family_spec(family) -> str:
+    return f'{{"family":"{family}","params":{FAMILY_PARAMS[family]}}}'
 
 
 class TestPiTable:
@@ -146,20 +166,9 @@ class TestOtherCommands:
         assert doc["components"][0] == "1"
 
     def test_build_every_family(self):
-        params = {
-            "Veronese": '{"dim":2,"order":2}',
-            "Scroll": '{"a":[2,1]}',
-            "StandardScroll": '{"a":[1,1],"rho":2,"chi":1}',
-            "ConeStandard": '{"r":2,"q":4}',
-            "QuadricVeronese": '{"r":3,"rho":2,"rank":5}',
-            "SegreSpecial": '{"r":2,"mu":4}',
-            "CubicSpecial": '{"r":2,"mu_prime":2}',
-            "Veronese33": '{}',
-        }
-        assert set(params) == set(FAMILIES)
+        assert set(FAMILY_PARAMS) == set(FAMILIES)
         for family in FAMILIES:
-            doc = f'{{"family":"{family}","params":{params[family]}}}'
-            code, out = run(["build", "--spec", doc, "--format", "json"])
+            code, out = run(["build", "--spec", family_spec(family), "--format", "json"])
             assert code == EXIT_PASS
             payload = json.loads(out)
             assert payload["span_dim"] == payload["ambient_dim"]
@@ -180,6 +189,23 @@ class TestOtherCommands:
         assert code == EXIT_PASS
         doc = json.loads(out)
         assert doc["certificate"]["is_rnc"] and doc["incidence"]
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+    def test_fit_incidence_is_that_of_the_gcd_path(self, family, monkeypatch):
+        # the carried pairs certify the printed points with no gcd, and the
+        # plain Fraction gcd reference agrees on the printed curve
+        gcds = _callers(monkeypatch, "_gcd_ints")
+        code, out = run(["fit", "--spec", family_spec(family), "--seed", "3", "--format", "json"])
+        doc = json.loads(out)
+        assert code == EXIT_PASS and doc["incidence"]
+        assert "curve_contains_point" not in gcds
+        variety = catalog.make_variety(catalog.spec_from_json(doc["spec"]))
+        curve = RationalCurve(
+            [Polynomial.univariate([Fraction(x) for x in row]) for row in doc["curve_coefficients"]]
+        )
+        for point in doc["points"]:
+            image = variety.eval(tuple(Fraction(x) for x in point))
+            assert reference_curve_contains_point(curve, image)
 
     def test_fit_needing_a_splitting_field_is_inconclusive(self, capsys):
         spec = '{"family":"CubicSpecial","params":{"r":3,"mu_prime":3}}'

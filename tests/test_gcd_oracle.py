@@ -271,3 +271,63 @@ class TestContains:
         if any(point):
             expected = reference_curve_contains_point(curve, point, assume_normalized)
             assert curve_contains_point(curve, point, assume_normalized) == expected
+
+
+# ---------------------------------------------------------------------------
+# incidence by a carried parameter pair
+# ---------------------------------------------------------------------------
+
+
+def _value_at(curve, pair) -> list:
+    """The curve at the homogeneous pair (s : u), as forms of its degree."""
+    s, u = pair
+    d = curve.degree()
+    return [
+        sum(c.coefficient((k,)) * s**k * u ** (d - k) for k in range(d + 1))
+        for c in curve.components
+    ]
+
+
+PAIRS = st.tuples(COEFF, COEFF).filter(any)  # (c : 0) is the point at infinity
+POINTS = st.lists(COEFF, min_size=4, max_size=4)
+
+
+def _agrees_with_reference(curve, points, assume_normalized):
+    for point in points:
+        point = point[: len(curve.components)]
+        if any(point):
+            expected = reference_curve_contains_point(curve, point, assume_normalized)
+            assert curve_contains_point(curve, point, assume_normalized) == expected
+
+
+class TestContainsByWitness:
+    """A carried pair whose value is a multiple of the point answers True; when
+    none is, the gcd answers, so every answer is the reference's."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(CURVES, st.lists(PAIRS, min_size=1, max_size=3), PAIRS, POINTS, st.booleans())
+    def test_matches_reference(self, comps, pairs, other, off, assume_normalized):
+        # a point at a carried pair, a point at another pair (every carried
+        # pair is then a wrong witness) and a point off the curve
+        curve = RationalCurve(comps, pairs)
+        points = [_value_at(curve, pairs[0]), _value_at(curve, other), off]
+        _agrees_with_reference(curve, points, assume_normalized)
+
+    @given(CURVES, COEFF.filter(bool), st.booleans())
+    def test_witness_at_infinity(self, comps, scale, assume_normalized):
+        curve = RationalCurve(comps, [(scale, 0)])
+        point = curve.value_at_infinity()
+        assert reference_curve_contains_point(curve, point, assume_normalized)
+        assert curve_contains_point(curve, point, assume_normalized)
+
+    @settings(max_examples=100, deadline=None)
+    @given(CURVES, COEFF, PAIRS, POINTS, st.booleans())
+    def test_common_factor_vanishing_at_a_pair(self, comps, root, other, off, assume_normalized):
+        # before normalization every value at the root of the common factor
+        # is zero, so the pair certifies nothing and the gcd must answer
+        factor = Polynomial.univariate([-root, 1])
+        curve = RationalCurve([c * factor for c in comps], [(root, 1)])
+        assert not any(curve.witness_values()[0])
+        base = curve_normalize(RationalCurve(comps))
+        points = [_value_at(base, (root, 1)), _value_at(base, other), off]
+        _agrees_with_reference(curve, points, assume_normalized)

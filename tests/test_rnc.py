@@ -27,8 +27,8 @@ from rncgeom.errors import (
     GeneralPositionError,
     GenericityError,
 )
-from rncgeom.linalg import QMatrix, try_direct_sum
-from rncgeom.osculation import Parametrization, osculator
+from rncgeom.linalg import QMatrix, projection_from, span_of, try_direct_sum
+from rncgeom.osculation import Parametrization, osculator, project_curve
 from rncgeom.poly import Polynomial, RationalCurve, curve_normalize
 from rncgeom.rnc import (
     certify_curve,
@@ -102,6 +102,20 @@ class TestContainsPoint:
     def test_off_curve(self):
         curve = monomial_curve(0, 1, 2, 3)
         assert not curve_contains_point(curve, (1, 2, 4, 9))
+
+    def test_carried_pair_certifies_without_a_gcd(self, monkeypatch):
+        curve = RationalCurve(monomial_curve(0, 1, 2, 3).components, [(F(1, 2), 1), (3, 0)])
+        gcds = _callers(monkeypatch, "_gcd_ints")
+        assert curve_contains_point(curve, (8, 4, 2, 1))  # t = 1/2 scaled
+        assert curve_contains_point(curve, (0, 0, 0, F(1, 3)))  # value at infinity
+        assert gcds == []
+
+    def test_wrong_pair_falls_back_to_the_gcd(self, monkeypatch):
+        curve = RationalCurve(monomial_curve(0, 1, 2, 3).components, [(5, 1), (1, 0)])
+        gcds = _callers(monkeypatch, "_gcd_ints")
+        assert curve_contains_point(curve, (1, 2, 4, 8))  # t = 2 is not carried
+        assert not curve_contains_point(curve, (1, 2, 4, 9))
+        assert gcds.count("curve_contains_point") == 4
 
     # a twisted cubic with Fraction coefficients, t -> (t^i (1 - t)^(3 - i) (i + 1) / 2)
     BASE = RationalCurve([
@@ -493,6 +507,15 @@ class TestFitDispatch:
         for p in points:
             assert curve_contains_point(curve, variety.eval(p))
 
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
+    def test_curve_carries_the_pair_of_each_point(self, spec):
+        # one (s : u) pair per input point, in input order
+        points, curve = _fit(spec)
+        variety = catalog.make_variety(spec)
+        assert len(curve.params) == len(points)
+        for pair, p in zip(curve.params, points):
+            assert _proportional(_at(curve, pair), variety.eval(p))
+
     def test_segre_degree_three(self):
         spec = SegreSpecial(2, 4)
         pts = [
@@ -654,17 +677,27 @@ class TestNormalizedCurves:
     def test_no_second_normalization(self, spec, monkeypatch):
         points, curve = _fit(spec)
         variety = catalog.make_variety(spec)
-        gcds = _callers(monkeypatch, "poly_gcd_univariate")
+        gcds = _callers(monkeypatch, "_gcd_ints")
         lists = _callers(monkeypatch, "integer_coefficients")
         assert certify_curve(curve).is_rnc
         assert gcds == [] and lists == []
         for assume_normalized in (True, False):
             for p in points:
                 assert curve_contains_point(curve, variety.eval(p), assume_normalized)
-        # the only gcd calls are those of the cross minors, which clear
-        # their own operands
-        assert set(gcds) <= {"curve_contains_point"}
-        assert set(lists) <= {"poly_gcd_univariate"}
+        # every input point is certified by the parameter pair it was fitted at
+        assert gcds == [] and lists == []
+
+    def test_pairs_survive_normalization_and_projection(self, monkeypatch):
+        params = [(F(0), F(1)), (F(1), F(0)), (F(-2, 3), F(1))]
+        curve = RationalCurve(TestContainsPoint.BASE.components, params)
+        normal = curve_normalize(curve)
+        center = span_of([normal.eval(F(1, 2))], 3)
+        image = project_curve(projection_from(center, 3), normal)
+        assert normal.params == image.params == tuple(params)
+        gcds = _callers(monkeypatch, "_gcd_ints")
+        for pair in params:
+            assert curve_contains_point(image, _at(image, pair), assume_normalized=True)
+        assert gcds == []
 
     def test_hand_built_curve_is_normalized(self, monkeypatch):
         # the twisted cubic of TestContainsPoint times a common factor: every
@@ -674,7 +707,7 @@ class TestNormalizedCurves:
         base = TestContainsPoint.BASE
         curve = RationalCurve([c * factor for c in base.components])
         off = (F(1), F(0), F(0), F(1))
-        gcds = _callers(monkeypatch, "poly_gcd_univariate")
+        gcds = _callers(monkeypatch, "_gcd_ints")
         cert = certify_curve(curve)
         assert (cert.degree, cert.span_dim, cert.is_rnc) == (3, 3, True)
         assert "curve_normalize" in gcds

@@ -17,6 +17,7 @@ from rncgeom.catalog import (
 )
 from rncgeom.errors import GenericityError, InvariantError, SpecError
 from rncgeom.sampling import MAX_RETRIES
+from test_rnc import _callers
 
 
 class TestMembership:
@@ -63,6 +64,46 @@ class TestMembership:
         assert report.verdict == "inconclusive"
         assert all(t["fit"] == "splitting_field_required" for t in report.trials)
         assert all("discriminant" in t for t in report.trials)
+
+
+class TestIncidenceByWitness:
+    """Every fitted point is certified by the pair its curve carries for it, so
+    a campaign takes no gcd for incidence; a pair convention that failed
+    silently would show here as a gcd call."""
+
+    SPECS = [
+        Veronese(2, 2),
+        Scroll(ScrollSpec((2, 1))),
+        StandardScroll(ScrollSpec((1, 1)), 2, 1),
+        ConeStandard(2, 4),
+        QuadricVeronese(3, 2, 5),
+        SegreSpecial(2, 4),
+        CubicSpecial(2, 2),
+        Veronese33(),
+    ]
+
+    def test_one_spec_of_every_family(self):
+        assert {type(spec) for spec in self.SPECS} == set(catalog.FAMILIES.values())
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.family)
+    def test_membership_takes_no_gcd_for_incidence(self, spec, monkeypatch):
+        gcds = _callers(monkeypatch, "_gcd_ints")
+        report = verify.verify_membership(spec, trials=3, seed=0)
+        assert report.verdict == "pass"
+        assert all(t["incidence"] for t in report.trials)
+        assert "curve_contains_point" not in gcds
+
+    @pytest.mark.parametrize(
+        "spec",
+        [StandardScroll(ScrollSpec((1, 1)), 2, 0), ConeStandard(2, 4), QuadricVeronese(3, 2, 5)],
+        ids=lambda s: s.family,
+    )
+    def test_projection_keeps_the_pairs(self, spec, monkeypatch):
+        gcds = _callers(monkeypatch, "_gcd_ints")
+        report = verify.verify_veronese_projection(spec, trials=1, seed=0)
+        assert report.verdict == "pass"
+        assert report.trials[0]["projected_incidence"]
+        assert "curve_contains_point" not in gcds
 
 
 class TestExhaustedTrial:
