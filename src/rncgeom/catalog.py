@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
-from .errors import SpecError
+from .errors import DimensionMismatchError, SpecError
 from .linalg import QMatrix
 from .osculation import Parametrization
 from .poly import Polynomial, compositions, grlex_key, power_product
@@ -272,7 +272,17 @@ class QuadraticForm:
         return p
 
     def eval(self, point) -> Fraction:
-        return self.poly().eval(point)
+        """The value of ``poly()`` at a point, read off the normal form."""
+        if len(point) != self.nvars:
+            raise DimensionMismatchError(
+                f"point length {len(point)} != {self.nvars} variables"
+            )
+        total = Fraction(0)
+        for i in range(self.rank // 2):
+            total += point[2 * i] * point[2 * i + 1]
+        if self.rank % 2:
+            total += point[self.rank - 1] ** 2
+        return total
 
     def matrix(self) -> QMatrix:
         """Symmetric bilinear form matrix (rank equals the declared rank)."""

@@ -31,13 +31,28 @@ from .linalg import (
     span_of,
     try_direct_sum,
 )
-from .poly import Polynomial, RationalCurve, compositions, curve_normalize
+from .poly import (
+    Polynomial,
+    RationalCurve,
+    clear_denominators,
+    compositions,
+    curve_normalize,
+)
+
+_ZERO = Fraction(0)
 
 
 class Parametrization:
-    """Rational map C^d -> P^N with polynomial homogeneous components."""
+    """Rational map C^d -> P^N with polynomial homogeneous components.
 
-    __slots__ = ("nparams", "components", "_span", "_partials")
+    A map is either given by its components, or it is the image of a
+    parent map under a linear projection (built by
+    ``osculating_projection_map``), which reads the parent through the
+    projection matrix and builds its own components only when they are
+    read.  Every value of either kind comes from ``_values``.
+    """
+
+    __slots__ = ("nparams", "_components", "_image_of", "_span", "_partials", "_compiled")
 
     def __init__(self, nparams: int, components: Sequence[Polynomial], check=True):
         comps = tuple(components)
@@ -47,11 +62,30 @@ class Parametrization:
             if c.nvars != nparams:
                 raise DimensionMismatchError("component variable count mismatch")
         self.nparams = nparams
-        self.components = comps
+        self._components = comps
+        self._image_of = None
         self._span = None
         self._partials = [{(0,) * nparams: comps}]
+        self._compiled = []
         if check:
             self._check_generic_rank()
+
+    @classmethod
+    def _projected(cls, parent: "Parametrization", proj: LinearProjection):
+        """The image of ``parent`` under ``proj``, with its generic rank checked.
+
+        Besides the pair, it keeps the nonzero entries of each row of the
+        matrix's cleared form, so that a value is a sparse dot product over Z.
+        """
+        ints, den = proj.matrix.cleared
+        sparse = [[(j, m) for j, m in enumerate(row) if m] for row in ints]
+        out = cls.__new__(cls)
+        out.nparams = parent.nparams
+        out._components = None
+        out._image_of = (parent, proj, sparse, den)
+        out._span = out._partials = out._compiled = None
+        out._check_generic_rank()
+        return out
 
     @classmethod
     def from_affine(cls, nparams: int, affine_components):
@@ -60,11 +94,38 @@ class Parametrization:
         return cls(nparams, comps)
 
     @property
+    def components(self) -> tuple:
+        if self._components is None:
+            parent, proj = self._image_of[:2]
+            self._components = tuple(proj.apply_polys(list(parent.components)))
+        return self._components
+
+    @property
     def ambient_dim(self) -> int:
-        return len(self.components) - 1
+        if self._image_of is not None:
+            return self._image_of[1].target_dim
+        return len(self._components) - 1
 
     def eval(self, point) -> tuple:
-        return tuple(c.eval(point) for c in self.components)
+        rows, den = self._values(_cleared(self, point), 0)
+        return tuple(Fraction(x, den) if x else _ZERO for x in rows[0])
+
+    def _values(self, cleared, k: int) -> tuple:
+        """``(rows, den)``: the order-k partials at a cleared point, one
+        integer row per derivative multi-index, each value over ``den``.
+
+        ``cleared`` is ``clear_denominators`` of the point.  A map given by
+        its components compiles each of its partial layers once (see
+        ``_compile``); an image multiplies its parent's rows by the matrix.
+        """
+        if self._image_of is not None:
+            parent, _, sparse, den = self._image_of
+            rows, parent_den = parent._values(cleared, k)
+            images = [[sum(m * row[j] for j, m in mrow) for mrow in sparse] for row in rows]
+            return images, parent_den * den
+        while len(self._compiled) <= k:
+            self._compiled.append(_compile(self._partial_layer(len(self._compiled))))
+        return _eval_compiled(self._compiled[k], cleared)
 
     def _check_generic_rank(self):
         rng = random.Random(0xA11CE)
@@ -81,13 +142,26 @@ class Parametrization:
         )
 
     def span(self) -> ProjSubspace:
-        """Projective span of the image: row space of the coefficient matrix."""
+        """Projective span of the image.
+
+        For a map given by its components, the row space of their
+        coefficient matrix.  For an image, the parent's span under the
+        projection matrix: the whole target when the parent spans its whole
+        ambient, since the matrix has an identity block on the complement.
+        """
         if self._span is None:
-            monomials = sorted({e for c in self.components for e, _ in c.items()})
-            rows = []
-            for m in monomials:
-                rows.append([c.coefficient(m) for c in self.components])
-            self._span = span_of(rows, self.ambient_dim)
+            if self._image_of is not None:
+                parent, proj = self._image_of[:2]
+                whole = parent.span()
+                if whole.dim < parent.ambient_dim:
+                    self._span = proj.image_of(whole)
+                else:
+                    n = self.ambient_dim + 1
+                    self._span = span_of([[int(i == j) for j in range(n)] for i in range(n)])
+            else:
+                monomials = sorted({e for c in self._components for e, _ in c.items()})
+                rows = [[c.coefficient(m) for c in self._components] for m in monomials]
+                self._span = span_of(rows, self.ambient_dim)
         return self._span
 
     def _partial_layer(self, k: int) -> dict:
@@ -112,6 +186,55 @@ class Parametrization:
         return cls(1, curve.components, check=False)
 
 
+def _cleared(v: Parametrization, point) -> tuple:
+    """``clear_denominators`` of a parameter point of ``v``."""
+    point = tuple(point)
+    if len(point) != v.nparams:
+        raise DimensionMismatchError(
+            f"point length {len(point)} != {v.nparams} parameters"
+        )
+    return clear_denominators(point)
+
+
+def _compile(layer: dict) -> tuple:
+    """A partial layer as ``(den, top, monomials, rows)`` over Z.
+
+    ``den`` is the lcm of the layer's coefficient denominators and ``top``
+    its largest total degree; ``monomials`` lists each exponent e that
+    occurs with top - |e|, and ``rows`` holds, per multi-index and per
+    component, the pairs (den * coefficient, monomial index).
+    """
+    terms = [[c.items() for c in comps] for comps in layer.values()]
+    flat = [t for row in terms for c in row for t in c]
+    den = math.lcm(*(x.denominator for _, x in flat))
+    top = max((sum(e) for e, _ in flat), default=0)
+    index = {}
+    rows = [
+        [[(x.numerator * (den // x.denominator), index.setdefault(e, len(index))) for e, x in c]
+         for c in row]
+        for row in terms
+    ]
+    return den, top, [(e, top - sum(e)) for e in index], rows
+
+
+def _eval_compiled(compiled: tuple, cleared) -> tuple:
+    """``(rows, den)`` of a compiled layer at a point cleared to a / L.
+
+    A monomial x^e is a^e L^(top - |e|) over L^top, read from one table of
+    powers of each a_i and of L; each output is one integer over den L^top.
+    """
+    den, top, monomials, rows = compiled
+    nums, lcd = cleared
+    lpow = [lcd**j for j in range(top + 1)]
+    table = [[a**j for j in range(top + 1)] for a in nums]
+    values = [
+        math.prod([col[j] for col, j in zip(table, e)], start=lpow[rest])
+        for e, rest in monomials
+    ]
+    out = [[sum(c * values[i] for c, i in comp) for comp in comps] for comps in rows]
+    return out, den * lpow[top]
+
+
 @dataclass
 class OsculatorReport:
     """Order-k osculating space with the regularity verdict."""
@@ -130,11 +253,22 @@ class OsculatorReport:
         }
 
 
-def _derivative_rows(v: Parametrization, point):
-    """Yield, for k = 1, 2, ..., the values at the point of the order-k partials."""
-    for k in itertools.count(1):
-        layer = v._partial_layer(k)
-        yield [tuple(c.eval(point) for c in comps) for comps in layer.values()]
+def _rows_by_order(v: Parametrization, point):
+    """Yield, for k = 0, 1, 2, ..., the rows at the point of the order-k partials.
+
+    The rows are those of ``Parametrization._values``: each layer's values
+    times one positive integer, which changes no span.
+    """
+    cleared = _cleared(v, point)
+    for k in itertools.count():
+        yield v._values(cleared, k)[0]
+
+
+def _lifted_point(rows) -> list:
+    """The order-0 rows, unless the point is a base point of the map."""
+    if not any(rows[0]):
+        raise DegenerateParametrizationError("base point of the parametrization")
+    return rows
 
 
 def osculator(v: Parametrization, point, k: int) -> OsculatorReport:
@@ -145,13 +279,9 @@ def osculator(v: Parametrization, point, k: int) -> OsculatorReport:
     """
     if k < 0:
         raise ValueError("order must be non-negative")
-    point = tuple(Fraction(x) for x in point)
-    if len(point) != v.nparams:
-        raise DimensionMismatchError("point length mismatch")
-    rows = [v.eval(point)]
-    if all(x == 0 for x in rows[0]):
-        raise DegenerateParametrizationError("base point of the parametrization")
-    for order_rows in itertools.islice(_derivative_rows(v, point), k):
+    orders = _rows_by_order(v, point)
+    rows = _lifted_point(next(orders))
+    for order_rows in itertools.islice(orders, k):
         rows.extend(order_rows)
     sub = span_of(rows, v.ambient_dim)
     expected = math.comb(v.nparams + k, v.nparams)
@@ -166,9 +296,9 @@ def regularity_order(v: Parametrization, point) -> int:
     the osculator dimension is capped by the ambient space while the
     regular dimension keeps growing with k.
     """
-    point = tuple(Fraction(x) for x in point)
-    span = osculator(v, point, 0).subspace
-    for k, order_rows in enumerate(_derivative_rows(v, point), start=1):
+    orders = _rows_by_order(v, point)
+    span = span_of(_lifted_point(next(orders)), v.ambient_dim)
+    for k, order_rows in enumerate(orders, start=1):
         span = span_of(list(span.basis) + order_rows, v.ambient_dim)
         if span.dim + 1 != math.comb(v.nparams + k, v.nparams):
             return k - 1
@@ -282,8 +412,7 @@ def osculating_projection_map(v: Parametrization, centers):
             f"osculators not in direct sum (dim {center.dim} < {expected})"
         )
     proj = projection_from(center, v.ambient_dim)
-    comps = proj.apply_polys(list(v.components))
-    return proj, Parametrization(v.nparams, comps)
+    return proj, Parametrization._projected(v, proj)
 
 
 def osculating_projection(v: Parametrization, centers) -> Parametrization:

@@ -314,8 +314,9 @@ def _plane_conic(qmat: QMatrix, p1, p2, p3):
 
 def conic_on_quadric(qmat: QMatrix, p1, p2, p3) -> RationalCurve:
     """Exact conic through three points of a quadric, within their plane."""
-    comps, _ = _plane_conic(qmat, p1, p2, p3)
-    return curve_normalize(RationalCurve(comps))
+    comps, params = _plane_conic(qmat, p1, p2, p3)
+    # _plane_conic gives (u : s) pairs
+    return curve_normalize(RationalCurve(comps, [(s, u) for u, s in params]))
 
 
 def projectivity_p1(sources, targets) -> QMatrix:

@@ -27,7 +27,7 @@ from rncgeom.catalog import (
     spec_from_json,
     spec_to_json,
 )
-from rncgeom.errors import SpecError
+from rncgeom.errors import DimensionMismatchError, SpecError
 
 
 class TestPiFormula:
@@ -233,6 +233,25 @@ class TestQuadraticForm:
     def test_rank_out_of_range(self):
         with pytest.raises(SpecError):
             QuadraticForm(4, 3)
+
+    def test_eval_is_that_of_the_polynomial(self):
+        # the normal form read directly, against the Polynomial reference
+        rng = random.Random(5)
+        for nvars in range(1, 6):
+            for rank in range(nvars + 1):
+                form = QuadraticForm(rank, nvars)
+                for _ in range(10):
+                    point = tuple(
+                        F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(nvars)
+                    )
+                    value = form.eval(point)
+                    assert type(value) is F and value == form.poly().eval(point)
+                ints = tuple(rng.randint(-9, 9) for _ in range(nvars))
+                assert form.eval(ints) == form.poly().eval(ints)
+
+    def test_eval_rejects_a_point_of_the_wrong_length(self):
+        with pytest.raises(DimensionMismatchError):
+            QuadraticForm(2, 3).eval((F(1), F(2)))
 
 
 class TestMakeVariety:

@@ -87,7 +87,8 @@ class TestRegularityOrder:
 
         with mock.patch.object(Polynomial, "partial", counting):
             assert regularity_order(v, (F(1), F(2), F(-1))) == 3
-        assert len(calls) <= 680
+        # layers 2 to 4 (31 multi-indices); layer 1 went to the rank check
+        assert len(calls) == 31 * 20
 
     def test_partials_shared_by_the_points(self):
         # a 5-point regularity job derives the partials once, not once per point
@@ -103,7 +104,7 @@ class TestRegularityOrder:
 
         with mock.patch.object(Polynomial, "partial", counting):
             assert [regularity_order(v, p) for p in points] == expected == [3] * 5
-        assert len(calls) <= 680
+        assert len(calls) == 31 * 20
 
     def test_base_point_rejected(self):
         x = Polynomial.variable(1, 0)

@@ -465,6 +465,16 @@ class TestConicOnQuadric:
         residual = comps[0] * comps[1] + comps[2] * comps[3]
         assert residual.is_zero()
 
+    def test_incidence_at_its_points_takes_no_gcd(self, monkeypatch):
+        # the curve carries the pair of each point, swapped to (s : u)
+        qmat = self.quadric_p3()
+        pts = [(1, -1, 1, 1), (1, -6, 2, 3), (1, 5, 5, -1)]
+        curve = conic_on_quadric(qmat, *pts)
+        assert len(curve.params) == 3
+        gcds = _callers(monkeypatch, "_gcd_ints")
+        assert all(curve_contains_point(curve, p) for p in pts)
+        assert gcds == []
+
     def test_collinear_points_rejected(self):
         qmat = self.quadric_p3()
         pts = [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)]

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -16,6 +17,8 @@ from rncgeom.catalog import (
     Veronese33,
 )
 from rncgeom.errors import GenericityError, InvariantError, SpecError
+from rncgeom.linalg import LinearProjection
+from rncgeom.poly import Polynomial
 from rncgeom.sampling import MAX_RETRIES
 from test_rnc import _callers
 
@@ -104,6 +107,44 @@ class TestIncidenceByWitness:
         assert report.verdict == "pass"
         assert report.trials[0]["projected_incidence"]
         assert "curve_contains_point" not in gcds
+
+
+class TestProjectedImagesAreLazy:
+    """A projection campaign reads its images through the projection matrix:
+    it builds no image components, so it differentiates none."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [Scroll(ScrollSpec((2, 1, 1))), StandardScroll(ScrollSpec((1, 1)), 2, 0),
+         ConeStandard(2, 4), QuadricVeronese(3, 2, 5)],
+        ids=lambda s: s.family,
+    )
+    def test_campaign_builds_no_image_components(self, spec, monkeypatch):
+        applied, differentiated, charts = [], [], []
+        apply_polys, partial = LinearProjection.apply_polys, Polynomial.partial
+        make_variety = catalog.make_variety
+
+        def counting_apply(self, components):
+            applied.append(sys._getframe(1).f_code.co_name)
+            return apply_polys(self, components)
+
+        def counting_partial(self, orders):
+            differentiated.append(self)
+            return partial(self, orders)
+
+        def recording_make(spec):
+            charts.append(make_variety(spec))
+            return charts[-1]
+
+        monkeypatch.setattr(LinearProjection, "apply_polys", counting_apply)
+        monkeypatch.setattr(Polynomial, "partial", counting_partial)
+        monkeypatch.setattr(catalog, "make_variety", recording_make)
+        report = verify.verify_veronese_projection(spec, trials=2, seed=0)
+        assert report.verdict == "pass"
+        assert applied and set(applied) == {"project_curve"}
+        (chart,) = charts
+        own = {id(c) for layer in chart._partials for comps in layer.values() for c in comps}
+        assert differentiated and all(id(p) in own for p in differentiated)
 
 
 class TestExhaustedTrial:
