@@ -230,10 +230,7 @@ def cmd_fit(args) -> int:
     else:
         raise last_error
     cert = certify_curve(curve)
-    incidence = all(
-        rnc.curve_contains_point(curve, variety.eval(p), assume_normalized=True)
-        for p in points
-    )
+    incidence = all(rnc.curve_contains_point(curve, variety.eval(p)) for p in points)
     payload = {
         "schema": verify.SCHEMA_VERSION,
         "kind": "fit",

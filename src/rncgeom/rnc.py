@@ -54,7 +54,6 @@ from .poly import (
     clear_denominators,
     combine,
     curve_normalize,
-    eval_homogeneous,
     power_product,
     primitive_part,
     projective_compose,
@@ -150,16 +149,10 @@ def rnc_through_points(
     with g_i = (lam_i, w_i) = B^-1 (p_{d+1}, p_{d+2}) for i <= d and
     g_{d+1} = (-1, 0), g_{d+2} = (0, -1), the points that omit p_a and
     p_b are independent iff det(g_a, g_b) != 0 (Gale duality).
-    """
-    return _rnc_and_parameters(d, points, free_params)[0]
 
-
-def _rnc_and_parameters(d: int, points: Sequence, free_params=(Fraction(0), Fraction(-1))):
-    """``rnc_through_points`` with the parameter (s : u) of each input point.
-
-    A pair (s : u) stands for t = s/u.  The frame puts the simplex points
-    at (b_i : 1), the unit point p_{d+1} at (1 : 0) and p_{d+2} at
-    (t_w : 1).  The curve carries the same pairs.
+    The curve carries the parameter (s : u), t = s/u, of each input
+    point: the frame puts the simplex points at (b_i : 1), the unit point
+    p_{d+1} at (1 : 0) and p_{d+2} at (t_w : 1).
     """
     pts = [tuple(Fraction(x) for x in p) for p in points]
     if len(pts) != d + 3:
@@ -200,7 +193,7 @@ def _rnc_and_parameters(d: int, points: Sequence, free_params=(Fraction(0), Frac
     comps = [combine(row, comps_simplex) for row in frame]
     one, zero = Fraction(1), Fraction(0)
     params = [(b, one) for b in nodes] + [(one, zero), (t_w, one)]
-    return curve_normalize(RationalCurve(comps, params)), params
+    return curve_normalize(RationalCurve(comps, params))
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +274,12 @@ def _pairing(qmat: QMatrix, u, v):
     return sum(x * y for x, y in zip(qmat.matvec(u), v))
 
 
-def _plane_conic(qmat: QMatrix, p1, p2, p3):
-    """Conic cut on a quadric by the plane of three of its points.
+def conic_on_quadric(qmat: QMatrix, p1, p2, p3) -> RationalCurve:
+    """Exact conic through three points of a quadric, within their plane.
 
-    Returns the ambient components (degree <= 2 polynomials in the affine
-    parameter t) and the parameter of each point as a homogeneous pair
-    (u : s), t = s/u: the reverse of the (s : u) pairs of
-    ``_rnc_and_parameters`` and ``RationalCurve.params``.
+    The curve carries the parameter (s : u), t = s/u, of each point: p1 at
+    (-a : b), with a and b twice the pairings of p1 with p2 and p3, p2 at
+    (0 : 1) and p3 at (1 : 0).
     """
     pts = [tuple(Fraction(x) for x in p) for p in (p1, p2, p3)]
     n = qmat.nrows
@@ -308,15 +300,7 @@ def _plane_conic(qmat: QMatrix, p1, p2, p3):
     u1 = -(t.scale(b) + Polynomial.constant(1, a))
     u2 = t * u1
     comps = [combine(coords, (u0, u1, u2)) for coords in zip(*pts)]
-    params = [(b, -a), (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
-    return comps, params
-
-
-def conic_on_quadric(qmat: QMatrix, p1, p2, p3) -> RationalCurve:
-    """Exact conic through three points of a quadric, within their plane."""
-    comps, params = _plane_conic(qmat, p1, p2, p3)
-    # _plane_conic gives (u : s) pairs
-    return curve_normalize(RationalCurve(comps, [(s, u) for u, s in params]))
+    return curve_normalize(RationalCurve(comps, [(-a, b), (0, 1), (1, 0)]))
 
 
 def projectivity_p1(sources, targets) -> QMatrix:
@@ -448,11 +432,13 @@ def _fit_segre(spec: SegreSpecial, points) -> RationalCurve:
     for i in range(r):
         for j in range(r):
             m[1 + i][1 + j] = -qmat_inner.entries[i][j]
-    conic_comps, conic_params = _plane_conic(QMatrix(m), *quadric_pts)
-    mat = projectivity_p1([(Fraction(1), tau) for tau in taus], conic_params)
+    conic = conic_on_quadric(QMatrix(m), *quadric_pts)
+    # the pencil is in (u : s), the variable order of the homogenized conic
+    targets = [(u, s) for s, u in conic.params]
+    mat = projectivity_p1([(Fraction(1), tau) for tau in taus], targets)
     pencil = [Polynomial.univariate(row) for row in mat.entries]
     # g0, gs and gq share one scale factor, which curve_normalize strips
-    g = projective_compose([c.homogenize(2, (1,)) for c in conic_comps], pencil)
+    g = projective_compose([c.homogenize(2, (1,)) for c in conic.components], pencil)
     t = Polynomial.variable(1, 0)
     g0, gs, gq = g[0], g[1 : 1 + r], g[r + 1]
     # chart order [1, t, s, t s, q, t q]
@@ -474,9 +460,8 @@ def _fit_quadric_veronese(spec: QuadricVeronese, points) -> RationalCurve:
     lifted = [(Fraction(1), -h.eval(p)) + p for p in points]
     # U_0 U_1 + h(U_2..U_{r+2}) is the hyperbolic normal form of its rank
     quadric = catalog.QuadraticForm(spec.rank, r + 3)
-    conic_comps, conic_params = _plane_conic(quadric.matrix(), *lifted)
-    x0 = conic_comps[0]
-    xprime = conic_comps[1:]  # U_1 .. U_{r+2} along the conic
+    conic = conic_on_quadric(quadric.matrix(), *lifted)
+    x0, *xprime = conic.components  # xprime: U_1 .. U_{r+2} along the conic
     if x0.is_zero():
         raise GenericityError("conic lies in the hyperplane at infinity")
     block_a, block_b = catalog.quadric_veronese_blocks(r, rho)
@@ -486,8 +471,7 @@ def _fit_quadric_veronese(spec: QuadricVeronese, points) -> RationalCurve:
         power_product([x0] + xprime[1:], (rho - sum(gamma),) + gamma)
         for gamma in block_b
     ]
-    # _plane_conic gives (u : s) pairs
-    return curve_normalize(RationalCurve(comps, [(s, u) for u, s in conic_params]))
+    return curve_normalize(RationalCurve(comps, conic.params))
 
 
 def _fit_cone(spec: ConeStandard, points) -> RationalCurve:
@@ -500,9 +484,10 @@ def _fit_cone(spec: ConeStandard, points) -> RationalCurve:
     """
     r = spec.r
     plane_pts = [(Fraction(1), p[0], p[1]) for p in points]
-    conic, params = _rnc_and_parameters(2, plane_pts)
+    conic = rnc_through_points(2, plane_pts)
+    params = conic.params
     # holds by construction: the frame sends each parameter to its point
-    for value, pt in zip(eval_homogeneous(conic.integer_lists(), params), plane_pts):
+    for value, pt in zip(conic.witness_values(), plane_pts):
         if not _is_multiple(value, clear_denominators(pt)[0]):
             raise InvariantError("conic parametrization missed a point")
     x0, p3 = conic.components[0], points[3]

@@ -29,7 +29,6 @@ from .catalog import (
 from .errors import (
     DegenerateCurveError,
     DegenerateParametrizationError,
-    DirectSumError,
     GeneralPositionError,
     GenericityError,
     SpecError,
@@ -50,7 +49,6 @@ from .sampling import MAX_RETRIES, rand_rational
 RESAMPLE_ERRORS = (
     GenericityError,
     GeneralPositionError,
-    DirectSumError,
     DegenerateCurveError,
     DegenerateParametrizationError,
 )
@@ -153,10 +151,7 @@ def verify_membership(
         points = rnc.sample_parameter_points(spec, rng)
         curve = rnc.fit_rnc_through(spec, points)
         cert = certify_curve(curve)
-        incidence = all(
-            curve_contains_point(curve, variety.eval(p), assume_normalized=True)
-            for p in points
-        )
+        incidence = all(curve_contains_point(curve, variety.eval(p)) for p in points)
         record = {
             "fit": "ok",
             "resamples": resamples,
@@ -253,11 +248,7 @@ def verify_veronese_projection(
 
         extras = sampled[params.n - 2 :]
         incidence = all(
-            curve_contains_point(
-                proj_curve,
-                proj.apply_vector(variety.eval(p)),
-                assume_normalized=True,
-            )
+            curve_contains_point(proj_curve, proj.apply_vector(variety.eval(p)))
             for p in extras
         )
         record["projected_incidence"] = incidence

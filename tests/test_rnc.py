@@ -290,16 +290,16 @@ class TestRncThroughPoints:
     def test_uniqueness_across_free_parameters(self):
         rng = random.Random(5)
         points = [(F(1),) + rand_vector(rng, 3) for _ in range(6)]
-        a, a_params = rnc._rnc_and_parameters(3, points)
-        b, b_params = rnc._rnc_and_parameters(3, points, free_params=(F(2), F(3)))
+        a = rnc_through_points(3, points)
+        b = rnc_through_points(3, points, free_params=(F(2), F(3)))
         assert a == rnc_through_points(3, points)
         assert b == rnc_through_points(3, points, free_params=(F(2), F(3)))
         assert a != b  # two parametrizations of one curve
         for t in (F(0), F(1), F(-1), F(1, 2), F(7, 3)):
             assert curve_contains_point(b, a.eval(t))
             assert curve_contains_point(a, b.eval(t))
-        for curve, params in ((a, a_params), (b, b_params)):
-            for p, pair in zip(points, params):
+        for curve in (a, b):
+            for p, pair in zip(points, curve.params):
                 assert _proportional(_at(curve, pair), p)
 
     @settings(max_examples=40, deadline=None)
@@ -316,12 +316,13 @@ class TestRncThroughPoints:
             st.lists(st.tuples(*[coord] * (d + 1)), min_size=d + 3, max_size=d + 3)
         )
         try:
-            curve, params = rnc._rnc_and_parameters(d, points, (t_w, kappa))
+            curve = rnc_through_points(d, points, (t_w, kappa))
         except GeneralPositionError:
             assume(False)
+        params = curve.params
         assert curve == rnc_through_points(d, points, (t_w, kappa))
         assert all(u == 1 for _, u in params[: d + 1])
-        assert params[d + 1:] == [(1, 0), (t_w, 1)]
+        assert params[d + 1:] == ((1, 0), (t_w, 1))
         for p, pair in zip(points, params):
             assert _proportional(_at(curve, pair), p)
 
@@ -474,6 +475,27 @@ class TestConicOnQuadric:
         gcds = _callers(monkeypatch, "_gcd_ints")
         assert all(curve_contains_point(curve, p) for p in pts)
         assert gcds == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(rank=st.integers(3, 5), extra=st.integers(0, 1), data=st.data())
+    def test_carried_pairs_reach_their_points(self, rank, extra, data):
+        # points of q = 0 drawn like verify._quadric_zero_samples: x0 solves for q
+        form = catalog.QuadraticForm(rank, rank + extra)
+        coord = st.fractions(-4, 4, max_denominator=3)
+        pts = []
+        for _ in range(3):
+            s = data.draw(st.lists(coord, min_size=form.nvars, max_size=form.nvars))
+            assume(s[1] != 0)
+            s[0] = -form.eval([F(0)] + s[1:]) / s[1]
+            assert form.eval(s) == 0
+            pts.append(tuple(s))
+        try:
+            curve = conic_on_quadric(form.matrix(), *pts)
+        except GeneralPositionError:
+            assume(False)
+        assert len(curve.params) == 3
+        for p, pair in zip(pts, curve.params):
+            assert _proportional(_at(curve, pair), p)
 
     def test_collinear_points_rejected(self):
         qmat = self.quadric_p3()

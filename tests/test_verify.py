@@ -16,9 +16,16 @@ from rncgeom.catalog import (
     Veronese,
     Veronese33,
 )
-from rncgeom.errors import GenericityError, InvariantError, SpecError
+from rncgeom.errors import (
+    DegenerateCurveError,
+    DegenerateParametrizationError,
+    GeneralPositionError,
+    GenericityError,
+    InvariantError,
+    SpecError,
+)
 from rncgeom.linalg import LinearProjection
-from rncgeom.poly import Polynomial
+from rncgeom.poly import Polynomial, RationalCurve, curve_normalize
 from rncgeom.sampling import MAX_RETRIES
 from test_rnc import _callers
 
@@ -173,17 +180,25 @@ class TestExhaustedTrial:
 
     def test_invariant_errors_are_not_resampled(self):
         assert not issubclass(InvariantError, verify.RESAMPLE_ERRORS)
+        # no campaign calls linalg.direct_sum, the only raiser of DirectSumError
+        assert verify.RESAMPLE_ERRORS == (
+            GenericityError,
+            GeneralPositionError,
+            DegenerateCurveError,
+            DegenerateParametrizationError,
+        )
 
     def test_conic_parametrization_check_is_an_invariant(self, monkeypatch):
         # the check compares the conic at each reported parameter with its
         # plane point; shifting the finite parameters by one breaks it
-        real_core = rnc._rnc_and_parameters
+        real_fit = rnc.rnc_through_points
 
         def shifted(d, points, free_params=(0, -1)):
-            curve, params = real_core(d, points, free_params)
-            return curve, [(s + u, u) for s, u in params]
+            curve = real_fit(d, points, free_params)
+            params = [(s + u, u) for s, u in curve.params]
+            return curve_normalize(RationalCurve(curve.components, params))
 
-        monkeypatch.setattr(rnc, "_rnc_and_parameters", shifted)
+        monkeypatch.setattr(rnc, "rnc_through_points", shifted)
         with pytest.raises(InvariantError, match="conic parametrization missed a point"):
             verify.verify_membership(ConeStandard(1, 4), trials=1, seed=0)
 
