@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, GeneralPositionError, RncGeomError
-from .linalg import QMatrix, combine_rows, nullspace, rank
+from .linalg import QMatrix, combine_rows, nullspace
 
 
 @dataclass(frozen=True)
@@ -149,40 +149,27 @@ def is_type_subspace(structure: TensorStructure, subspace_rows) -> Optional[tupl
     The subspace is given by a basis of rn - r vectors.  Its annihilator
     is expressed in the distinguished dual basis and must be spanned by
     rank-one coefficient matrices u t^T with a common row direction t.
+    The kernel is the only elimination: the u's of a basis are
+    independent by themselves, since the annihilator basis is, m^-1 is
+    invertible and u -> u t^T is injective for t != 0.
     """
     r, n = structure.r, structure.n
-    dim = r * n
-    ann = nullspace(subspace_rows, dim)
+    ann = nullspace(subspace_rows, r * n)
     if len(ann) != r:
         raise DimensionMismatchError("subspace must have codimension r")
     minv = structure.m_inverse
-    coefficient_mats = []
-    for psi in ann:
-        coords = combine_rows(psi, minv)
-        coefficient_mats.append([coords[j * n : (j + 1) * n] for j in range(r)])
-
-    t = None
-    for mat in coefficient_mats:
-        for row in mat:
-            if any(row):
-                if t is None:
-                    t = row
-                elif rank([t, row], n) != 1:
-                    return None
-    if t is None:
-        return None
-    us = []
-    for mat in coefficient_mats:
-        pivot = next(i for i, x in enumerate(t) if x != 0)
-        u = [row[pivot] / t[pivot] for row in mat]
-        # every row must be the predicted multiple of t
-        for uj, row in zip(u, mat):
-            if any(row[i] != uj * t[i] for i in range(n)):
-                return None
-        us.append(u)
-    if rank(us, r) != r:
-        return None
+    rows = [
+        coords[j * n : (j + 1) * n]
+        for coords in (combine_rows(psi, minv) for psi in ann)
+        for j in range(r)
+    ]
+    # the coordinates of a nonzero psi are nonzero, so t exists
+    t = next(row for row in rows if any(row))
     pivot = next(i for i, x in enumerate(t) if x != 0)
+    # every row must be the multiple u_j t of t its pivot entry predicts
+    for row in rows:
+        if any(x * t[pivot] != row[pivot] * y for x, y in zip(row, t)):
+            return None
     return tuple(x / t[pivot] for x in t)
 
 

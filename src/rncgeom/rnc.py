@@ -46,7 +46,7 @@ from .errors import (
     SpecError,
     SplittingFieldRequiredError,
 )
-from .linalg import QMatrix, combine_rows, intersect, nullspace, rank, span_of
+from .linalg import QMatrix, combine_rows, nullspace, rank, span_of
 from .poly import (
     Polynomial,
     RationalCurve,
@@ -277,6 +277,11 @@ def _pairing(qmat: QMatrix, u, v):
 def conic_on_quadric(qmat: QMatrix, p1, p2, p3) -> RationalCurve:
     """Exact conic through three points of a quadric, within their plane.
 
+    ``qmat`` must be symmetric: then nonzero pairwise pairings a, b and c
+    also make the points independent.  Dependent p1 and p2 give a = 0, and
+    p3 = x p1 + y p2 gives 0 = q(p3) = x y a, so a = 0, or c = 0 (x = 0),
+    or b = 0 (y = 0).
+
     The curve carries the parameter (s : u), t = s/u, of each point: p1 at
     (-a : b), with a and b twice the pairings of p1 with p2 and p3, p2 at
     (0 : 1) and p3 at (1 : 0).
@@ -287,8 +292,6 @@ def conic_on_quadric(qmat: QMatrix, p1, p2, p3) -> RationalCurve:
         raise DimensionMismatchError("point length disagrees with the form")
     if any(_pairing(qmat, p, p) for p in pts):
         raise GeneralPositionError("point does not lie on the quadric")
-    if rank(pts, n) != 3:
-        raise GeneralPositionError("the three points do not span a plane")
     a = 2 * _pairing(qmat, pts[0], pts[1])
     b = 2 * _pairing(qmat, pts[0], pts[2])
     c = 2 * _pairing(qmat, pts[1], pts[2])
@@ -525,10 +528,9 @@ def _fit_cubic_special(spec: CubicSpecial, points) -> RationalCurve:
     span4 = span_of(lifted, r + 1)
     if span4.dim != 3:
         raise GenericityError("the four points do not span a P^3")
-    s_plane = span_of(
-        [[Fraction(int(i == 2 + j)) for i in range(r + 2)] for j in range(r)], r + 1
-    )
-    line = intersect(span4, s_plane)
+    lift = QMatrix(span4.basis).transpose()
+    # the points of the span with T0 = T1 = 0
+    line = span_of([lift.matvec(c) for c in nullspace(lift.entries[:2], 4)], r + 1)
     if line.dim != 1:
         raise GenericityError("span meets {T0 = T1 = 0} in the wrong dimension")
     w1, w2 = line.basis
@@ -566,7 +568,6 @@ def _fit_cubic_special(spec: CubicSpecial, points) -> RationalCurve:
             raise InvariantError("intersection point escaped the span")
         six_in_p3.append(coords)
     gamma3 = rnc_through_points(3, six_in_p3)
-    lift = QMatrix(span4.basis).transpose()
     ambient = [combine(row, gamma3.components) for row in lift.entries]
     # the last two of the six points are the quadric points, not input points
     return _through_chart(spec, (1,) * (r + 1), 3, ambient, gamma3.params[:4])

@@ -34,7 +34,6 @@ from .errors import (
     SpecError,
     SplittingFieldRequiredError,
 )
-from .linalg import rank
 from .osculation import (
     Parametrization,
     contact_locus_dim_monomial,
@@ -42,7 +41,7 @@ from .osculation import (
     project_curve,
     regularity_order,
 )
-from .poly import Polynomial
+from .poly import Polynomial, eval_homogeneous
 from .rnc import certify_curve, curve_contains_point
 from .sampling import MAX_RETRIES, rand_rational
 
@@ -258,9 +257,10 @@ def verify_veronese_projection(
             t = rand_rational(rng)
             if t not in tvals:
                 tvals.append(t)
-        values = [proj_curve.eval(t) for t in tvals]
-        injective = all(
-            rank([values[i], values[j]], len(values[i])) == 2
+        # a normalized curve has no base point, so no value is zero
+        values = eval_homogeneous(proj_curve.integer_lists(), [(t, 1) for t in tvals])
+        injective = not any(
+            rnc._is_multiple(values[i], values[j])
             for i in range(len(values))
             for j in range(i + 1, len(values))
         )
@@ -337,11 +337,14 @@ def _quadric_zero_samples(form: catalog.QuadraticForm, rng: random.Random, count
         if form.rank == 1:
             s[0] = Fraction(0)
         else:
-            if s[1] == 0:
+            # q = x0 x1 + h(x2, ...): solve for x0 and for x1 in turn, so
+            # that both planes of a rank-2 form are sampled
+            solved = len(out) % 2
+            other = 1 - solved
+            if s[other] == 0:
                 continue
-            rest = list(s)
-            rest[0] = Fraction(0)
-            s[0] = -form.eval(rest) / s[1]
+            s[solved] = Fraction(0)
+            s[solved] = -form.eval(s) / s[other]
         if form.eval(s) == 0:
             out.append(tuple(s))
     return out

@@ -1,9 +1,12 @@
+import functools
 import random
 import re
 from fractions import Fraction as F
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rncgeom import linalg
 from rncgeom.errors import DimensionMismatchError, GeneralPositionError, GenericityError
@@ -13,7 +16,7 @@ from rncgeom.gstructure import (
     grn_relation,
     is_type_subspace,
 )
-from rncgeom.linalg import QMatrix, kron, nullspace, rank
+from rncgeom.linalg import QMatrix, combine_rows, kron, nullspace, rank
 from rncgeom.sampling import rand_invertible_matrix, rand_vector
 
 
@@ -109,6 +112,119 @@ class TestTypeSubspace:
         _, structure = general_position_family(rng, 2, 2)
         with pytest.raises(DimensionMismatchError):
             is_type_subspace(structure, [rand_vector(rng, 4)])
+
+
+def reference_is_type_subspace(structure, subspace_rows):
+    """The type check as first written: every nonzero coefficient row is
+    ranked against t, and the u's are ranked for independence."""
+    r, n = structure.r, structure.n
+    dim = r * n
+    ann = nullspace(subspace_rows, dim)
+    if len(ann) != r:
+        raise DimensionMismatchError("subspace must have codimension r")
+    minv = structure.m_inverse
+    coefficient_mats = []
+    for psi in ann:
+        coords = combine_rows(psi, minv)
+        coefficient_mats.append([coords[j * n : (j + 1) * n] for j in range(r)])
+
+    t = None
+    for mat in coefficient_mats:
+        for row in mat:
+            if any(row):
+                if t is None:
+                    t = row
+                elif rank([t, row], n) != 1:
+                    return None
+    if t is None:
+        return None
+    us = []
+    for mat in coefficient_mats:
+        pivot = next(i for i, x in enumerate(t) if x != 0)
+        u = [row[pivot] / t[pivot] for row in mat]
+        for uj, row in zip(u, mat):
+            if any(row[i] != uj * t[i] for i in range(n)):
+                return None
+        us.append(u)
+    if rank(us, r) != r:
+        return None
+    pivot = next(i for i, x in enumerate(t) if x != 0)
+    return tuple(x / t[pivot] for x in t)
+
+
+@functools.lru_cache(maxsize=None)
+def cached_structure(r, n, remixed):
+    subs, structure = general_position_family(random.Random(200 + 10 * r + n), r, n)
+    return construct_structure(subs, rng=random.Random(7)) if remixed else structure
+
+
+def _outcome(check, structure, rows):
+    try:
+        return check(structure, rows)
+    except DimensionMismatchError as exc:
+        return str(exc)
+
+
+SHAPES = [(r, n) for r in range(1, 4) for n in range(2, 5)]
+PARAMETER = st.lists(st.integers(-2, 2), min_size=4, max_size=4).filter(any)
+
+
+class TestTypeCheckOracle:
+    """``is_type_subspace`` against the reference that ranks what it checks."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shape=st.sampled_from(SHAPES),
+        remixed=st.booleans(),
+        kind=st.sampled_from(["type", "random", "mixed"]),
+        t=PARAMETER,
+        t_other=PARAMETER,
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_reference(self, shape, remixed, kind, t, t_other, seed):
+        r, n = shape
+        structure = cached_structure(r, n, remixed)
+        t, t_other = t[:n], t_other[:n]
+        rng = random.Random(seed)
+        if kind == "type":
+            rows = structure.type_subspace(t)
+        elif kind == "random":
+            rows = random_codim_r(rng, r, n)
+        else:
+            # annihilator rows u_j (x) t, the first of them u_0 (x) t'
+            ann = [
+                combine_rows(
+                    [u * x for u in rand_vector(rng, r) for x in (t_other if j == 0 else t)],
+                    structure.m,
+                )
+                for j in range(r)
+            ]
+            rows = nullspace(ann, r * n)
+        got = _outcome(is_type_subspace, structure, rows)
+        assert got == _outcome(reference_is_type_subspace, structure, rows)
+        if kind == "type":
+            assert got is not None and rank([got, t], n) == 1
+
+    @pytest.mark.parametrize("r, n", [(1, 2), (2, 3), (3, 4)])
+    @pytest.mark.parametrize("kind", ["type", "random"])
+    def test_one_elimination_per_check(self, r, n, kind):
+        structure = cached_structure(r, n, False)
+        rng = random.Random(300 + r)
+        if kind == "type":
+            rows = structure.type_subspace(rand_vector(rng, n))
+        else:
+            rows = random_codim_r(rng, r, n)
+        calls = []
+        original = linalg.rref
+
+        def counting(rows, ncols=None):
+            calls.append(rows)
+            return original(rows, ncols)
+
+        with mock.patch.object(linalg, "rref", counting):
+            result = is_type_subspace(structure, rows)
+        assert (result is not None) == (kind == "type" or r == 1)
+        assert len(calls) == 1
 
 
 class TestGrnRelation:

@@ -1,5 +1,5 @@
 """Whole-package checks: no stripped invariants, no dead private helpers, no
-unread parameters, and the benchmark's tracer fits."""
+unused imports, no unread parameters, and the benchmark's tracer fits."""
 
 import ast
 import collections
@@ -63,6 +63,35 @@ def test_every_private_helper_is_used():
         if reads[name] == _reads(node)[name]
     ]
     assert dead == []
+
+
+def _unused_imports(tree):
+    """Names the module binds by an import statement and never loads.  An
+    attribute of the same name (``form.rank``) does not count as a read."""
+    loaded = {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in loaded:
+                    yield name
+
+
+def test_every_import_is_used():
+    # an import no line reads is a stale dependency (``__init__`` imports to re-export)
+    unused = [
+        f"{path.name}:{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for name in _unused_imports(
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        )
+    ]
+    assert unused == []
 
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)

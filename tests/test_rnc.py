@@ -503,6 +503,22 @@ class TestConicOnQuadric:
         with pytest.raises(GeneralPositionError):
             conic_on_quadric(qmat, *pts)
 
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [(1, -1, 1, 1), (1, -6, 2, 3), (1, -1, 1, 1)],
+            [(1, -1, 1, 1), (1, -6, 2, 3), (2, -12, 4, 6)],
+            # the line [1 : -v : 1 : v] lies on the quadric
+            [(1, -1, 1, 1), (1, -2, 1, 2), (1, -3, 1, 3)],
+        ],
+        ids=["p3=p1", "p3=2p2", "line-on-quadric"],
+    )
+    def test_dependent_points_rejected(self, pts):
+        # dependent points of the quadric have a zero pairing, so the
+        # degenerate-conic check rejects them without a rank
+        with pytest.raises(GeneralPositionError, match="degenerate conic"):
+            conic_on_quadric(self.quadric_p3(), *pts)
+
 
 ALL_SPECS = [
     Veronese(2, 3),

@@ -1,5 +1,6 @@
 import random
 import sys
+from fractions import Fraction as F
 
 import pytest
 
@@ -237,8 +238,6 @@ class TestProjection:
             verify.verify_veronese_projection(Veronese(2, 2))
 
     def test_explicit_points_and_weights(self):
-        from fractions import Fraction as F
-
         spec = StandardScroll(ScrollSpec((1, 1)), 2, 0)
         report = verify.verify_veronese_projection(
             spec, trials=2, seed=3,
@@ -247,12 +246,39 @@ class TestProjection:
         assert report.verdict == "pass"
         assert report.ponderation == (1, 2)
 
+    @pytest.mark.parametrize("exponent, injective", [(1, True), (2, False)])
+    def test_injectivity_at_samples(self, exponent, injective, monkeypatch):
+        # (1 : t^2 : t^4) takes one value at t = 1 and t = -1, (1 : t : t^2) does not
+        t = Polynomial.variable(1, 0)
+        comps = [Polynomial.one(1), t**exponent, t ** (2 * exponent)]
+        curve = curve_normalize(RationalCurve(comps))
+        samples = iter([F(1), F(-1), F(2)])
+        monkeypatch.setattr(verify, "project_curve", lambda proj, fitted: curve)
+        monkeypatch.setattr(verify, "rand_rational", lambda rng: next(samples))
+        report = verify.verify_veronese_projection(Scroll(ScrollSpec((1, 1))), trials=1, seed=0)
+        assert report.trials[0]["injective_at_samples"] is injective
+
     def test_bad_weights_rejected(self):
         spec = StandardScroll(ScrollSpec((1, 1)), 2, 0)
         with pytest.raises(SpecError):
             verify.verify_veronese_projection(spec, weights=(0, 3))
         with pytest.raises(SpecError):
             verify.verify_veronese_projection(spec, points=[(1, 1), (2, 2)])
+
+
+class TestQuadricZeroSamples:
+    def test_rank_two_samples_both_planes(self):
+        # x0 x1 = 0 is the union of {x0 = 0} and {x1 = 0}
+        samples = verify._quadric_zero_samples(SegreSpecial(2, 4).form(), random.Random(11))
+        assert any(s[0] == 0 != s[1] for s in samples)
+        assert any(s[1] == 0 != s[0] for s in samples)
+
+    @pytest.mark.parametrize("rank", range(1, 6))
+    def test_every_sample_is_a_zero(self, rank):
+        form = catalog.QuadraticForm(rank, 5)
+        samples = verify._quadric_zero_samples(form, random.Random(rank))
+        assert len(samples) == 5
+        assert all(form.eval(s) == 0 for s in samples)
 
 
 class TestSpecialness:
