@@ -322,7 +322,12 @@ class LinearProjection:
         return self.matrix.matvec(vec)
 
     def apply_polys(self, components):
-        """Push polynomial components through the projection matrix."""
+        """Push polynomial components through the projection matrix.
+
+        ``poly.combine`` over ``Fraction``: the eager components of a
+        projected ``Parametrization``.  Curves are projected on their integer
+        lists instead (``osculation.project_curve``).
+        """
         return [combine(row, components) for row in self.matrix.entries]
 
     def image_of(self, sub: ProjSubspace) -> ProjSubspace:

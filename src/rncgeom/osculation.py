@@ -34,8 +34,10 @@ from .linalg import (
 from .poly import (
     Polynomial,
     RationalCurve,
+    _combine_ints,
     clear_denominators,
     compositions,
+    curve_from_lists,
     curve_normalize,
 )
 
@@ -423,10 +425,14 @@ def osculating_projection(v: Parametrization, centers) -> Parametrization:
 def project_curve(proj: LinearProjection, curve: RationalCurve) -> RationalCurve:
     """Image of a curve under a linear projection, in normalized form.
 
-    The image keeps the curve's parameter pairs: the parameter does not change.
+    The image lists are the rows of the matrix's cleared form times the
+    curve's integer lists.  The image keeps the curve's parameter pairs: the
+    parameter does not change.  A center that contains the curve's span
+    leaves no image and raises DegenerateCurveError.
     """
-    comps = proj.apply_polys(list(curve.components))
-    return curve_normalize(RationalCurve(comps, curve.params))
+    lists = curve.integer_lists()
+    rows, _ = proj.matrix.cleared
+    return curve_from_lists([_combine_ints(row, lists) for row in rows], curve.params)
 
 
 def curve_projection_check(curve: RationalCurve, t0, k: int) -> bool:

@@ -8,10 +8,14 @@ lexicographic: higher total degree first, ties broken lexicographically
 on the exponent tuple.
 
 ``RationalCurve`` holds the homogeneous components of a rational map
-``P^1 -> P^N`` as N+1 univariate polynomials sharing the parameter.
-Univariate gcd and exact division, the substitution of univariate
-arguments into forms (``projective_compose``) and the normalization of
-curves clear denominators and run on integer coefficient lists.
+``P^1 -> P^N``.  Its primary form is one integer coefficient list per
+component, primitive once normalized; its ``components`` as
+``Polynomial``s are a view, built on first read.  Curves are built on
+integer lists (``curve_from_lists``, ``_mul_ints``, ``_combine_ints``) and
+evaluated on them (``eval_homogeneous``).  Univariate gcd and exact
+division, the substitution of univariate arguments into forms
+(``projective_compose``) and the normalization of curves clear
+denominators and run on integer coefficient lists as well.
 """
 
 from __future__ import annotations
@@ -481,6 +485,34 @@ def _mul_ints(x: list, y: list) -> list:
     return out
 
 
+def _power_product_ints(powers: list, exponents, term=(1,)) -> list:
+    """``term`` times the product of x ** e over paired columns and exponents.
+
+    A column of ``powers`` is [[1], x, x^2, ...] for an integer list x, and
+    grows on demand, so callers share each power across products.
+    """
+    term = list(term)
+    for col, e in zip(powers, exponents):
+        if e:
+            while len(col) <= e:
+                col.append(_mul_ints(col[-1], col[1]))
+            term = _mul_ints(term, col[e])
+    return term
+
+
+def _combine_ints(coeffs: Sequence[int], lists: Sequence[list]) -> list:
+    """The integer list sum of c x over paired integer coefficients and
+    coefficient lists (low degree first), without trailing zeros."""
+    out = [0] * max(map(len, lists), default=0)
+    for c, x in zip(coeffs, lists):
+        if c:
+            for k, v in enumerate(x):
+                out[k] += c * v
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 def projective_compose(forms: Sequence[Polynomial], args: Sequence[Polynomial]) -> list:
     """``L^top K f(args)`` with int coefficients for each form f.
 
@@ -494,18 +526,14 @@ def projective_compose(forms: Sequence[Polynomial], args: Sequence[Polynomial]) 
     den = math.lcm(*(c.denominator for a in args for c in a._terms.values()))
     scale = math.lcm(*(c.denominator for f in forms for c in f._terms.values()))
     top = max((sum(e) for f in forms for e in f._terms), default=0)
-    # powers of each argument, grown on demand
     powers = [[[1], x] for x in integer_coefficients(args)]
     out = []
     for f in forms:
         acc = []
         for expo, c in f._terms.items():
-            term = [c.numerator * (scale // c.denominator) * den ** (top - sum(expo))]
-            for col, e in zip(powers, expo):
-                if e:
-                    while len(col) <= e:
-                        col.append(_mul_ints(col[-1], col[1]))
-                    term = _mul_ints(term, col[e])
+            term = _power_product_ints(
+                powers, expo, [c.numerator * (scale // c.denominator) * den ** (top - sum(expo))]
+            )
             acc += [0] * (len(term) - len(acc))
             for k, x in enumerate(term):
                 acc[k] += x
@@ -548,14 +576,20 @@ def eval_homogeneous(lists: Sequence[list], pairs) -> list:
 class RationalCurve:
     """Rational map P^1 -> P^N given by N+1 univariate components.
 
+    The integer coefficient lists of the components (``integer_lists``) are
+    the curve's primary form: a normalized curve keeps them primitive, and
+    incidence, certification, evaluation and projection read nothing else.
+    ``components`` is a view of them as ``Polynomial``s, built on first read
+    for reports and for callers that substitute into the components.
+
     ``params`` are homogeneous parameter pairs (s : u), t = s/u, one per
     point the curve was fitted through and in their order; they are claims
     that incidence checks (``rnc.curve_contains_point``), never trusts.
-    Only ``curve_normalize`` marks a curve normalized, and builds it with
-    its primitive integer lists; the constructor never does.
+    Only ``curve_normalize`` marks a curve normalized; the constructor never
+    does, and ``curve_from_lists`` builds a curve from integer lists through it.
     """
 
-    __slots__ = ("components", "params", "_lists", "_values", "_normalized")
+    __slots__ = ("_components", "params", "_lists", "_values", "_normalized")
 
     def __init__(self, components: Sequence[Polynomial], params=()):
         comps = tuple(components)
@@ -566,33 +600,54 @@ class RationalCurve:
                 raise DimensionMismatchError("curve components must be univariate")
         if all(c.is_zero() for c in comps):
             raise DegenerateCurveError("all curve components are zero")
-        self.components = comps
+        self._init(comps, None, params)
+
+    def _init(self, components, lists, params):
+        self._components = components
+        self._lists = lists
         self.params = tuple((_as_fraction(s), _as_fraction(u)) for s, u in params)
-        self._lists = None
         self._values = None
         self._normalized = False
 
     @property
+    def components(self) -> tuple:
+        """The components as ``Polynomial``s; a view of the integer lists on
+        a curve built from them."""
+        if self._components is None:
+            self._components = tuple(
+                Polynomial.from_coeffs([Fraction(c) for c in x]) for x in self._lists
+            )
+        return self._components
+
+    @property
     def ambient_dim(self) -> int:
-        return len(self.components) - 1
+        return len(self.integer_lists()) - 1
 
     def degree(self) -> int:
-        return max(c.total_degree() for c in self.components)
+        return max(len(x) for x in self.integer_lists()) - 1
 
     def eval(self, t) -> tuple:
+        """The components at t.  On a normalized curve, ``eval_homogeneous`` at
+        (t : 1) cleared to (a : b), over b^degree."""
         t = _as_fraction(t)
-        return tuple(c.eval((t,)) for c in self.components)
+        if not self._normalized:
+            return tuple(c.eval((t,)) for c in self.components)
+        (value,) = eval_homogeneous(self._lists, [(t, 1)])
+        den = t.denominator ** self.degree()
+        return tuple(Fraction(x, den) for x in value)
 
     def value_at_infinity(self) -> tuple:
         """Coefficient vector of t^degree across components."""
         d = self.degree()
-        return tuple(c.coefficient((d,)) for c in self.components)
+        if not self._normalized:
+            return tuple(c.coefficient((d,)) for c in self.components)
+        return tuple(Fraction(x[d]) if len(x) > d else Fraction(0) for x in self._lists)
 
     def integer_lists(self) -> list:
         """``integer_coefficients`` of the components, computed once and
         shared (not to be changed); primitive for a normalized curve."""
         if self._lists is None:
-            self._lists = integer_coefficients(self.components)
+            self._lists = integer_coefficients(self._components)
         return self._lists
 
     def witness_values(self) -> list:
@@ -623,7 +678,8 @@ def curve_normalize(curve: RationalCurve) -> RationalCurve:
     """Canonical form: gcd and content removed, first nonzero lead positive.
 
     A curve already marked normalized is returned as it is; the parameter
-    pairs are kept, since the parameter does not change.
+    pairs are kept, since the parameter does not change.  All-zero lists
+    (as ``curve_from_lists`` may pass) raise DegenerateCurveError.
     """
     if curve._normalized:
         return curve
@@ -635,14 +691,24 @@ def curve_normalize(curve: RationalCurve) -> RationalCurve:
         g = primitive_part(x) if g is None else _gcd_ints(g, primitive_part(x))
         if len(g) == 1:
             break
+    if g is None:
+        raise DegenerateCurveError("all curve components are zero")
     if len(g) > 1:
         lists = [_divexact_ints(x, g) if x else x for x in lists]
     content = math.gcd(*(c for x in lists for c in x))
     if next(x[-1] for x in lists if x) < 0:
         content = -content
-    lists = [[c // content for c in x] for x in lists]
-    out = RationalCurve(
-        [Polynomial.from_coeffs([Fraction(c) for c in x]) for x in lists], curve.params
-    )
-    out._lists, out._normalized = lists, True
+    out = RationalCurve.__new__(RationalCurve)
+    out._init(None, [[c // content for c in x] for x in lists], curve.params)
+    out._normalized = True
     return out
+
+
+def curve_from_lists(lists: Sequence[list], params=()) -> RationalCurve:
+    """The normalized curve whose components are the integer ``lists`` (low
+    degree first, no trailing zeros), through ``curve_normalize``;
+    DegenerateCurveError when there is none or every one is zero.
+    """
+    raw = RationalCurve.__new__(RationalCurve)
+    raw._init(None, list(lists), params)
+    return curve_normalize(raw)

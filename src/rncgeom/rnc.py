@@ -50,11 +50,13 @@ from .linalg import QMatrix, combine_rows, nullspace, rank, span_of
 from .poly import (
     Polynomial,
     RationalCurve,
+    _combine_ints,
     _gcd_ints,
+    _mul_ints,
+    _power_product_ints,
     clear_denominators,
-    combine,
+    curve_from_lists,
     curve_normalize,
-    power_product,
     primitive_part,
     projective_compose,
 )
@@ -153,6 +155,11 @@ def rnc_through_points(
     The curve carries the parameter (s : u), t = s/u, of each input
     point: the frame puts the simplex points at (b_i : 1), the unit point
     p_{d+1} at (1 : 0) and p_{d+2} at (t_w : 1).
+
+    The curve is built on integer lists.  With b_j = N_j / D_j, the product
+    P_i of the factors D_j t - N_j over j != i is x_i times the product of
+    those D_j, so the frame's column i is scaled by D_i and the whole frame
+    cleared over one denominator: the components then share one factor.
     """
     pts = [tuple(Fraction(x) for x in p) for p in points]
     if len(pts) != d + 3:
@@ -177,23 +184,16 @@ def rnc_through_points(
     t_w, kappa = (Fraction(x) for x in free_params)
     if kappa == 0:
         raise ValueError("kappa must be nonzero")
-    # the frame B diag(lam) sends p_{d+2} to the vector with entries w_j / lam_j
-    frame = [[lj * x for lj, x in zip(lam, row)] for row in zip(*simplex)]
     nodes = [t_w - kappa * lj / wj for lj, wj in zip(lam, w)]
-
-    t = Polynomial.variable(1, 0)
-    factors = [t - Polynomial.constant(1, b) for b in nodes]
-    comps_simplex = []
-    for i in range(d + 1):
-        prod = Polynomial.one(1)
-        for j in range(d + 1):
-            if j != i:
-                prod = prod * factors[j]
-        comps_simplex.append(prod)
-    comps = [combine(row, comps_simplex) for row in frame]
+    prods = _products_but_one([(b.numerator, b.denominator) for b in nodes])
+    # the frame B diag(lam) sends p_{d+2} to the vector with entries w_j / lam_j
+    frame = QMatrix(
+        [[lj * b.denominator * x for lj, b, x in zip(lam, nodes, row)] for row in zip(*simplex)]
+    )
+    comps = [_combine_ints(row, prods) for row in frame.cleared[0]]
     one, zero = Fraction(1), Fraction(0)
     params = [(b, one) for b in nodes] + [(one, zero), (t_w, one)]
-    return curve_normalize(RationalCurve(comps, params))
+    return curve_from_lists(comps, params)
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +298,12 @@ def conic_on_quadric(qmat: QMatrix, p1, p2, p3) -> RationalCurve:
     if a == 0 or b == 0 or c == 0:
         raise GeneralPositionError("plane section is a degenerate conic")
 
-    t = Polynomial.variable(1, 0)
-    u0 = t.scale(c)
-    u1 = -(t.scale(b) + Polynomial.constant(1, a))
-    u2 = t * u1
-    comps = [combine(coords, (u0, u1, u2)) for coords in zip(*pts)]
-    return curve_normalize(RationalCurve(comps, [(-a, b), (0, 1), (1, 0)]))
+    # the plane's coordinates along c t, -(a + b t) and t times the latter,
+    # each cleared over one denominator
+    (ia, ib, ic), _ = clear_denominators((a, b, c))
+    units = ([0, ic], [-ia, -ib], [0, -ia, -ib])
+    comps = [_combine_ints(row, units) for row in QMatrix(list(zip(*pts))).cleared[0]]
+    return curve_from_lists(comps, [(-a, b), (0, 1), (1, 0)])
 
 
 def projectivity_p1(sources, targets) -> QMatrix:
@@ -322,20 +322,17 @@ def projectivity_p1(sources, targets) -> QMatrix:
     return frame(targets) @ frame(sources).inverse()
 
 
-def _interpolate(points) -> Polynomial:
-    """Lagrange interpolation through (x_i, y_i) with distinct x_i."""
-    t = Polynomial.variable(1, 0)
-    coeffs, basis = [], []
-    for i, (xi, yi) in enumerate(points):
-        num = Polynomial.one(1)
-        den = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j != i:
-                num = num * (t - Polynomial.constant(1, xj))
-                den *= xi - xj
-        coeffs.append(Fraction(yi) / den)
-        basis.append(num)
-    return combine(coeffs, basis)
+def _products_but_one(pairs) -> list:
+    """For each i, the product of u_k t - s_k over the integer pairs (s_k, u_k)
+    with k != i, as an integer list (low degree first)."""
+    out = []
+    for i in range(len(pairs)):
+        prod = [1]
+        for k, (s, u) in enumerate(pairs):
+            if k != i:
+                prod = _mul_ints(prod, [-s, u])
+        out.append(prod)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -464,44 +461,55 @@ def _fit_quadric_veronese(spec: QuadricVeronese, points) -> RationalCurve:
     # U_0 U_1 + h(U_2..U_{r+2}) is the hyperbolic normal form of its rank
     quadric = catalog.QuadraticForm(spec.rank, r + 3)
     conic = conic_on_quadric(quadric.matrix(), *lifted)
-    x0, *xprime = conic.components  # xprime: U_1 .. U_{r+2} along the conic
-    if x0.is_zero():
+    lists = conic.integer_lists()  # U_0, U_1 .. U_{r+2} along the conic
+    if not lists[0]:
         raise GenericityError("conic lies in the hyperplane at infinity")
     block_a, block_b = catalog.quadric_veronese_blocks(r, rho)
-    comps = [x0**rho]
-    comps += [power_product(xprime, beta) for beta in block_a]
-    comps += [
-        power_product([x0] + xprime[1:], (rho - sum(gamma),) + gamma)
-        for gamma in block_b
-    ]
-    return curve_normalize(RationalCurve(comps, conic.params))
+    # over (U_0, U_1, ..): U_0^rho, block A over U_1.., block B over U_0, U_2..
+    exponents = [(rho,) + (0,) * (r + 2)]
+    exponents += [(0,) + beta for beta in block_a]
+    exponents += [(rho - sum(gamma), 0) + gamma for gamma in block_b]
+    powers = [[[1], x] for x in lists]
+    comps = [_power_product_ints(powers, expo) for expo in exponents]
+    return curve_from_lists(comps, conic.params)
 
 
 def _fit_cone(spec: ConeStandard, points) -> RationalCurve:
     """The conic through the plane points (1, t1, t2), with each s_j
     interpolated along it as S_j / x0^2.
 
-    The conic is the d = 2 case of rnc_through_points, which puts
-    points[3] at (1 : 0); so S_j = s_j(p_3) x0^2 + C_j, C_j the cubic with
-    C_j(tau) = (s_j(p) - s_j(p_3)) x0(tau)^2 at the other four points.
+    S_j is the quartic whose binary form takes the value s_j(p) X0^2 at the
+    parameter pair of each of the five points p, X0 the conic's first
+    component read as a binary form of degree 2 at that pair.  By Lagrange
+    on binary forms, S_j is the sum over the pairs (s_i, u_i) of that value
+    times the product of u_k t - s_k over k != i, divided by the product of
+    u_k s_i - s_k u_i; a pair may be (1 : 0).
     """
     r = spec.r
     plane_pts = [(Fraction(1), p[0], p[1]) for p in points]
     conic = rnc_through_points(2, plane_pts)
-    params = conic.params
+    values = conic.witness_values()
     # holds by construction: the frame sends each parameter to its point
-    for value, pt in zip(conic.witness_values(), plane_pts):
+    for value, pt in zip(values, plane_pts):
         if not _is_multiple(value, clear_denominators(pt)[0]):
             raise InvariantError("conic parametrization missed a point")
-    x0, p3 = conic.components[0], points[3]
-    finite = [(s / u, x0.eval((s / u,)) ** 2, p) for (s, u), p in zip(params, points) if u]
-    spolys = [
-        (x0 * x0).scale(p3[j])
-        + _interpolate([(tau, (p[j] - p3[j]) * x0_sq) for tau, x0_sq, p in finite])
-        for j in range(2, r + 1)
+    # the pairs as eval_homogeneous cleared them for the values
+    pairs = [clear_denominators(pair)[0] for pair in conic.params]
+    lists = _products_but_one(pairs)
+    dens = [
+        math.prod(u * si - s * ui for k, (s, u) in enumerate(pairs) if k != i)
+        for i, (si, ui) in enumerate(pairs)
     ]
+    spolys = []
+    for j in range(2, r + 1):
+        coeffs, den = clear_denominators(
+            [p[j] * v[0] ** 2 / d for p, v, d in zip(points, values, dens)]
+        )
+        spolys.append(
+            Polynomial.from_coeffs([Fraction(c, den) for c in _combine_ints(coeffs, lists)])
+        )
     args = list(conic.components) + spolys
-    return _through_chart(spec, (1, 1) + (2,) * (r - 1), spec.q // 2, args, params)
+    return _through_chart(spec, (1, 1) + (2,) * (r - 1), spec.q // 2, args, conic.params)
 
 
 def _fit_veronese33(spec: Veronese33, points) -> RationalCurve:
@@ -568,7 +576,10 @@ def _fit_cubic_special(spec: CubicSpecial, points) -> RationalCurve:
             raise InvariantError("intersection point escaped the span")
         six_in_p3.append(coords)
     gamma3 = rnc_through_points(3, six_in_p3)
-    ambient = [combine(row, gamma3.components) for row in lift.entries]
+    ambient = [
+        Polynomial.from_coeffs(_combine_ints(row, gamma3.integer_lists()))
+        for row in lift.cleared[0]
+    ]
     # the last two of the six points are the quadric points, not input points
     return _through_chart(spec, (1,) * (r + 1), 3, ambient, gamma3.params[:4])
 

@@ -1,0 +1,341 @@
+"""Curves on their integer lists against the ``Fraction`` references.
+
+A normalized ``RationalCurve`` is built, projected and evaluated on its
+primitive integer lists; its ``components`` are a view.  The references are
+the same operations over ``Fraction`` polynomials, as the code read before
+it moved to the lists:
+
+- ``project_curve``: ``curve_normalize`` of the components pushed through
+  ``LinearProjection.apply_polys``;
+- ``RationalCurve.eval``: ``Polynomial.eval`` of each component;
+- the cone fitter: Lagrange interpolation over ``Fraction`` of each s_j
+  along the conic, with the point at (1 : 0) handled apart;
+- the quadric-Veronese fitter: ``power_product`` over ``Fraction`` of the
+  conic's components, the conic from ``poly.combine`` over ``Fraction``.
+
+``rnc_through_points`` keeps its reference in ``tests/test_rnc.py``.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from rncgeom import catalog, linalg, poly, rnc
+from rncgeom.catalog import ConeStandard, QuadricVeronese
+from rncgeom.errors import DegenerateCurveError, GeneralPositionError, GenericityError
+from rncgeom.linalg import projection_from, span_of
+from rncgeom.osculation import project_curve
+from rncgeom.poly import (
+    Polynomial,
+    RationalCurve,
+    curve_from_lists,
+    curve_normalize,
+    power_product,
+)
+from rncgeom.rnc import certify_curve, curve_contains_point, rnc_through_points
+from rncgeom.sampling import rand_points
+
+
+def reference_project_curve(proj, curve) -> RationalCurve:
+    return curve_normalize(RationalCurve(proj.apply_polys(list(curve.components)), curve.params))
+
+
+def reference_eval(curve, t) -> tuple:
+    return tuple(c.eval((t,)) for c in curve.components)
+
+
+def _outcome(function, *args):
+    try:
+        curve = function(*args)
+    except (DegenerateCurveError, GeneralPositionError, GenericityError) as exc:
+        return type(exc), str(exc)
+    return curve.integer_lists(), curve.params
+
+
+# ---------------------------------------------------------------------------
+# strategies
+# ---------------------------------------------------------------------------
+
+COEFF = st.fractions(-4, 4, max_denominator=3)
+PARAMETER = st.fractions(-5, 5, max_denominator=4)
+
+
+@st.composite
+def curves(draw, normalized=None):
+    """Curves of 2 to 5 components of degree <= 4, raw or normalized."""
+    size = draw(st.integers(2, 5))
+    comps = [
+        Polynomial.univariate(draw(st.lists(COEFF, max_size=5))) for _ in range(size)
+    ]
+    assume(any(comps))
+    pairs = draw(st.lists(st.tuples(PARAMETER, st.sampled_from([0, 1, 2])), max_size=3))
+    curve = RationalCurve(comps, [(s, u) for s, u in pairs if s or u])
+    if normalized is None:
+        normalized = draw(st.booleans())
+    return curve_normalize(curve) if normalized else curve
+
+
+@st.composite
+def projections(draw, curve):
+    """A projection of the curve's ambient, its center spanned by random
+    vectors and by points of the curve."""
+    n = curve.ambient_dim
+    vectors = draw(
+        st.lists(st.tuples(*[COEFF] * (n + 1)), max_size=n)
+    )
+    for t in draw(st.lists(PARAMETER, max_size=2)):
+        vectors.append(reference_eval(curve, t))
+    center = span_of(vectors, n)
+    assume(center.dim < n)
+    return projection_from(center, n)
+
+
+# ---------------------------------------------------------------------------
+# projection and evaluation
+# ---------------------------------------------------------------------------
+
+
+class TestProjectCurve:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), curve=curves())
+    def test_matches_reference(self, data, curve):
+        proj = data.draw(projections(curve))
+        expected = _outcome(reference_project_curve, proj, curve)
+        assert _outcome(project_curve, proj, curve) == expected
+        if not isinstance(expected[0], type):
+            image = project_curve(proj, curve)
+            assert curve_normalize(image) is image
+            assert image == reference_project_curve(proj, curve)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), curve=curves(normalized=True), t=PARAMETER)
+    def test_center_through_a_point_of_the_curve(self, data, curve, t):
+        point = curve.eval(t)
+        assume(any(point))
+        proj = projection_from(span_of([point], curve.ambient_dim), curve.ambient_dim)
+        assert _outcome(project_curve, proj, curve) == _outcome(
+            reference_project_curve, proj, curve
+        )
+
+    def test_center_containing_the_span_raises_degenerate_curve(self):
+        # a conic in the plane {x3 = 0} of P^3, projected from that plane
+        conic = curve_from_lists([[1], [0, 1], [0, 0, 1], []])
+        plane = span_of([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], 3)
+        proj = projection_from(plane, 3)
+        with pytest.raises(DegenerateCurveError):
+            project_curve(proj, conic)
+        with pytest.raises(DegenerateCurveError):
+            reference_project_curve(proj, conic)
+
+    def test_builds_no_polynomial(self, monkeypatch):
+        curve = curve_from_lists([[1, 2], [0, 3, 1], [5, 0, 0, 1], [0, 0, 1]])
+        proj = projection_from(span_of([curve.eval(Fraction(1, 2))], 3), 3)
+        built = _counting(monkeypatch, Polynomial, "__init__")
+        image = project_curve(proj, curve)
+        assert certify_curve(image).is_rnc
+        assert image.eval(Fraction(-2, 3)) is not None
+        assert built == []
+
+
+class TestEval:
+    @settings(max_examples=200, deadline=None)
+    @given(curve=curves(), t=PARAMETER)
+    @example(curve=curve_from_lists([[3, 0, 1], [0, -2], [7]]), t=Fraction(0))
+    @example(curve=curve_from_lists([[3, 0, 1], [0, -2], [7]]), t=Fraction(-3, 2))
+    def test_matches_reference(self, curve, t):
+        got = curve.eval(t)
+        assert got == reference_eval(curve, t)
+        assert all(type(x) is Fraction for x in got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(curve=curves(normalized=True))
+    def test_value_at_infinity(self, curve):
+        d = curve.degree()
+        expected = tuple(c.coefficient((d,)) for c in curve.components)
+        assert curve.value_at_infinity() == expected
+
+    @pytest.mark.parametrize("t", [0, -3, Fraction(5, 7), Fraction(-1, 2)])
+    def test_int_and_fraction_arguments(self, t):
+        curve = curve_from_lists([[1, 1, 1], [0, 2, 0, -1], [4]])
+        assert curve.eval(t) == reference_eval(curve, Fraction(t))
+
+
+class TestLists:
+    @settings(max_examples=100, deadline=None)
+    @given(curve=curves(normalized=False))
+    def test_curve_from_lists_is_curve_normalize(self, curve):
+        got = curve_from_lists(curve.integer_lists(), curve.params)
+        expected = curve_normalize(curve)
+        assert got.integer_lists() == expected.integer_lists()
+        assert got.params == expected.params and got == expected
+
+    def test_view_is_built_on_first_read_only(self, monkeypatch):
+        curve = curve_from_lists([[0, 2], [4, 0, 2], [6]])
+        built = _counting(monkeypatch, Polynomial, "__init__")
+        assert curve.integer_lists() == [[0, 1], [2, 0, 1], [3]]
+        assert certify_curve(curve).degree == 2 and built == []
+        assert curve.components == (
+            Polynomial.univariate([0, 1]),
+            Polynomial.univariate([2, 0, 1]),
+            Polynomial.univariate([3]),
+        )
+        del built[:]
+        assert curve.components is curve.components and built == []
+
+    @pytest.mark.parametrize("lists", [[], [[], []], [[], [], []]])
+    def test_zero_lists_raise_degenerate_curve(self, lists):
+        with pytest.raises(DegenerateCurveError):
+            curve_from_lists(lists)
+
+
+def _counting(monkeypatch, owner, name) -> list:
+    """Record each call of ``owner.name``; the list is returned."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestInterpolationOnIntegers:
+    """One interpolation and its checks never touch ``Fraction`` polynomials."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_no_polynomial_product_or_combine(self, d, monkeypatch):
+        rng = random.Random(10 + d)
+        points = [(Fraction(1),) + tuple(p) for p in rand_points(rng, d + 3, d)]
+        products = _counting(monkeypatch, Polynomial, "__mul__")
+        combines = _counting(monkeypatch, poly, "combine")
+        row_combines = _counting(monkeypatch, linalg, "combine")
+        built = _counting(monkeypatch, Polynomial, "__init__")
+        curve = rnc_through_points(d, points)
+        assert certify_curve(curve).is_rnc
+        assert all(curve_contains_point(curve, p) for p in points)
+        for t in (Fraction(0), Fraction(-2), Fraction(3, 4)):
+            assert curve_contains_point(curve, curve.eval(t))
+        assert products == combines == row_combines == built == []
+
+
+# ---------------------------------------------------------------------------
+# the fitters that moved to the lists
+# ---------------------------------------------------------------------------
+
+
+def reference_conic_on_quadric(qmat, p1, p2, p3) -> RationalCurve:
+    pts = [tuple(Fraction(x) for x in p) for p in (p1, p2, p3)]
+    a = 2 * rnc._pairing(qmat, pts[0], pts[1])
+    b = 2 * rnc._pairing(qmat, pts[0], pts[2])
+    c = 2 * rnc._pairing(qmat, pts[1], pts[2])
+    if a == 0 or b == 0 or c == 0:
+        raise GeneralPositionError("plane section is a degenerate conic")
+    t = Polynomial.variable(1, 0)
+    u0 = t.scale(c)
+    u1 = -(t.scale(b) + Polynomial.constant(1, a))
+    u2 = t * u1
+    comps = [poly.combine(coords, (u0, u1, u2)) for coords in zip(*pts)]
+    return curve_normalize(RationalCurve(comps, [(-a, b), (0, 1), (1, 0)]))
+
+
+def reference_fit_quadric_veronese(spec, points) -> RationalCurve:
+    r, rho = spec.r, spec.rho
+    h = spec.form()
+    lifted = [(Fraction(1), -h.eval(p)) + p for p in points]
+    quadric = catalog.QuadraticForm(spec.rank, r + 3)
+    conic = reference_conic_on_quadric(quadric.matrix(), *lifted)
+    x0, *xprime = conic.components
+    if x0.is_zero():
+        raise GenericityError("conic lies in the hyperplane at infinity")
+    block_a, block_b = catalog.quadric_veronese_blocks(r, rho)
+    comps = [x0**rho]
+    comps += [power_product(xprime, beta) for beta in block_a]
+    comps += [
+        power_product([x0] + xprime[1:], (rho - sum(gamma),) + gamma) for gamma in block_b
+    ]
+    return curve_normalize(RationalCurve(comps, conic.params))
+
+
+def reference_interpolate(points) -> Polynomial:
+    t = Polynomial.variable(1, 0)
+    total = Polynomial.zero(1)
+    for i, (xi, yi) in enumerate(points):
+        num, den = Polynomial.one(1), Fraction(1)
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                num = num * (t - Polynomial.constant(1, xj))
+                den *= xi - xj
+        total = total + num.scale(Fraction(yi) / den)
+    return total
+
+
+def reference_fit_cone(spec, points) -> RationalCurve:
+    """S_j = s_j(p_3) x0^2 + C_j, C_j the cubic with C_j(tau) =
+    (s_j(p) - s_j(p_3)) x0(tau)^2 at the four finite parameters."""
+    r = spec.r
+    plane_pts = [(Fraction(1), p[0], p[1]) for p in points]
+    conic = rnc_through_points(2, plane_pts)
+    params = conic.params
+    assert params[3] == (1, 0)
+    x0, p3 = conic.components[0], points[3]
+    finite = [(s / u, x0.eval((s / u,)) ** 2, p) for (s, u), p in zip(params, points) if u]
+    spolys = [
+        (x0 * x0).scale(p3[j])
+        + reference_interpolate([(tau, (p[j] - p3[j]) * sq) for tau, sq, p in finite])
+        for j in range(2, r + 1)
+    ]
+    args = list(conic.components) + spolys
+    return rnc._through_chart(spec, (1, 1) + (2,) * (r - 1), spec.q // 2, args, params)
+
+
+def _random_points(spec, seed):
+    params = catalog.declared_class(spec)
+    rng = random.Random(seed)
+    return [tuple(Fraction(x) for x in p) for p in rand_points(rng, params.n, params.r + 1)]
+
+
+class TestFittersOnLists:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spec=st.sampled_from([ConeStandard(2, 4), ConeStandard(3, 4), ConeStandard(2, 6)]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_cone_matches_reference(self, spec, seed):
+        points = _random_points(spec, seed)
+        assert _outcome(rnc._fit_cone, spec, points) == _outcome(
+            reference_fit_cone, spec, points
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spec=st.sampled_from(
+            [QuadricVeronese(3, 2, 5), QuadricVeronese(2, 3, 5), QuadricVeronese(3, 2, 6)]
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_quadric_veronese_matches_reference(self, spec, seed):
+        points = _random_points(spec, seed)
+        assert _outcome(rnc._fit_quadric_veronese, spec, points) == _outcome(
+            reference_fit_quadric_veronese, spec, points
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(rank=st.integers(3, 5), extra=st.integers(0, 1), data=st.data())
+    def test_conic_on_quadric_matches_reference(self, rank, extra, data):
+        form = catalog.QuadraticForm(rank, rank + extra)
+        coord = st.fractions(-4, 4, max_denominator=3)
+        pts = []
+        for _ in range(3):
+            s = data.draw(st.lists(coord, min_size=form.nvars, max_size=form.nvars))
+            assume(s[1] != 0)
+            s[0] = -form.eval([Fraction(0)] + s[1:]) / s[1]
+            pts.append(tuple(s))
+        qmat = form.matrix()
+        assert _outcome(rnc.conic_on_quadric, qmat, *pts) == _outcome(
+            reference_conic_on_quadric, qmat, *pts
+        )

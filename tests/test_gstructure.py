@@ -202,7 +202,8 @@ class TestTypeCheckOracle:
             rows = nullspace(ann, r * n)
         got = _outcome(is_type_subspace, structure, rows)
         assert got == _outcome(reference_is_type_subspace, structure, rows)
-        if kind == "type":
+        # a zero t[:n] is no point: both sides report the same error string
+        if kind == "type" and any(t):
             assert got is not None and rank([got, t], n) == 1
 
     @pytest.mark.parametrize("r, n", [(1, 2), (2, 3), (3, 4)])

@@ -149,7 +149,7 @@ class TestProjectedImagesAreLazy:
         monkeypatch.setattr(catalog, "make_variety", recording_make)
         report = verify.verify_veronese_projection(spec, trials=2, seed=0)
         assert report.verdict == "pass"
-        assert applied and set(applied) == {"project_curve"}
+        assert applied == []
         (chart,) = charts
         own = {id(c) for layer in chart._partials for comps in layer.values() for c in comps}
         assert differentiated and all(id(p) in own for p in differentiated)
