@@ -540,11 +540,26 @@ def make_variety(spec) -> Parametrization:
 # JSON document format
 # ---------------------------------------------------------------------------
 
+
+def json_int(value) -> int:
+    """A JSON integer as it is; TypeError for a float, string, boolean or the rest."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def json_ints(value) -> tuple:
+    """A JSON list of integers as a tuple; TypeError for anything else."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of integers, got {value!r}")
+    return tuple(map(json_int, value))
+
+
 # field annotation of a spec record -> (decode from JSON, encode to JSON);
 # the keys are annotation strings, as postponed evaluation leaves them
 _CODECS = {
-    "int": (int, int),
-    "ScrollSpec": (lambda value: ScrollSpec(tuple(value)), lambda a: list(a.degrees)),
+    "int": (json_int, int),
+    "ScrollSpec": (lambda value: ScrollSpec(json_ints(value)), lambda a: list(a.degrees)),
 }
 
 

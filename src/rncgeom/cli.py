@@ -21,6 +21,8 @@ from .catalog import (
     build_A_cone,
     castelnuovo_bound,
     declared_class,
+    json_int,
+    json_ints,
     pi,
     spec_from_json,
     spec_to_json,
@@ -78,7 +80,7 @@ def _load_spec(args) -> object:
     if isinstance(doc, dict) and "declare" in doc:
         d = doc["declare"]
         try:
-            declare = ClassParams(int(d["r"]), int(d["n"]), int(d["q"]))
+            declare = ClassParams(json_int(d["r"]), json_int(d["n"]), json_int(d["q"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"bad declare block: {exc}") from exc
     return spec, declare
@@ -123,10 +125,10 @@ def cmd_enumerate(args) -> int:
         doc = json.loads(args.index_set)
         kind = doc.get("type", "scroll")
         if kind == "scroll":
-            a = catalog.ScrollSpec(tuple(doc["a"]))
-            rho, chi = int(doc["rho"]), int(doc["chi"])
+            a = catalog.ScrollSpec(json_ints(doc["a"]))
+            rho, chi = json_int(doc["rho"]), json_int(doc["chi"])
         elif kind == "cone":
-            r, q = int(doc["r"]), int(doc["q"])
+            r, q = json_int(doc["r"]), json_int(doc["q"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SpecError(str(exc)) from exc
     if kind == "scroll":

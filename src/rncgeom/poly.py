@@ -8,14 +8,14 @@ lexicographic: higher total degree first, ties broken lexicographically
 on the exponent tuple.
 
 ``RationalCurve`` holds the homogeneous components of a rational map
-``P^1 -> P^N``.  Its primary form is one integer coefficient list per
-component, primitive once normalized; its ``components`` as
-``Polynomial``s are a view, built on first read.  Curves are built on
-integer lists (``curve_from_lists``, ``_mul_ints``, ``_combine_ints``) and
-evaluated on them (``eval_homogeneous``).  Univariate gcd and exact
-division, the substitution of univariate arguments into forms
-(``projective_compose``) and the normalization of curves clear
-denominators and run on integer coefficient lists as well.
+``P^1 -> P^N`` in one form: an integer coefficient list per component over
+one denominator, primitive over 1 once normalized; its ``components`` as
+``Polynomial``s are a view.  Every fitter builds its curve from integer
+lists (``curve_from_lists``, ``_mul_ints``, ``_combine_ints``, and
+``projective_compose``, which substitutes coefficient lists into forms),
+and curves are evaluated on them (``eval_homogeneous``).  Univariate gcd
+and exact division and the normalization of curves clear denominators and
+run on integer coefficient lists as well.
 """
 
 from __future__ import annotations
@@ -105,13 +105,8 @@ class Polynomial:
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence) -> "Polynomial":
-        """One-variable polynomial from exact coefficients, low degree first.
-
-        The coefficients are stored as given, without the revalidation of
-        ``univariate``; the integer kernels below pass polynomials with
-        ``int`` coefficients to one another through it and return
-        ``Fraction`` ones.
-        """
+        """One-variable polynomial from ``Fraction`` coefficients, low degree
+        first, stored as given, without the revalidation of ``univariate``."""
         out = cls(1)
         out._terms = {(i,): c for i, c in enumerate(coeffs) if c}
         return out
@@ -373,8 +368,9 @@ def combine(coeffs: Sequence, polys: Sequence[Polynomial]) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def integer_coefficients(polys: Sequence[Polynomial]) -> list:
-    """Coefficient lists (low degree first) of L * p for each univariate p.
+def integer_coefficients(polys: Sequence[Polynomial]) -> tuple:
+    """``(lists, L)``: the coefficient list (low degree first) of L * p for
+    each univariate p.
 
     L is the lcm of every coefficient denominator of ``polys``, so each
     list holds integers; the zero polynomial gives the empty list.
@@ -388,7 +384,7 @@ def integer_coefficients(polys: Sequence[Polynomial]) -> list:
         for (e,), c in p._terms.items():
             coeffs[e] = c.numerator * (den // c.denominator)
         out.append(coeffs)
-    return out
+    return out, den
 
 
 def clear_denominators(values) -> tuple:
@@ -436,7 +432,7 @@ def poly_gcd_univariate(a: Polynomial, b: Polynomial) -> Polynomial:
     """Canonical gcd: primitive integer coefficients, positive lead."""
     if a.nvars != 1 or b.nvars != 1:
         raise DimensionMismatchError("gcd requires univariate polynomials")
-    x, y = (primitive_part(c) for c in integer_coefficients([a, b]))
+    x, y = map(primitive_part, integer_coefficients([a, b])[0])
     return Polynomial.from_coeffs([Fraction(c) for c in _gcd_ints(x, y)])
 
 
@@ -513,42 +509,39 @@ def _combine_ints(coeffs: Sequence[int], lists: Sequence[list]) -> list:
     return out
 
 
-def projective_compose(forms: Sequence[Polynomial], args: Sequence[Polynomial]) -> list:
-    """``L^top K f(args)`` with int coefficients for each form f.
+def projective_compose(forms: Sequence[Polynomial], args: Sequence[list]) -> list:
+    """The integer list of ``L^top K f(args)`` for each form f, without
+    trailing zeros.
 
-    ``args`` are univariate, one per variable of the forms.  L clears every
-    arg and K every coefficient of the forms, and a term x^e is scaled by
-    L^(top - |e|), top the largest total degree |e|; as curve components
-    the outputs give the map f(args), and ``curve_normalize`` strips L^top K.
+    ``args`` are coefficient lists (int or Fraction, low degree first), one
+    per variable of the forms.  L clears every arg and K every coefficient
+    of the forms, and a term x^e is scaled by L^(top - |e|), top the largest
+    total degree |e|; as curve components the outputs give the map f(args),
+    and ``curve_normalize`` strips L^top K.
     """
     if any(f.nvars != len(args) for f in forms):
-        raise DimensionMismatchError("one substitution polynomial per variable")
-    den = math.lcm(*(c.denominator for a in args for c in a._terms.values()))
+        raise DimensionMismatchError("one substitution list per variable")
+    den = math.lcm(*(c.denominator for x in args for c in x))
     scale = math.lcm(*(c.denominator for f in forms for c in f._terms.values()))
     top = max((sum(e) for f in forms for e in f._terms), default=0)
-    powers = [[[1], x] for x in integer_coefficients(args)]
-    out = []
-    for f in forms:
-        acc = []
-        for expo, c in f._terms.items():
-            term = _power_product_ints(
-                powers, expo, [c.numerator * (scale // c.denominator) * den ** (top - sum(expo))]
-            )
-            acc += [0] * (len(term) - len(acc))
-            for k, x in enumerate(term):
-                acc[k] += x
-        out.append(Polynomial.from_coeffs(acc))
-    return out
+    powers = [[[1], [c.numerator * (den // c.denominator) for c in x]] for x in args]
+    return [
+        _combine_ints(
+            [c.numerator * (scale // c.denominator) for c in f._terms.values()],
+            [_power_product_ints(powers, e, [den ** (top - sum(e))]) for e in f._terms],
+        )
+        for f in forms
+    ]
 
 
 def poly_divexact_univariate(a: Polynomial, b: Polynomial) -> Polynomial:
     """The quotient a / b over Q; ValueError when b does not divide a."""
-    x, y = integer_coefficients([a, b])
+    (x, y), _ = integer_coefficients([a, b])
     if not y:
         raise ZeroDivisionError("polynomial division by zero")
     content = math.gcd(*y)
     quotient = _divexact_ints(x, [c // content for c in y])
-    return Polynomial.from_coeffs(quotient).scale(Fraction(1, content))
+    return Polynomial.from_coeffs([Fraction(c, content) for c in quotient])
 
 
 # ---------------------------------------------------------------------------
@@ -576,11 +569,14 @@ def eval_homogeneous(lists: Sequence[list], pairs) -> list:
 class RationalCurve:
     """Rational map P^1 -> P^N given by N+1 univariate components.
 
-    The integer coefficient lists of the components (``integer_lists``) are
-    the curve's primary form: a normalized curve keeps them primitive, and
-    incidence, certification, evaluation and projection read nothing else.
-    ``components`` is a view of them as ``Polynomial``s, built on first read
-    for reports and for callers that substitute into the components.
+    A curve is its integer coefficient lists (``integer_lists``, low degree
+    first) over one positive denominator: 1 on a normalized curve, whose
+    lists are primitive, and on a curve built from ``Polynomial``s the lcm
+    of their coefficient denominators (``integer_coefficients``).
+    Incidence, certification, evaluation and projection read nothing else;
+    ``components`` is a view, the lists over the denominator as
+    ``Polynomial``s, built on first read for reports and for callers that
+    substitute into the components.
 
     ``params`` are homogeneous parameter pairs (s : u), t = s/u, one per
     point the curve was fitted through and in their order; they are claims
@@ -589,85 +585,76 @@ class RationalCurve:
     does, and ``curve_from_lists`` builds a curve from integer lists through it.
     """
 
-    __slots__ = ("_components", "params", "_lists", "_values", "_normalized")
+    __slots__ = ("_lists", "_den", "params", "_components", "_values", "_normalized")
 
     def __init__(self, components: Sequence[Polynomial], params=()):
-        comps = tuple(components)
-        if not comps:
-            raise DegenerateCurveError("a curve needs at least one component")
-        for c in comps:
-            if c.nvars != 1:
-                raise DimensionMismatchError("curve components must be univariate")
-        if all(c.is_zero() for c in comps):
+        lists, den = integer_coefficients(tuple(components))
+        if not any(lists):
             raise DegenerateCurveError("all curve components are zero")
-        self._init(comps, None, params)
+        self._init(lists, den, params)
 
-    def _init(self, components, lists, params):
-        self._components = components
+    def _init(self, lists, den, params, normalized=False):
         self._lists = lists
+        self._den = den
         self.params = tuple((_as_fraction(s), _as_fraction(u)) for s, u in params)
+        self._components = None
         self._values = None
-        self._normalized = False
+        self._normalized = normalized
 
     @property
     def components(self) -> tuple:
-        """The components as ``Polynomial``s; a view of the integer lists on
-        a curve built from them."""
+        """The components as ``Polynomial``s: a view of the integer lists over
+        the denominator, built on first read."""
         if self._components is None:
             self._components = tuple(
-                Polynomial.from_coeffs([Fraction(c) for c in x]) for x in self._lists
+                Polynomial.from_coeffs([Fraction(c, self._den) for c in x]) for x in self._lists
             )
         return self._components
 
     @property
     def ambient_dim(self) -> int:
-        return len(self.integer_lists()) - 1
+        return len(self._lists) - 1
 
     def degree(self) -> int:
-        return max(len(x) for x in self.integer_lists()) - 1
+        return max(len(x) for x in self._lists) - 1
 
     def eval(self, t) -> tuple:
-        """The components at t.  On a normalized curve, ``eval_homogeneous`` at
-        (t : 1) cleared to (a : b), over b^degree."""
+        """The components at t: ``eval_homogeneous`` at (t : 1) cleared to
+        (a : b), over the denominator times b^degree."""
         t = _as_fraction(t)
-        if not self._normalized:
-            return tuple(c.eval((t,)) for c in self.components)
         (value,) = eval_homogeneous(self._lists, [(t, 1)])
-        den = t.denominator ** self.degree()
+        den = self._den * t.denominator ** self.degree()
         return tuple(Fraction(x, den) for x in value)
 
     def value_at_infinity(self) -> tuple:
         """Coefficient vector of t^degree across components."""
         d = self.degree()
-        if not self._normalized:
-            return tuple(c.coefficient((d,)) for c in self.components)
-        return tuple(Fraction(x[d]) if len(x) > d else Fraction(0) for x in self._lists)
+        return tuple(Fraction(x[d] if len(x) > d else 0, self._den) for x in self._lists)
 
     def integer_lists(self) -> list:
-        """``integer_coefficients`` of the components, computed once and
-        shared (not to be changed); primitive for a normalized curve."""
-        if self._lists is None:
-            self._lists = integer_coefficients(self._components)
+        """The integer lists, shared (not to be changed); primitive for a
+        normalized curve."""
         return self._lists
 
     def witness_values(self) -> list:
         """``eval_homogeneous`` of the integer lists at ``params``, computed
         once and shared (not to be changed)."""
         if self._values is None:
-            self._values = eval_homogeneous(self.integer_lists(), self.params)
+            self._values = eval_homogeneous(self._lists, self.params)
         return self._values
 
     def coefficient_vectors(self) -> list:
         """Exact coefficient lists (low degree first), one per component."""
         d = self.degree()
         return [
-            [c.coefficient((k,)) for k in range(d + 1)] for c in self.components
+            [Fraction(x[k] if k < len(x) else 0, self._den) for k in range(d + 1)]
+            for x in self._lists
         ]
 
     def __eq__(self, other):
         if not isinstance(other, RationalCurve):
             return NotImplemented
-        return self.components == other.components
+        return self._den == other._den and self._lists == other._lists
 
     def __repr__(self):
         body = ", ".join(c.to_text(["t"]) for c in self.components)
@@ -699,8 +686,7 @@ def curve_normalize(curve: RationalCurve) -> RationalCurve:
     if next(x[-1] for x in lists if x) < 0:
         content = -content
     out = RationalCurve.__new__(RationalCurve)
-    out._init(None, [[c // content for c in x] for x in lists], curve.params)
-    out._normalized = True
+    out._init([[c // content for c in x] for x in lists], 1, curve.params, True)
     return out
 
 
@@ -710,5 +696,5 @@ def curve_from_lists(lists: Sequence[list], params=()) -> RationalCurve:
     DegenerateCurveError when there is none or every one is zero.
     """
     raw = RationalCurve.__new__(RationalCurve)
-    raw._init(None, list(lists), params)
+    raw._init(list(lists), 1, params)
     return curve_normalize(raw)

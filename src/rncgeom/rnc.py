@@ -57,6 +57,7 @@ from .poly import (
     clear_denominators,
     curve_from_lists,
     curve_normalize,
+    integer_coefficients,
     primitive_part,
     projective_compose,
 )
@@ -384,21 +385,20 @@ def _through_chart(spec, weights, degree: int, args, params) -> RationalCurve:
     """Image of a parameter curve under the chart of ``spec``.
 
     The chart [1 : spec.components()] is homogenized to ``degree`` with
-    one weight per chart variable; ``args`` are the univariate polynomials
+    one weight per chart variable; ``args`` are the coefficient lists
     substituted for the new leading variable and the chart variables.
     The image carries ``params``, the pairs of the input points.
     """
     comps = [Polynomial.one(len(weights))] + spec.components()
     forms = [c.homogenize(degree, weights) for c in comps]
-    return curve_normalize(RationalCurve(projective_compose(forms, args), params))
+    return curve_from_lists(projective_compose(forms, args), params)
 
 
 def _fit_veronese_line(spec: Veronese, points) -> RationalCurve:
     u, v = points
     if u == v:
         raise GeneralPositionError("the two parameter points coincide")
-    line = [Polynomial.univariate([ui, vi - ui]) for ui, vi in zip(u, v)]
-    args = [Polynomial.one(1)] + line
+    args = [[1]] + [[ui, vi - ui] for ui, vi in zip(u, v)]
     return _through_chart(spec, (1,) * spec.dim, spec.order, args, [(0, 1), (1, 1)])
 
 
@@ -408,8 +408,11 @@ def _fit_standard_scroll(spec: StandardScroll, points) -> RationalCurve:
     for t, _ in samples:
         if fit.polys[0].eval((t,)) == 0:
             raise GenericityError("P_0 vanishes at a sample parameter")
-    p0, *prest = fit.polys
-    args = [p0, Polynomial.variable(1, 0)] + prest
+    # the chart forms are homogeneous of degree rho in (x0, s) under the
+    # weights (0, 1, .., 1), so clearing P_0 .. P_r by one common factor
+    # scales every component alike
+    p0, *prest = integer_coefficients(fit.polys)[0]
+    args = [p0, [0, 1]] + prest
     params = [(t, 1) for t, _ in samples]
     return _through_chart(spec, (0,) + (1,) * spec.a.r, spec.rho, args, params)
 
@@ -436,14 +439,12 @@ def _fit_segre(spec: SegreSpecial, points) -> RationalCurve:
     # the pencil is in (u : s), the variable order of the homogenized conic
     targets = [(u, s) for s, u in conic.params]
     mat = projectivity_p1([(Fraction(1), tau) for tau in taus], targets)
-    pencil = [Polynomial.univariate(row) for row in mat.entries]
-    # g0, gs and gq share one scale factor, which curve_normalize strips
-    g = projective_compose([c.homogenize(2, (1,)) for c in conic.components], pencil)
-    t = Polynomial.variable(1, 0)
-    g0, gs, gq = g[0], g[1 : 1 + r], g[r + 1]
-    # chart order [1, t, s, t s, q, t q]
-    comps = [g0, t * g0] + gs + [t * gj for gj in gs] + [gq, t * gq]
-    return curve_normalize(RationalCurve(comps, [(tau, 1) for tau in taus]))
+    # the g share one scale factor, which curve_normalize strips
+    g = projective_compose([c.homogenize(2, (1,)) for c in conic.components], mat.entries)
+    tg = [[0] + x if x else x for x in g]  # t g, a shifted list
+    # chart order [1, t, s, t s, q, t q] over g = (g0, gs, gq)
+    comps = g[:1] + tg[:1] + g[1 : r + 1] + tg[1 : r + 1] + g[r + 1 :] + tg[r + 1 :]
+    return curve_from_lists(comps, [(tau, 1) for tau in taus])
 
 
 def _fit_quadric_veronese(spec: QuadricVeronese, points) -> RationalCurve:
@@ -505,10 +506,8 @@ def _fit_cone(spec: ConeStandard, points) -> RationalCurve:
         coeffs, den = clear_denominators(
             [p[j] * v[0] ** 2 / d for p, v, d in zip(points, values, dens)]
         )
-        spolys.append(
-            Polynomial.from_coeffs([Fraction(c, den) for c in _combine_ints(coeffs, lists)])
-        )
-    args = list(conic.components) + spolys
+        spolys.append([Fraction(c, den) for c in _combine_ints(coeffs, lists)])
+    args = conic.integer_lists() + spolys
     return _through_chart(spec, (1, 1) + (2,) * (r - 1), spec.q // 2, args, conic.params)
 
 
@@ -516,7 +515,7 @@ def _fit_veronese33(spec: Veronese33, points) -> RationalCurve:
     """Twisted cubic through the six lifted points, pushed through the cubics."""
     lifted = [(Fraction(1),) + p for p in points]
     gamma = rnc_through_points(3, lifted)
-    return _through_chart(spec, (1, 1, 1), 3, list(gamma.components), gamma.params)
+    return _through_chart(spec, (1, 1, 1), 3, gamma.integer_lists(), gamma.params)
 
 
 def _isqrt_fraction(value: Fraction):
@@ -576,10 +575,7 @@ def _fit_cubic_special(spec: CubicSpecial, points) -> RationalCurve:
             raise InvariantError("intersection point escaped the span")
         six_in_p3.append(coords)
     gamma3 = rnc_through_points(3, six_in_p3)
-    ambient = [
-        Polynomial.from_coeffs(_combine_ints(row, gamma3.integer_lists()))
-        for row in lift.cleared[0]
-    ]
+    ambient = [_combine_ints(row, gamma3.integer_lists()) for row in lift.cleared[0]]
     # the last two of the six points are the quadric points, not input points
     return _through_chart(spec, (1,) * (r + 1), 3, ambient, gamma3.params[:4])
 

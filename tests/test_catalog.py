@@ -379,6 +379,17 @@ class TestJsonRoundTrip:
             {"family": 5, "params": {}},
             {"family": ["Veronese"], "params": {"dim": 2, "order": 2}},
             {"family": "Veronese", "params": [2, 2]},
+            # JSON integers are checked, not truncated or parsed
+            {"family": "Veronese", "params": {"dim": 2.7, "order": 2}},
+            {"family": "Veronese", "params": {"dim": 2.0, "order": 2}},
+            {"family": "Veronese", "params": {"dim": "2", "order": 2}},
+            {"family": "Veronese", "params": {"dim": True, "order": 2}},
+            {"family": "Veronese", "params": {"dim": float("inf"), "order": 2}},
+            {"family": "Scroll", "params": {"a": [1.9, 1]}},
+            {"family": "Scroll", "params": {"a": [1, True]}},
+            {"family": "Scroll", "params": {"a": "11"}},
+            {"family": "Scroll", "params": {"a": {"1": 1}}},
+            {"family": "StandardScroll", "params": {"a": [1, 1], "rho": 2, "chi": "1"}},
         ]
         for doc in docs:
             with pytest.raises(SpecError):

@@ -1,13 +1,15 @@
 """Curves on their integer lists against the ``Fraction`` references.
 
-A normalized ``RationalCurve`` is built, projected and evaluated on its
-primitive integer lists; its ``components`` are a view.  The references are
-the same operations over ``Fraction`` polynomials, as the code read before
-it moved to the lists:
+A ``RationalCurve`` is its integer lists over one denominator; it is built,
+projected and evaluated on them, and its ``components`` are a view.  The
+references are the same operations over ``Fraction`` polynomials, as the
+code read before it moved to the lists:
 
 - ``project_curve``: ``curve_normalize`` of the components pushed through
   ``LinearProjection.apply_polys``;
-- ``RationalCurve.eval``: ``Polynomial.eval`` of each component;
+- ``RationalCurve.eval``, ``value_at_infinity``, ``components``,
+  ``coefficient_vectors`` and ``==``: the ``Polynomial``s a raw curve was
+  drawn from, or their normal form over ``Fraction`` for a normalized one;
 - the cone fitter: Lagrange interpolation over ``Fraction`` of each s_j
   along the conic, with the point at (1 : 0) handled apart;
 - the quadric-Veronese fitter: ``power_product`` over ``Fraction`` of the
@@ -37,6 +39,8 @@ from rncgeom.poly import (
 )
 from rncgeom.rnc import certify_curve, curve_contains_point, rnc_through_points
 from rncgeom.sampling import rand_points
+from test_gcd_oracle import reference_normal_form
+from test_rnc import SPEC_OF_FAMILY, _fit
 
 
 def reference_project_curve(proj, curve) -> RationalCurve:
@@ -64,8 +68,10 @@ PARAMETER = st.fractions(-5, 5, max_denominator=4)
 
 
 @st.composite
-def curves(draw, normalized=None):
-    """Curves of 2 to 5 components of degree <= 4, raw or normalized."""
+def drawn_curves(draw, normalized=None):
+    """``(curve, comps)``: a curve of 2 to 5 components of degree <= 4, raw
+    or normalized, and the ``Polynomial``s it was drawn from (their normal
+    form over ``Fraction`` for a normalized curve)."""
     size = draw(st.integers(2, 5))
     comps = [
         Polynomial.univariate(draw(st.lists(COEFF, max_size=5))) for _ in range(size)
@@ -75,7 +81,20 @@ def curves(draw, normalized=None):
     curve = RationalCurve(comps, [(s, u) for s, u in pairs if s or u])
     if normalized is None:
         normalized = draw(st.booleans())
-    return curve_normalize(curve) if normalized else curve
+    if normalized:
+        return curve_normalize(curve), reference_normal_form(comps)
+    return curve, comps
+
+
+def curves(normalized=None):
+    """Curves of 2 to 5 components of degree <= 4, raw or normalized."""
+    return drawn_curves(normalized).map(lambda drawn: drawn[0])
+
+
+def _drawn_from_lists(lists) -> tuple:
+    """A normalized curve from primitive lists with a positive first lead,
+    and its components."""
+    return curve_from_lists(lists), [Polynomial.univariate(x) for x in lists]
 
 
 @st.composite
@@ -141,21 +160,43 @@ class TestProjectCurve:
 
 
 class TestEval:
+    """Raw and normalized curves against the ``Polynomial``s they were drawn
+    from, never against their own ``components`` view."""
+
     @settings(max_examples=200, deadline=None)
-    @given(curve=curves(), t=PARAMETER)
-    @example(curve=curve_from_lists([[3, 0, 1], [0, -2], [7]]), t=Fraction(0))
-    @example(curve=curve_from_lists([[3, 0, 1], [0, -2], [7]]), t=Fraction(-3, 2))
-    def test_matches_reference(self, curve, t):
+    @given(drawn=drawn_curves(), t=PARAMETER)
+    @example(drawn=_drawn_from_lists([[3, 0, 1], [0, -2], [7]]), t=Fraction(0))
+    @example(drawn=_drawn_from_lists([[3, 0, 1], [0, -2], [7]]), t=Fraction(-3, 2))
+    def test_matches_reference(self, drawn, t):
+        curve, comps = drawn
         got = curve.eval(t)
-        assert got == reference_eval(curve, t)
+        assert got == tuple(c.eval((t,)) for c in comps)
         assert all(type(x) is Fraction for x in got)
 
     @settings(max_examples=100, deadline=None)
-    @given(curve=curves(normalized=True))
-    def test_value_at_infinity(self, curve):
-        d = curve.degree()
-        expected = tuple(c.coefficient((d,)) for c in curve.components)
-        assert curve.value_at_infinity() == expected
+    @given(drawn=drawn_curves())
+    def test_value_at_infinity(self, drawn):
+        curve, comps = drawn
+        d = max(c.total_degree() for c in comps)
+        assert curve.degree() == d
+        got = curve.value_at_infinity()
+        assert got == tuple(c.coefficient((d,)) for c in comps)
+        assert all(type(x) is Fraction for x in got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=drawn_curves())
+    def test_views_and_equality(self, drawn):
+        curve, comps = drawn
+        d = max(c.total_degree() for c in comps)
+        assert curve.components == tuple(comps)
+        vectors = curve.coefficient_vectors()
+        assert vectors == [[c.coefficient((k,)) for k in range(d + 1)] for c in comps]
+        assert all(type(x) is Fraction for row in vectors for x in row)
+        assert all(
+            type(x) is Fraction for c in curve.components for _, x in c.items()
+        )
+        assert curve == RationalCurve(comps)
+        assert curve != RationalCurve([c.scale(Fraction(3, 2)) for c in comps])
 
     @pytest.mark.parametrize("t", [0, -3, Fraction(5, 7), Fraction(-1, 2)])
     def test_int_and_fraction_arguments(self, t):
@@ -202,6 +243,46 @@ def _counting(monkeypatch, owner, name) -> list:
 
     monkeypatch.setattr(owner, name, wrapper)
     return calls
+
+
+class TestOneForm:
+    """Every fitter hands ``curve_from_lists`` its lists, and no
+    ``Polynomial`` holds an ``int`` coefficient."""
+
+    def test_one_spec_of_every_family(self):
+        assert set(SPEC_OF_FAMILY) == set(catalog.FAMILIES)
+
+    def test_fits_and_projections_build_no_curve_from_polynomials(self, monkeypatch):
+        built = _counting(monkeypatch, RationalCurve, "__init__")
+        for spec in SPEC_OF_FAMILY.values():
+            _, curve = _fit(spec)
+            n = curve.ambient_dim
+            center = span_of([curve.eval(Fraction(1, 3))], n)
+            image = project_curve(projection_from(center, n), curve)
+            assert certify_curve(image).degree == curve.degree() - 1
+        assert built == []
+
+    def test_every_coefficient_is_a_fraction(self, monkeypatch):
+        built = []
+        original = Polynomial.from_coeffs.__func__
+
+        def recording(cls, coeffs):
+            built.append(original(cls, coeffs))
+            return built[-1]
+
+        monkeypatch.setattr(Polynomial, "from_coeffs", classmethod(recording))
+        for spec in SPEC_OF_FAMILY.values():
+            points, curve = _fit(spec)
+            variety = catalog.make_variety(spec)
+            assert certify_curve(curve).is_rnc
+            assert all(curve_contains_point(curve, variety.eval(p)) for p in points)
+            assert curve.components
+        a = Polynomial.univariate([Fraction(-1, 2), 0, 3])
+        b = Polynomial.univariate([1, Fraction(2, 3)])
+        assert poly.poly_gcd_univariate(a * b, b * b).total_degree() == 1
+        assert poly.poly_divexact_univariate(a * b, b) == a
+        assert built
+        assert all(type(c) is Fraction for p in built for _, c in p.items())
 
 
 class TestInterpolationOnIntegers:
@@ -289,7 +370,10 @@ def reference_fit_cone(spec, points) -> RationalCurve:
         + reference_interpolate([(tau, (p[j] - p3[j]) * sq) for tau, sq, p in finite])
         for j in range(2, r + 1)
     ]
-    args = list(conic.components) + spolys
+    args = [
+        [c.coefficient((k,)) for k in range(c.total_degree() + 1)]
+        for c in list(conic.components) + spolys
+    ]
     return rnc._through_chart(spec, (1, 1) + (2,) * (r - 1), spec.q // 2, args, params)
 
 

@@ -87,8 +87,10 @@ def reference_divexact(a: Polynomial, b: Polynomial) -> Polynomial:
     return q
 
 
-def reference_curve_normalize(curve: RationalCurve) -> RationalCurve:
-    comps = list(curve.components)
+def reference_normal_form(comps) -> list:
+    """The components of the normal form over ``Fraction``: gcd and content
+    removed, first nonzero lead positive."""
+    comps = list(comps)
     g = None
     for c in comps:
         if c.is_zero():
@@ -101,7 +103,11 @@ def reference_curve_normalize(curve: RationalCurve) -> RationalCurve:
     content = _reference_content([x for c in comps for _, x in c.items()])
     comps = [c.scale(1 / content) for c in comps]
     lead = _coeffs(next(c for c in comps if not c.is_zero()))[-1]
-    return RationalCurve([-c for c in comps] if lead < 0 else comps)
+    return [-c for c in comps] if lead < 0 else comps
+
+
+def reference_curve_normalize(curve: RationalCurve) -> RationalCurve:
+    return RationalCurve(reference_normal_form(curve.components))
 
 
 def reference_curve_contains_point(curve, point, assume_normalized=False) -> bool:
