@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from .errors import DimensionMismatchError, SpecError
@@ -525,12 +526,20 @@ def declared_class(spec) -> ClassParams:
     return _known(spec).declared()
 
 
+@cache
 def make_variety(spec) -> Parametrization:
     """Explicit parametrization of a catalog spec, as an affine chart.
 
     The one place a chart's components are wrapped (and their generic
     rank checked); the variable count is that of the components, since
     specs such as Veronese(1, k) declare no valid class.
+
+    The chart is built and checked once per spec per process: specs are
+    frozen, hashable records, and equal specs share one returned
+    ``Parametrization``, whose lazily filled state (span, partials,
+    compiled layers) then fills once.  Callers must not mutate it.  The
+    cache is unbounded, since its keys are the specs a process uses; a
+    spec that raises is not cached.
     """
     comps = _known(spec).components()
     return Parametrization.from_affine(comps[0].nvars, comps)

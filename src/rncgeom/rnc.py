@@ -20,6 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, zip_longest
 from typing import Sequence
 
@@ -384,14 +385,25 @@ def _family_row(spec):
 def _through_chart(spec, weights, degree: int, args, params) -> RationalCurve:
     """Image of a parameter curve under the chart of ``spec``.
 
-    The chart [1 : spec.components()] is homogenized to ``degree`` with
-    one weight per chart variable; ``args`` are the coefficient lists
-    substituted for the new leading variable and the chart variables.
-    The image carries ``params``, the pairs of the input points.
+    ``args`` are the coefficient lists substituted for the leading
+    variable and the chart variables of ``_chart_forms``.  The image
+    carries ``params``, the pairs of the input points.
+    """
+    forms = _chart_forms(spec, weights, degree)
+    return curve_from_lists(projective_compose(forms, args), params)
+
+
+@cache
+def _chart_forms(spec, weights, degree: int) -> tuple:
+    """The chart [1 : spec.components()] homogenized to ``degree``, with
+    one weight per chart variable and a new leading variable.
+
+    Built once per (spec, weights, degree) per process and shared by
+    every fit; the cache is unbounded, since its keys are the specs a
+    process fits.
     """
     comps = [Polynomial.one(len(weights))] + spec.components()
-    forms = [c.homogenize(degree, weights) for c in comps]
-    return curve_from_lists(projective_compose(forms, args), params)
+    return tuple(c.homogenize(degree, weights) for c in comps)
 
 
 def _fit_veronese_line(spec: Veronese, points) -> RationalCurve:

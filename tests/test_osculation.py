@@ -76,8 +76,10 @@ class TestRegularityOrder:
 
     def test_each_partial_taken_once(self):
         # the order-4 osculator that decides the answer has 34 derivative
-        # rows of 20 components; no lower-order row is differentiated again
-        v = catalog.make_variety(Veronese(3, 3))
+        # rows of 20 components; no lower-order row is differentiated again.
+        # The chart is built afresh: make_variety's shared one may already
+        # hold its partials.
+        v = Parametrization.from_affine(3, Veronese(3, 3).components())
         calls = []
         original = Polynomial.partial
 
@@ -91,8 +93,9 @@ class TestRegularityOrder:
         assert len(calls) == 31 * 20
 
     def test_partials_shared_by_the_points(self):
-        # a 5-point regularity job derives the partials once, not once per point
-        v = catalog.make_variety(Veronese(3, 3))
+        # a 5-point regularity job derives the partials once, not once per
+        # point, on a fresh chart (make_variety's shared one may hold them)
+        v = Parametrization.from_affine(3, Veronese(3, 3).components())
         points = [rand_vector(random.Random(seed), 3) for seed in range(5)]
         expected = [regularity_order(catalog.make_variety(Veronese(3, 3)), p) for p in points]
         calls = []

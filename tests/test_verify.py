@@ -128,6 +128,8 @@ class TestProjectedImagesAreLazy:
         ids=lambda s: s.family,
     )
     def test_campaign_builds_no_image_components(self, spec, monkeypatch):
+        # a warm chart of an earlier test would already hold its partials
+        catalog.make_variety.cache_clear()
         applied, differentiated, charts = [], [], []
         apply_polys, partial = LinearProjection.apply_polys, Polynomial.partial
         make_variety = catalog.make_variety
