@@ -6,8 +6,8 @@ is no floating-point mode.  The subpackages split as:
 - poly:       sparse multivariate polynomials and rational curve maps
 - linalg:     exact row reduction, projective subspaces, linear projections
 - osculation: osculating spaces, regularity, osculating projections
-- catalog:    dimension formulas, index sets, variety constructors
-- rnc:        rational normal curve fitting and certification
+- catalog:    dimension formulas, index sets, one spec class per family
+- rnc:        family-free curve kernels and the fitting dispatchers
 - gstructure: tensor (quasi-Grassmannian) vector structures
 - verify:     end-to-end verification campaigns with JSON reports
 - cli:        the ``rncgeom`` command-line front end

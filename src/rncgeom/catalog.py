@@ -1,22 +1,58 @@
 """Closed-form dimension formulas and constructors for every variety family.
 
-Each family is one small frozen spec class, listed in ``FAMILIES``; its
+Each family is one small frozen spec class, listed in ``FAMILIES``: its
 fields round trip through the JSON document format ``{"family": ...,
-"params": {...}}`` shared by the CLI and the verification reports.
+"params": {...}}`` shared by the CLI and the verification reports, and
+its methods hold its chart, the sampler and fitter of its curves through
+points and, for four families, its specialness witness.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache
 from typing import Optional
 
-from .errors import DimensionMismatchError, SpecError
-from .linalg import QMatrix
-from .osculation import Parametrization
-from .poly import Polynomial, compositions, grlex_key, power_product
+from .errors import (
+    DimensionMismatchError,
+    GeneralPositionError,
+    GenericityError,
+    InvariantError,
+    SpecError,
+    SplittingFieldRequiredError,
+)
+from .linalg import QMatrix, combine_rows, nullspace, span_of
+from .osculation import Parametrization, contact_locus_dim_monomial, regularity_order
+from .poly import (
+    Polynomial,
+    RationalCurve,
+    _combine_ints,
+    _power_product_ints,
+    clear_denominators,
+    compositions,
+    curve_from_lists,
+    grlex_key,
+    integer_coefficients,
+    power_product,
+    projective_compose,
+)
+from .rnc import (
+    _is_multiple,
+    _products_but_one,
+    conic_on_quadric,
+    fit_scroll_section,
+    projectivity_p1,
+    rnc_through_points,
+)
+from .sampling import (
+    rand_distinct_points,
+    rand_points,
+    rand_points_distinct_first_coord,
+    rand_rational,
+)
 
 
 def binom(a: int, b: int) -> int:
@@ -300,13 +336,21 @@ class QuadraticForm:
 # variety specs: one record per family
 # ---------------------------------------------------------------------------
 #
-# A spec class holds all the catalog knows of its family: the parameters
-# (its dataclass fields, which are also the "params" of its JSON document),
-# the class (r, n, q) it claims membership of (``declared``), the affine
+# A spec class holds all there is of its family: the parameters (its
+# dataclass fields, which are also the "params" of its JSON document), the
+# class (r, n, q) it claims membership of (``declared``), the affine
 # components of its chart (``components``, the one place a chart is
-# written) and, for the quadric families, its quadratic form (``form``).
-# The fitter of a family is its row in ``rnc``, its specialness witness
-# (if any) its row in ``verify``.
+# written), for the quadric families its quadratic form (``form``), the
+# curves of the class through points (``sampler`` and ``fit``) and, for
+# four families, its specialness witness (``witness``).
+#
+# Every family draws n parameter points of Q^{r+1} for its class (r, n, q):
+# ``sampler`` is a function of ``sampling`` called as sampler(rng, n,
+# r + 1), and ``fit(points)`` receives the points already checked by
+# ``rnc.fit_rnc_through``.  A fitter draws nothing, so its curve is a
+# function of the points, and the curve carries the parameter pair (s : u)
+# of each point, in their order.  ``witness()`` returns the fields of
+# ``verify.SpecialnessWitness`` after the spec document.
 
 
 def veronese_exponents(dim: int, order: int) -> list:
@@ -334,11 +378,118 @@ def _monomials(nvars: int, exponents) -> list:
     return [Polynomial.monomial(nvars, e) for e in exponents]
 
 
+def _through_chart(spec, weights, degree: int, args, params) -> RationalCurve:
+    """Image of a parameter curve under the chart of ``spec``.
+
+    ``args`` are the coefficient lists substituted for the leading
+    variable and the chart variables of ``_chart_forms``.  The image
+    carries ``params``, the pairs of the input points.
+    """
+    forms = _chart_forms(spec, weights, degree)
+    return curve_from_lists(projective_compose(forms, args), params)
+
+
+@cache
+def _chart_forms(spec, weights, degree: int) -> tuple:
+    """The chart [1 : spec.components()] homogenized to ``degree``, with
+    one weight per chart variable and a new leading variable.
+
+    Built once per (spec, weights, degree) per process and shared by
+    every fit; the cache is unbounded, since its keys are the specs a
+    process fits.
+    """
+    comps = [Polynomial.one(len(weights))] + spec.components()
+    return tuple(c.homogenize(degree, weights) for c in comps)
+
+
+def _isqrt_fraction(value: Fraction):
+    """Exact square root of a non-negative rational, or None."""
+    if value < 0:
+        return None
+    num = math.isqrt(value.numerator)
+    den = math.isqrt(value.denominator)
+    if num * num == value.numerator and den * den == value.denominator:
+        return Fraction(num, den)
+    return None
+
+
+def _zero_poly_check(variety: Parametrization, substitution) -> bool:
+    """All components of degree >= 2 vanish identically under a substitution."""
+    for comp in variety.components[1:]:
+        if comp.total_degree() >= 2 and not comp.compose(substitution).is_zero():
+            return False
+    return True
+
+
+def _quadric_zero_samples(form: QuadraticForm, rng: random.Random, count=5):
+    """Rational points of q(s) = 0 through the hyperbolic presentation."""
+    out = []
+    guard = 0
+    while len(out) < count and guard < 100 * count:
+        guard += 1
+        s = [rand_rational(rng) for _ in range(form.nvars)]
+        if form.rank == 1:
+            s[0] = Fraction(0)
+        else:
+            # q = x0 x1 + h(x2, ...): solve for x0 and for x1 in turn, so
+            # that both planes of a rank-2 form are sampled
+            solved = len(out) % 2
+            other = 1 - solved
+            if s[other] == 0:
+                continue
+            s[solved] = Fraction(0)
+            s[solved] = -form.eval(s) / s[other]
+        if form.eval(s) == 0:
+            out.append(tuple(s))
+    return out
+
+
+def _quadric_component_contained(variety: Parametrization, form, seed: int):
+    """Whether {t = 0, q(s) = 0} lies on the variety at sampled zeros of q.
+
+    Returns the verdict and the number of zeros sampled.
+    """
+    samples = _quadric_zero_samples(form, random.Random(seed))
+    contained = all(
+        all(
+            c.eval((Fraction(0),) + s) == 0
+            for c in variety.components[1:]
+            if c.total_degree() >= 2
+        )
+        for s in samples
+    )
+    return contained, len(samples)
+
+
+def _quadric_witness(spec, seed: int, measured: int, line: bool) -> tuple:
+    """The contact-dimension witness of a family over the form q of ``spec``.
+
+    The variety must contain the component {t = 0, q(s) = 0}, checked at
+    zeros of q drawn from ``seed``, and with ``line`` also the line {s = 0};
+    it is special when it does and the measured dimension is below r.
+    """
+    r = spec.r
+    variety = make_variety(spec)
+    details = {}
+    line_ok = True
+    if line:
+        t = Polynomial.variable(1, 0)
+        line_ok = _zero_poly_check(variety, [t] + [Polynomial.zero(1)] * r)
+        details["line_component_contained"] = line_ok
+    quad_ok, count = _quadric_component_contained(variety, spec.form(), seed)
+    details["quadric_component_contained"] = quad_ok
+    details["quadric_samples"] = count
+    details["components"] = (["{s = 0}"] if line else []) + ["{t = 0, q(s) = 0}"]
+    verdict = "special" if (line_ok and quad_ok and measured < r) else "standard-compatible"
+    return "contact-dimension", measured, r, verdict, details
+
+
 @dataclass(frozen=True)
 class Veronese:
     dim: int
     order: int
     family = "Veronese"
+    sampler = staticmethod(rand_distinct_points)
 
     def __post_init__(self):
         if self.dim < 1 or self.order < 1:
@@ -350,6 +501,13 @@ class Veronese:
     def components(self) -> list:
         return _monomials(self.dim, veronese_exponents(self.dim, self.order))
 
+    def fit(self, points) -> RationalCurve:
+        u, v = points
+        if u == v:
+            raise GeneralPositionError("the two parameter points coincide")
+        args = [[1]] + [[ui, vi - ui] for ui, vi in zip(u, v)]
+        return _through_chart(self, (1,) * self.dim, self.order, args, [(0, 1), (1, 1)])
+
 
 @dataclass(frozen=True)
 class StandardScroll:
@@ -359,6 +517,7 @@ class StandardScroll:
     rho: int
     chi: int
     family = "StandardScroll"
+    sampler = staticmethod(rand_points_distinct_first_coord)
 
     def declared(self) -> ClassParams:
         return ClassParams(self.a.r, self.a.n, self.rho * (self.a.n - 1) + self.chi)
@@ -367,6 +526,30 @@ class StandardScroll:
         index_set = build_A(self.a, self.rho, self.chi)
         return _monomials(index_set.nvars, index_set.sorted_indices())
 
+    def fit(self, points) -> RationalCurve:
+        samples = [(p[0], tuple(p[1:])) for p in points]
+        fit = fit_scroll_section(self.a, samples)
+        for t, _ in samples:
+            if fit.polys[0].eval((t,)) == 0:
+                raise GenericityError("P_0 vanishes at a sample parameter")
+        # the chart forms are homogeneous of degree rho in (x0, s) under the
+        # weights (0, 1, .., 1), so clearing P_0 .. P_r by one common factor
+        # scales every component alike
+        p0, *prest = integer_coefficients(fit.polys)[0]
+        args = [p0, [0, 1]] + prest
+        params = [(t, 1) for t, _ in samples]
+        return _through_chart(self, (0,) + (1,) * self.a.r, self.rho, args, params)
+
+    def witness(self) -> tuple:
+        r = self.declared().r
+        index_set = build_A(self.a, self.rho, self.chi)
+        measured = contact_locus_dim_monomial(
+            index_set.sorted_indices(), index_set.nvars, self.rho
+        )
+        details = {"contact_order": self.rho}
+        verdict = "standard-compatible" if measured == r else "special"
+        return "contact-dimension", measured, r, verdict, details
+
 
 @dataclass(frozen=True)
 class Scroll:
@@ -374,6 +557,7 @@ class Scroll:
 
     a: ScrollSpec
     family = "Scroll"
+    sampler = staticmethod(rand_points_distinct_first_coord)
 
     def standard(self) -> StandardScroll:
         return StandardScroll(self.a, 1, 0)
@@ -384,12 +568,16 @@ class Scroll:
     def components(self) -> list:
         return self.standard().components()
 
+    def fit(self, points) -> RationalCurve:
+        return self.standard().fit(points)
+
 
 @dataclass(frozen=True)
 class ConeStandard:
     r: int
     q: int
     family = "ConeStandard"
+    sampler = staticmethod(rand_points)
 
     def declared(self) -> ClassParams:
         return ClassParams(self.r, 5, self.q)
@@ -398,6 +586,41 @@ class ConeStandard:
         index_set = build_A_cone(self.r, self.q)
         return _monomials(index_set.nvars, index_set.sorted_indices())
 
+    def fit(self, points) -> RationalCurve:
+        """The conic through the plane points (1, t1, t2), with each s_j
+        interpolated along it as S_j / x0^2.
+
+        S_j is the quartic whose binary form takes the value s_j(p) X0^2 at
+        the parameter pair of each of the five points p, X0 the conic's
+        first component read as a binary form of degree 2 at that pair.  By
+        Lagrange on binary forms, S_j is the sum over the pairs (s_i, u_i)
+        of that value times the product of u_k t - s_k over k != i, divided
+        by the product of u_k s_i - s_k u_i; a pair may be (1 : 0).
+        """
+        r = self.r
+        plane_pts = [(Fraction(1), p[0], p[1]) for p in points]
+        conic = rnc_through_points(2, plane_pts)
+        values = conic.witness_values()
+        # holds by construction: the frame sends each parameter to its point
+        for value, pt in zip(values, plane_pts):
+            if not _is_multiple(value, clear_denominators(pt)[0]):
+                raise InvariantError("conic parametrization missed a point")
+        # the pairs as eval_homogeneous cleared them for the values
+        pairs = [clear_denominators(pair)[0] for pair in conic.params]
+        lists = _products_but_one(pairs)
+        dens = [
+            math.prod(u * si - s * ui for k, (s, u) in enumerate(pairs) if k != i)
+            for i, (si, ui) in enumerate(pairs)
+        ]
+        spolys = []
+        for j in range(2, r + 1):
+            coeffs, den = clear_denominators(
+                [p[j] * v[0] ** 2 / d for p, v, d in zip(points, values, dens)]
+            )
+            spolys.append([Fraction(c, den) for c in _combine_ints(coeffs, lists)])
+        args = conic.integer_lists() + spolys
+        return _through_chart(self, (1, 1) + (2,) * (r - 1), self.q // 2, args, conic.params)
+
 
 @dataclass(frozen=True)
 class QuadricVeronese:
@@ -405,6 +628,7 @@ class QuadricVeronese:
     rho: int
     rank: int
     family = "QuadricVeronese"
+    sampler = staticmethod(rand_points)
 
     def __post_init__(self):
         # the classification wants rank >= 5; full rank in P^{r+2} is r+3
@@ -429,12 +653,40 @@ class QuadricVeronese:
         comps += [Polynomial.monomial(nv, gamma) for gamma in block_b]
         return comps
 
+    def fit(self, points) -> RationalCurve:
+        """Plane section of the quadric pushed through the order-rho system.
+
+        The curve-through-points construction for this family is not spelled
+        out in the classification; the route here (plane through the three
+        quadric points, conic in that plane, pushforward) is the natural
+        reading of the degree-2rho section count and is certified after the
+        fact by the degree/span/incidence checks.
+        """
+        r, rho = self.r, self.rho
+        h = self.form()
+        lifted = [(Fraction(1), -h.eval(p)) + p for p in points]
+        # U_0 U_1 + h(U_2..U_{r+2}) is the hyperbolic normal form of its rank
+        quadric = QuadraticForm(self.rank, r + 3)
+        conic = conic_on_quadric(quadric.matrix(), *lifted)
+        lists = conic.integer_lists()  # U_0, U_1 .. U_{r+2} along the conic
+        if not lists[0]:
+            raise GenericityError("conic lies in the hyperplane at infinity")
+        block_a, block_b = quadric_veronese_blocks(r, rho)
+        # over (U_0, U_1, ..): U_0^rho, block A over U_1.., block B over U_0, U_2..
+        exponents = [(rho,) + (0,) * (r + 2)]
+        exponents += [(0,) + beta for beta in block_a]
+        exponents += [(rho - sum(gamma), 0) + gamma for gamma in block_b]
+        powers = [[[1], x] for x in lists]
+        comps = [_power_product_ints(powers, expo) for expo in exponents]
+        return curve_from_lists(comps, conic.params)
+
 
 @dataclass(frozen=True)
 class SegreSpecial:
     r: int
     mu: int
     family = "SegreSpecial"
+    sampler = staticmethod(rand_points_distinct_first_coord)
 
     def __post_init__(self):
         # the form below has rank mu - 2, which must be >= 1
@@ -454,12 +706,45 @@ class SegreSpecial:
         qpoly = self.form().poly().compose(s)
         return [t] + s + [t * sj for sj in s] + [qpoly, t * qpoly]
 
+    def fit(self, points) -> RationalCurve:
+        r = self.r
+        taus = [p[0] for p in points]
+        if len(set(taus)) != 3:
+            raise GeneralPositionError("tau values must be distinct")
+        qf = self.form()
+        quadric_pts = [
+            (Fraction(1),) + p[1:] + (qf.eval(p[1:]),) for p in points
+        ]
+        # ambient quadric U_0 U_{r+1} = q(U_1..U_r)
+        size = r + 2
+        m = [[Fraction(0)] * size for _ in range(size)]
+        m[0][size - 1] = Fraction(1, 2)
+        m[size - 1][0] = Fraction(1, 2)
+        qmat_inner = qf.matrix()
+        for i in range(r):
+            for j in range(r):
+                m[1 + i][1 + j] = -qmat_inner.entries[i][j]
+        conic = conic_on_quadric(QMatrix(m), *quadric_pts)
+        # the pencil is in (u : s), the variable order of the homogenized conic
+        targets = [(u, s) for s, u in conic.params]
+        mat = projectivity_p1([(Fraction(1), tau) for tau in taus], targets)
+        # the g share one scale factor, which curve_normalize strips
+        g = projective_compose([c.homogenize(2, (1,)) for c in conic.components], mat.entries)
+        tg = [[0] + x if x else x for x in g]  # t g, a shifted list
+        # chart order [1, t, s, t s, q, t q] over g = (g0, gs, gq)
+        comps = g[:1] + tg[:1] + g[1 : r + 1] + tg[1 : r + 1] + g[r + 1 :] + tg[r + 1 :]
+        return curve_from_lists(comps, [(tau, 1) for tau in taus])
+
+    def witness(self) -> tuple:
+        return _quadric_witness(self, 11, max(1, self.r - 1), line=True)
+
 
 @dataclass(frozen=True)
 class CubicSpecial:
     r: int
     mu_prime: int
     family = "CubicSpecial"
+    sampler = staticmethod(rand_points)
 
     def __post_init__(self):
         if self.r < 2:
@@ -486,18 +771,94 @@ class CubicSpecial:
             + [qpoly, t * qpoly]
         )
 
+    def fit(self, points) -> RationalCurve:
+        r = self.r
+        lifted = [(Fraction(1),) + p for p in points]
+        span4 = span_of(lifted, r + 1)
+        if span4.dim != 3:
+            raise GenericityError("the four points do not span a P^3")
+        lift = QMatrix(span4.basis).transpose()
+        # the points of the span with T0 = T1 = 0
+        line = span_of([lift.matvec(c) for c in nullspace(lift.entries[:2], 4)], r + 1)
+        if line.dim != 1:
+            raise GenericityError("span meets {T0 = T1 = 0} in the wrong dimension")
+        w1, w2 = line.basis
+        qf = self.form()
+
+        def qeval(vec):
+            return qf.eval(vec[2:])
+
+        a = qeval(w1)
+        c = qeval(w2)
+        b = qeval(tuple(x + y for x, y in zip(w1, w2))) - a - c
+        roots = []
+        if a == 0:
+            if b == 0:
+                raise GeneralPositionError("double intersection with the quadric")
+            roots = [(Fraction(1), Fraction(0)), (-c, b)]
+        else:
+            disc = b * b - 4 * a * c
+            if disc == 0:
+                raise GeneralPositionError("double intersection with the quadric")
+            root = _isqrt_fraction(disc)
+            if root is None:
+                raise SplittingFieldRequiredError(disc)
+            roots = [((-b + root) / (2 * a), Fraction(1)), ((-b - root) / (2 * a), Fraction(1))]
+        qpts = []
+        for lam, mu in roots:
+            qpts.append(tuple(lam * x + mu * y for x, y in zip(w1, w2)))
+
+        # the basis is in reduced echelon form: a point of the span has its
+        # coordinates at the pivot columns
+        six_in_p3 = []
+        for p in lifted + qpts:
+            coords = tuple(p[c] for c in span4.pivots)
+            if combine_rows(coords, span4.basis) != p:
+                raise InvariantError("intersection point escaped the span")
+            six_in_p3.append(coords)
+        gamma3 = rnc_through_points(3, six_in_p3)
+        ambient = [_combine_ints(row, gamma3.integer_lists()) for row in lift.cleared[0]]
+        # the last two of the six points are the quadric points, not input points
+        return _through_chart(self, (1,) * (r + 1), 3, ambient, gamma3.params[:4])
+
+    def witness(self) -> tuple:
+        return _quadric_witness(self, 13, self.r - 1, line=False)
+
 
 @dataclass(frozen=True)
 class Veronese33:
     """The Veronese threefold v_3(P^3), a non-standard member of X_{3,6}(9)."""
 
     family = "Veronese33"
+    sampler = staticmethod(rand_points)
 
     def declared(self) -> ClassParams:
         return ClassParams(2, 6, 9)
 
     def components(self) -> list:
         return Veronese(3, 3).components()
+
+    def fit(self, points) -> RationalCurve:
+        """Twisted cubic through the six lifted points, pushed through the cubics."""
+        lifted = [(Fraction(1),) + p for p in points]
+        gamma = rnc_through_points(3, lifted)
+        return _through_chart(self, (1, 1, 1), 3, gamma.integer_lists(), gamma.params)
+
+    def witness(self) -> tuple:
+        variety = make_variety(self)
+        rng = random.Random(17)
+        point = tuple(rand_rational(rng) for _ in range(3))
+        measured = regularity_order(variety, point)
+        refs = {}
+        scroll = ScrollSpec((2, 2, 1))
+        for label, (rho, chi) in (("A(1,4)", (1, 4)), ("A(2,-1)", (2, -1))):
+            model = make_variety(StandardScroll(scroll, rho, chi))
+            origin = (Fraction(0),) * 3
+            refs[label] = regularity_order(model, origin)
+        reference = max(refs.values())
+        details = {"standard_orders": refs, "scroll": list(scroll.degrees)}
+        verdict = "special" if measured == 3 and all(v < 3 for v in refs.values()) else "standard-compatible"
+        return "regularity-order", measured, reference, verdict, details
 
 
 FAMILIES = {

@@ -17,6 +17,8 @@ from fractions import Fraction
 from . import catalog, rnc, verify
 from .catalog import (
     ClassParams,
+    ConeStandard,
+    StandardScroll,
     build_A,
     build_A_cone,
     castelnuovo_bound,
@@ -24,6 +26,7 @@ from .catalog import (
     json_int,
     json_ints,
     pi,
+    pi_formula,
     spec_from_json,
     spec_to_json,
 )
@@ -133,14 +136,13 @@ def cmd_enumerate(args) -> int:
         raise SpecError(str(exc)) from exc
     if kind == "scroll":
         index_set = build_A(a, rho, chi)
-        q = rho * (a.n - 1) + chi
-        expected = pi(a.r, a.n, q)
+        expected = pi_formula(StandardScroll(a, rho, chi).declared())
         flags = {}
         if chi == -1 and a.is_cone:
             flags["cone_identity"] = index_set == build_A(a, rho - 1, a.n - 2)
     elif kind == "cone":
         index_set = build_A_cone(r, q)
-        expected = pi(r, 5, q)
+        expected = pi_formula(ConeStandard(r, q).declared())
         flags = {}
     else:
         raise SpecError(f"unknown index-set type {kind!r}")

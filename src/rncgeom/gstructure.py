@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, GeneralPositionError, RncGeomError
 from .linalg import QMatrix, combine_rows, nullspace
+from .sampling import rand_invertible_matrix
 
 
 @dataclass(frozen=True)
@@ -111,8 +112,6 @@ def construct_structure(subspaces: Sequence, rng=None) -> TensorStructure:
 
     phis = annihilators[0]
     if rng is not None:
-        from .sampling import rand_invertible_matrix
-
         phis = rand_invertible_matrix(rng, r) @ phis
 
     # coordinates of phi_j in the basis of the sum of the annihilators of F_1..F_n;

@@ -1,5 +1,11 @@
 """Exact construction and certification of rational normal curves.
 
+The module holds the curve kernels that know no variety family:
+certification, incidence, interpolation through d+3 points, scroll
+sections, conics on quadrics and projectivities of P^1.  The spec classes
+of ``catalog`` build their curves from them, and ``sample_parameter_points``
+and ``fit_rnc_through`` dispatch to a spec's own sampler and fitter.
+
 The interpolation routine through d+3 points uses the classical frame
 normalization: d+2 points go to the coordinate simplex and unit point,
 the curve becomes x_i(t) = prod_{j != i} (t - b_j), and the nodes b_j are
@@ -16,27 +22,12 @@ cross minors when none of them verifies.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import combinations, zip_longest
 from typing import Sequence
 
-from . import catalog, sampling
-from .catalog import (
-    ConeStandard,
-    CubicSpecial,
-    QuadricVeronese,
-    Scroll,
-    ScrollSpec,
-    SegreSpecial,
-    StandardScroll,
-    Veronese,
-    Veronese33,
-    declared_class,
-)
 from .errors import (
     DegenerateCurveError,
     DimensionMismatchError,
@@ -45,22 +36,18 @@ from .errors import (
     InvariantError,
     RncGeomError,
     SpecError,
-    SplittingFieldRequiredError,
 )
-from .linalg import QMatrix, combine_rows, nullspace, rank, span_of
+from .linalg import QMatrix, nullspace, rank
 from .poly import (
     Polynomial,
     RationalCurve,
     _combine_ints,
     _gcd_ints,
     _mul_ints,
-    _power_product_ints,
     clear_denominators,
     curve_from_lists,
     curve_normalize,
-    integer_coefficients,
     primitive_part,
-    projective_compose,
 )
 
 
@@ -207,12 +194,14 @@ def rnc_through_points(
 class SectionFit:
     """Solution of the linear section system on a scroll."""
 
-    scroll: ScrollSpec
+    scroll: object  # a catalog.ScrollSpec
     polys: list  # P_0 .. P_r with deg P_k <= n-1-a_k
 
 
-def fit_scroll_section(a: ScrollSpec, samples: Sequence) -> SectionFit:
+def fit_scroll_section(a, samples: Sequence) -> SectionFit:
     """Section s_k = P_k(t)/P_0(t) through n sample points (t_i, s_i).
+
+    ``a`` is the scroll's degree vector, a ``catalog.ScrollSpec``.
 
     Homogeneous system of r n equations in r n + 1 coefficients; a
     generic sample leaves a one-dimensional solution space.
@@ -338,23 +327,18 @@ def _products_but_one(pairs) -> list:
 
 
 # ---------------------------------------------------------------------------
-# the fitters of the families
+# curves of a spec's class through points
 # ---------------------------------------------------------------------------
 #
-# Every family draws n parameter points of Q^{r+1} for its class (r, n, q):
-# a sampler is called as sampler(rng, n, r + 1), a fitter as
-# fitter(spec, points), with the points already checked by
-# fit_rnc_through; a fitter draws nothing, so its curve is a function of
-# the points.  The curve carries the parameter pair (s : u) of each point,
-# in their order.  The table _FAMILY_ROWS at the end of the module holds
-# one row per family.
+# The two dispatchers read a spec's class (r, n, q) (``declared()``), its
+# parameter sampler (``sampler``) and its fitter (``fit``); the spec
+# classes of ``catalog`` hold them.
 
 
 def sample_parameter_points(spec, rng: random.Random):
     """Random parameter points matching the spec's class size n."""
-    sampler, _ = _family_row(spec)
-    params = declared_class(spec)
-    return sampler(rng, params.n, params.r + 1)
+    params = _declared(spec)
+    return spec.sampler(rng, params.n, params.r + 1)
 
 
 def fit_rnc_through(spec, points) -> RationalCurve:
@@ -365,244 +349,17 @@ def fit_rnc_through(spec, points) -> RationalCurve:
     here for every fitter.  Genericity failures raise GenericityError so
     callers can resample.
     """
-    _, fitter = _family_row(spec)
-    params = declared_class(spec)
+    params = _declared(spec)
     pts = [tuple(Fraction(x) for x in p) for p in points]
     if len(pts) != params.n or any(len(p) != params.r + 1 for p in pts):
         raise DimensionMismatchError(
             f"{spec.family} needs {params.n} parameter points in Q^{params.r + 1}"
         )
-    return fitter(spec, pts)
+    return spec.fit(pts)
 
 
-def _family_row(spec):
-    row = _FAMILY_ROWS.get(type(spec))
-    if row is None:
+def _declared(spec):
+    """The class (r, n, q) of a spec; SpecError for any other object."""
+    if not all(hasattr(spec, name) for name in ("declared", "sampler", "fit")):
         raise SpecError(f"unknown spec {spec!r}")
-    return row
-
-
-def _through_chart(spec, weights, degree: int, args, params) -> RationalCurve:
-    """Image of a parameter curve under the chart of ``spec``.
-
-    ``args`` are the coefficient lists substituted for the leading
-    variable and the chart variables of ``_chart_forms``.  The image
-    carries ``params``, the pairs of the input points.
-    """
-    forms = _chart_forms(spec, weights, degree)
-    return curve_from_lists(projective_compose(forms, args), params)
-
-
-@cache
-def _chart_forms(spec, weights, degree: int) -> tuple:
-    """The chart [1 : spec.components()] homogenized to ``degree``, with
-    one weight per chart variable and a new leading variable.
-
-    Built once per (spec, weights, degree) per process and shared by
-    every fit; the cache is unbounded, since its keys are the specs a
-    process fits.
-    """
-    comps = [Polynomial.one(len(weights))] + spec.components()
-    return tuple(c.homogenize(degree, weights) for c in comps)
-
-
-def _fit_veronese_line(spec: Veronese, points) -> RationalCurve:
-    u, v = points
-    if u == v:
-        raise GeneralPositionError("the two parameter points coincide")
-    args = [[1]] + [[ui, vi - ui] for ui, vi in zip(u, v)]
-    return _through_chart(spec, (1,) * spec.dim, spec.order, args, [(0, 1), (1, 1)])
-
-
-def _fit_standard_scroll(spec: StandardScroll, points) -> RationalCurve:
-    samples = [(p[0], tuple(p[1:])) for p in points]
-    fit = fit_scroll_section(spec.a, samples)
-    for t, _ in samples:
-        if fit.polys[0].eval((t,)) == 0:
-            raise GenericityError("P_0 vanishes at a sample parameter")
-    # the chart forms are homogeneous of degree rho in (x0, s) under the
-    # weights (0, 1, .., 1), so clearing P_0 .. P_r by one common factor
-    # scales every component alike
-    p0, *prest = integer_coefficients(fit.polys)[0]
-    args = [p0, [0, 1]] + prest
-    params = [(t, 1) for t, _ in samples]
-    return _through_chart(spec, (0,) + (1,) * spec.a.r, spec.rho, args, params)
-
-
-def _fit_segre(spec: SegreSpecial, points) -> RationalCurve:
-    r = spec.r
-    taus = [p[0] for p in points]
-    if len(set(taus)) != 3:
-        raise GeneralPositionError("tau values must be distinct")
-    qf = spec.form()
-    quadric_pts = [
-        (Fraction(1),) + p[1:] + (qf.eval(p[1:]),) for p in points
-    ]
-    # ambient quadric U_0 U_{r+1} = q(U_1..U_r)
-    size = r + 2
-    m = [[Fraction(0)] * size for _ in range(size)]
-    m[0][size - 1] = Fraction(1, 2)
-    m[size - 1][0] = Fraction(1, 2)
-    qmat_inner = qf.matrix()
-    for i in range(r):
-        for j in range(r):
-            m[1 + i][1 + j] = -qmat_inner.entries[i][j]
-    conic = conic_on_quadric(QMatrix(m), *quadric_pts)
-    # the pencil is in (u : s), the variable order of the homogenized conic
-    targets = [(u, s) for s, u in conic.params]
-    mat = projectivity_p1([(Fraction(1), tau) for tau in taus], targets)
-    # the g share one scale factor, which curve_normalize strips
-    g = projective_compose([c.homogenize(2, (1,)) for c in conic.components], mat.entries)
-    tg = [[0] + x if x else x for x in g]  # t g, a shifted list
-    # chart order [1, t, s, t s, q, t q] over g = (g0, gs, gq)
-    comps = g[:1] + tg[:1] + g[1 : r + 1] + tg[1 : r + 1] + g[r + 1 :] + tg[r + 1 :]
-    return curve_from_lists(comps, [(tau, 1) for tau in taus])
-
-
-def _fit_quadric_veronese(spec: QuadricVeronese, points) -> RationalCurve:
-    """Plane section of the quadric pushed through the order-rho system.
-
-    The curve-through-points construction for this family is not spelled
-    out in the classification; the route here (plane through the three
-    quadric points, conic in that plane, pushforward) is the natural
-    reading of the degree-2rho section count and is certified after the
-    fact by the degree/span/incidence checks.
-    """
-    r, rho = spec.r, spec.rho
-    h = spec.form()
-    lifted = [(Fraction(1), -h.eval(p)) + p for p in points]
-    # U_0 U_1 + h(U_2..U_{r+2}) is the hyperbolic normal form of its rank
-    quadric = catalog.QuadraticForm(spec.rank, r + 3)
-    conic = conic_on_quadric(quadric.matrix(), *lifted)
-    lists = conic.integer_lists()  # U_0, U_1 .. U_{r+2} along the conic
-    if not lists[0]:
-        raise GenericityError("conic lies in the hyperplane at infinity")
-    block_a, block_b = catalog.quadric_veronese_blocks(r, rho)
-    # over (U_0, U_1, ..): U_0^rho, block A over U_1.., block B over U_0, U_2..
-    exponents = [(rho,) + (0,) * (r + 2)]
-    exponents += [(0,) + beta for beta in block_a]
-    exponents += [(rho - sum(gamma), 0) + gamma for gamma in block_b]
-    powers = [[[1], x] for x in lists]
-    comps = [_power_product_ints(powers, expo) for expo in exponents]
-    return curve_from_lists(comps, conic.params)
-
-
-def _fit_cone(spec: ConeStandard, points) -> RationalCurve:
-    """The conic through the plane points (1, t1, t2), with each s_j
-    interpolated along it as S_j / x0^2.
-
-    S_j is the quartic whose binary form takes the value s_j(p) X0^2 at the
-    parameter pair of each of the five points p, X0 the conic's first
-    component read as a binary form of degree 2 at that pair.  By Lagrange
-    on binary forms, S_j is the sum over the pairs (s_i, u_i) of that value
-    times the product of u_k t - s_k over k != i, divided by the product of
-    u_k s_i - s_k u_i; a pair may be (1 : 0).
-    """
-    r = spec.r
-    plane_pts = [(Fraction(1), p[0], p[1]) for p in points]
-    conic = rnc_through_points(2, plane_pts)
-    values = conic.witness_values()
-    # holds by construction: the frame sends each parameter to its point
-    for value, pt in zip(values, plane_pts):
-        if not _is_multiple(value, clear_denominators(pt)[0]):
-            raise InvariantError("conic parametrization missed a point")
-    # the pairs as eval_homogeneous cleared them for the values
-    pairs = [clear_denominators(pair)[0] for pair in conic.params]
-    lists = _products_but_one(pairs)
-    dens = [
-        math.prod(u * si - s * ui for k, (s, u) in enumerate(pairs) if k != i)
-        for i, (si, ui) in enumerate(pairs)
-    ]
-    spolys = []
-    for j in range(2, r + 1):
-        coeffs, den = clear_denominators(
-            [p[j] * v[0] ** 2 / d for p, v, d in zip(points, values, dens)]
-        )
-        spolys.append([Fraction(c, den) for c in _combine_ints(coeffs, lists)])
-    args = conic.integer_lists() + spolys
-    return _through_chart(spec, (1, 1) + (2,) * (r - 1), spec.q // 2, args, conic.params)
-
-
-def _fit_veronese33(spec: Veronese33, points) -> RationalCurve:
-    """Twisted cubic through the six lifted points, pushed through the cubics."""
-    lifted = [(Fraction(1),) + p for p in points]
-    gamma = rnc_through_points(3, lifted)
-    return _through_chart(spec, (1, 1, 1), 3, gamma.integer_lists(), gamma.params)
-
-
-def _isqrt_fraction(value: Fraction):
-    """Exact square root of a non-negative rational, or None."""
-    if value < 0:
-        return None
-    num = math.isqrt(value.numerator)
-    den = math.isqrt(value.denominator)
-    if num * num == value.numerator and den * den == value.denominator:
-        return Fraction(num, den)
-    return None
-
-
-def _fit_cubic_special(spec: CubicSpecial, points) -> RationalCurve:
-    r = spec.r
-    lifted = [(Fraction(1),) + p for p in points]
-    span4 = span_of(lifted, r + 1)
-    if span4.dim != 3:
-        raise GenericityError("the four points do not span a P^3")
-    lift = QMatrix(span4.basis).transpose()
-    # the points of the span with T0 = T1 = 0
-    line = span_of([lift.matvec(c) for c in nullspace(lift.entries[:2], 4)], r + 1)
-    if line.dim != 1:
-        raise GenericityError("span meets {T0 = T1 = 0} in the wrong dimension")
-    w1, w2 = line.basis
-    qf = spec.form()
-
-    def qeval(vec):
-        return qf.eval(vec[2:])
-
-    a = qeval(w1)
-    c = qeval(w2)
-    b = qeval(tuple(x + y for x, y in zip(w1, w2))) - a - c
-    roots = []
-    if a == 0:
-        if b == 0:
-            raise GeneralPositionError("double intersection with the quadric")
-        roots = [(Fraction(1), Fraction(0)), (-c, b)]
-    else:
-        disc = b * b - 4 * a * c
-        if disc == 0:
-            raise GeneralPositionError("double intersection with the quadric")
-        root = _isqrt_fraction(disc)
-        if root is None:
-            raise SplittingFieldRequiredError(disc)
-        roots = [((-b + root) / (2 * a), Fraction(1)), ((-b - root) / (2 * a), Fraction(1))]
-    qpts = []
-    for lam, mu in roots:
-        qpts.append(tuple(lam * x + mu * y for x, y in zip(w1, w2)))
-
-    # the basis is in reduced echelon form: a point of the span has its
-    # coordinates at the pivot columns
-    six_in_p3 = []
-    for p in lifted + qpts:
-        coords = tuple(p[c] for c in span4.pivots)
-        if combine_rows(coords, span4.basis) != p:
-            raise InvariantError("intersection point escaped the span")
-        six_in_p3.append(coords)
-    gamma3 = rnc_through_points(3, six_in_p3)
-    ambient = [_combine_ints(row, gamma3.integer_lists()) for row in lift.cleared[0]]
-    # the last two of the six points are the quadric points, not input points
-    return _through_chart(spec, (1,) * (r + 1), 3, ambient, gamma3.params[:4])
-
-
-# spec class -> (parameter sampler, fitter)
-_FAMILY_ROWS = {
-    Veronese: (sampling.rand_distinct_points, _fit_veronese_line),
-    Scroll: (
-        sampling.rand_points_distinct_first_coord,
-        lambda spec, points: _fit_standard_scroll(spec.standard(), points),
-    ),
-    StandardScroll: (sampling.rand_points_distinct_first_coord, _fit_standard_scroll),
-    ConeStandard: (sampling.rand_points, _fit_cone),
-    QuadricVeronese: (sampling.rand_points, _fit_quadric_veronese),
-    SegreSpecial: (sampling.rand_points_distinct_first_coord, _fit_segre),
-    CubicSpecial: (sampling.rand_points, _fit_cubic_special),
-    Veronese33: (sampling.rand_points, _fit_veronese33),
-}
+    return spec.declared()

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 from .errors import GenericityError
+from .linalg import QMatrix
 
 NUMERATOR_RANGE = (-9, 9)
 DENOMINATORS = (1, 2, 3)
@@ -58,8 +59,6 @@ def rand_points_distinct_first_coord(rng: random.Random, count: int, length: int
 
 
 def rand_invertible_matrix(rng: random.Random, n: int):
-    from .linalg import QMatrix
-
     for _ in range(MAX_RETRIES + 1):
         m = QMatrix([rand_vector(rng, n) for _ in range(n)])
         if m.is_invertible():

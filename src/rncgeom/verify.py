@@ -3,6 +3,8 @@
 Every campaign is driven by a seed and a trial count; exact genericity
 failures trigger bounded resampling and, when persistent, an explicit
 "inconclusive" verdict distinct from "fail".  All comparisons are exact.
+The campaigns know no family: they reach a spec's curves through
+``rnc`` and its specialness witness through ``spec.witness()``.
 """
 
 from __future__ import annotations
@@ -15,11 +17,6 @@ from typing import Optional
 from . import catalog, rnc
 from .catalog import (
     ClassParams,
-    CubicSpecial,
-    ScrollSpec,
-    SegreSpecial,
-    StandardScroll,
-    Veronese33,
     declared_class,
     pi,
     pi_formula,
@@ -35,15 +32,13 @@ from .errors import (
     SplittingFieldRequiredError,
 )
 from .osculation import (
-    Parametrization,
     contact_locus_dim_monomial,
     osculating_projection_map,
     project_curve,
-    regularity_order,
 )
-from .poly import Polynomial, eval_homogeneous
+from .poly import eval_homogeneous
 from .rnc import certify_curve, curve_contains_point
-from .sampling import MAX_RETRIES, rand_rational
+from .sampling import MAX_RETRIES, rand_distinct_rationals
 
 RESAMPLE_ERRORS = (
     GenericityError,
@@ -252,11 +247,7 @@ def verify_veronese_projection(
         )
         record["projected_incidence"] = incidence
 
-        tvals = []
-        while len(tvals) < 3:
-            t = rand_rational(rng)
-            if t not in tvals:
-                tvals.append(t)
+        tvals = rand_distinct_rationals(rng, 3)
         # a normalized curve has no base point, so no value is zero
         values = eval_homogeneous(proj_curve.integer_lists(), [(t, 1) for t in tvals])
         injective = not any(
@@ -319,132 +310,12 @@ class SpecialnessWitness:
         }
 
 
-def _zero_poly_check(variety: Parametrization, substitution) -> bool:
-    """All components of degree >= 2 vanish identically under a substitution."""
-    for comp in variety.components[1:]:
-        if comp.total_degree() >= 2 and not comp.compose(substitution).is_zero():
-            return False
-    return True
-
-
-def _quadric_zero_samples(form: catalog.QuadraticForm, rng: random.Random, count=5):
-    """Rational points of q(s) = 0 through the hyperbolic presentation."""
-    out = []
-    guard = 0
-    while len(out) < count and guard < 100 * count:
-        guard += 1
-        s = [rand_rational(rng) for _ in range(form.nvars)]
-        if form.rank == 1:
-            s[0] = Fraction(0)
-        else:
-            # q = x0 x1 + h(x2, ...): solve for x0 and for x1 in turn, so
-            # that both planes of a rank-2 form are sampled
-            solved = len(out) % 2
-            other = 1 - solved
-            if s[other] == 0:
-                continue
-            s[solved] = Fraction(0)
-            s[solved] = -form.eval(s) / s[other]
-        if form.eval(s) == 0:
-            out.append(tuple(s))
-    return out
-
-
-def _quadric_component_contained(variety: Parametrization, form, seed: int):
-    """Whether {t = 0, q(s) = 0} lies on the variety at sampled zeros of q.
-
-    Returns the verdict and the number of zeros sampled.
-    """
-    samples = _quadric_zero_samples(form, random.Random(seed))
-    contained = all(
-        all(
-            c.eval((Fraction(0),) + s) == 0
-            for c in variety.components[1:]
-            if c.total_degree() >= 2
-        )
-        for s in samples
-    )
-    return contained, len(samples)
-
-
-def _segre_witness(spec: SegreSpecial, doc: dict) -> SpecialnessWitness:
-    r = spec.r
-    variety = catalog.make_variety(spec)
-    t = Polynomial.variable(1, 0)
-    # line component {s = 0}
-    line_ok = _zero_poly_check(variety, [t] + [Polynomial.zero(1)] * r)
-    quad_ok, count = _quadric_component_contained(variety, spec.form(), 11)
-    measured = max(1, r - 1)
-    details = {
-        "line_component_contained": line_ok,
-        "quadric_component_contained": quad_ok,
-        "quadric_samples": count,
-        "components": ["{s = 0}", "{t = 0, q(s) = 0}"],
-    }
-    verdict = "special" if (line_ok and quad_ok and measured < r) else "standard-compatible"
-    return SpecialnessWitness(doc, "contact-dimension", measured, r, verdict, details)
-
-
-def _cubic_witness(spec: CubicSpecial, doc: dict) -> SpecialnessWitness:
-    r = spec.r
-    variety = catalog.make_variety(spec)
-    quad_ok, count = _quadric_component_contained(variety, spec.form(), 13)
-    measured = r - 1
-    details = {
-        "quadric_component_contained": quad_ok,
-        "quadric_samples": count,
-        "components": ["{t = 0, q(s) = 0}"],
-    }
-    verdict = "special" if (quad_ok and measured < r) else "standard-compatible"
-    return SpecialnessWitness(doc, "contact-dimension", measured, r, verdict, details)
-
-
-def _veronese33_witness(spec: Veronese33, doc: dict) -> SpecialnessWitness:
-    variety = catalog.make_variety(spec)
-    rng = random.Random(17)
-    point = tuple(rand_rational(rng) for _ in range(3))
-    measured = regularity_order(variety, point)
-    refs = {}
-    scroll = ScrollSpec((2, 2, 1))
-    for label, (rho, chi) in (("A(1,4)", (1, 4)), ("A(2,-1)", (2, -1))):
-        model = catalog.make_variety(StandardScroll(scroll, rho, chi))
-        origin = (Fraction(0),) * 3
-        refs[label] = regularity_order(model, origin)
-    reference = max(refs.values())
-    details = {"standard_orders": refs, "scroll": list(scroll.degrees)}
-    verdict = "special" if measured == 3 and all(v < 3 for v in refs.values()) else "standard-compatible"
-    return SpecialnessWitness(doc, "regularity-order", measured, reference, verdict, details)
-
-
-def _standard_scroll_witness(spec: StandardScroll, doc: dict) -> SpecialnessWitness:
-    params = declared_class(spec)
-    index_set = catalog.build_A(spec.a, spec.rho, spec.chi)
-    measured = contact_locus_dim_monomial(
-        index_set.sorted_indices(), index_set.nvars, spec.rho
-    )
-    details = {"contact_order": spec.rho}
-    verdict = "standard-compatible" if measured == params.r else "special"
-    return SpecialnessWitness(
-        doc, "contact-dimension", measured, params.r, verdict, details
-    )
-
-
-# spec class -> specialness witness; the other families have none
-_WITNESSES = {
-    SegreSpecial: _segre_witness,
-    CubicSpecial: _cubic_witness,
-    Veronese33: _veronese33_witness,
-    StandardScroll: _standard_scroll_witness,
-}
-
-
 def specialness_witness(spec) -> SpecialnessWitness:
     """Separating invariant distinguishing a spec from the standard models."""
     doc = spec_to_json(spec)
-    witness = _WITNESSES.get(type(spec))
-    if witness is None:
+    if not hasattr(spec, "witness"):
         raise SpecError(f"no specialness witness for {spec!r}")
-    return witness(spec, doc)
+    return SpecialnessWitness(doc, *spec.witness())
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +341,7 @@ class InequivalenceReport:
         }
 
 
-def inequivalence_invariants(a: ScrollSpec, rho: int) -> InequivalenceReport:
+def inequivalence_invariants(a: catalog.ScrollSpec, rho: int) -> InequivalenceReport:
     """Compare the two standard models A(rho, -1) and A(rho-1, n-2).
 
     Cone scrolls give the same index set; n=3 balanced scrolls are

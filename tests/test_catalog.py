@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from rncgeom import catalog
+from rncgeom import catalog, rnc, verify
 from rncgeom.catalog import (
     ClassParams,
     ConeStandard,
@@ -394,3 +394,34 @@ class TestJsonRoundTrip:
         for doc in docs:
             with pytest.raises(SpecError):
                 spec_from_json(doc)
+
+
+class TestFamiliesHoldTheirCurves:
+    """A spec class is the one place its family is described."""
+
+    def test_rnc_binds_nothing_of_the_catalog(self):
+        bound = [
+            name
+            for name, value in vars(rnc).items()
+            if value is catalog or getattr(value, "__module__", None) == catalog.__name__
+        ]
+        assert bound == []
+
+    def test_every_family_samples_and_fits(self):
+        with_witness = set()
+        for cls in catalog.FAMILIES.values():
+            assert callable(cls.sampler) and callable(cls.fit)
+            if hasattr(cls, "witness"):
+                assert callable(cls.witness)
+                with_witness.add(cls)
+        assert with_witness == {SegreSpecial, CubicSpecial, Veronese33, StandardScroll}
+
+    def test_an_object_that_is_no_spec_is_rejected(self):
+        with pytest.raises(SpecError):
+            rnc.fit_rnc_through(object(), [])
+        with pytest.raises(SpecError):
+            rnc.sample_parameter_points(object(), random.Random(0))
+
+    def test_a_family_without_a_witness_is_rejected(self):
+        with pytest.raises(SpecError, match="no specialness witness"):
+            verify.specialness_witness(Veronese(2, 2))

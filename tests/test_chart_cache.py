@@ -43,7 +43,7 @@ PROJECTION_SPECS = [s for s in ONE_PER_FAMILY if isinstance(s, PROJECTION_FAMILI
 
 def clear_chart_caches():
     catalog.make_variety.cache_clear()
-    rnc._chart_forms.cache_clear()
+    catalog._chart_forms.cache_clear()
 
 
 def counting(monkeypatch, owner, name):

@@ -374,7 +374,7 @@ def reference_fit_cone(spec, points) -> RationalCurve:
         [c.coefficient((k,)) for k in range(c.total_degree() + 1)]
         for c in list(conic.components) + spolys
     ]
-    return rnc._through_chart(spec, (1, 1) + (2,) * (r - 1), spec.q // 2, args, params)
+    return catalog._through_chart(spec, (1, 1) + (2,) * (r - 1), spec.q // 2, args, params)
 
 
 def _random_points(spec, seed):
@@ -391,7 +391,7 @@ class TestFittersOnLists:
     )
     def test_cone_matches_reference(self, spec, seed):
         points = _random_points(spec, seed)
-        assert _outcome(rnc._fit_cone, spec, points) == _outcome(
+        assert _outcome(ConeStandard.fit, spec, points) == _outcome(
             reference_fit_cone, spec, points
         )
 
@@ -404,7 +404,7 @@ class TestFittersOnLists:
     )
     def test_quadric_veronese_matches_reference(self, spec, seed):
         points = _random_points(spec, seed)
-        assert _outcome(rnc._fit_quadric_veronese, spec, points) == _outcome(
+        assert _outcome(QuadricVeronese.fit, spec, points) == _outcome(
             reference_fit_quadric_veronese, spec, points
         )
 

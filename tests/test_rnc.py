@@ -479,7 +479,7 @@ class TestConicOnQuadric:
     @settings(max_examples=40, deadline=None)
     @given(rank=st.integers(3, 5), extra=st.integers(0, 1), data=st.data())
     def test_carried_pairs_reach_their_points(self, rank, extra, data):
-        # points of q = 0 drawn like verify._quadric_zero_samples: x0 solves for q
+        # points of q = 0 drawn like catalog._quadric_zero_samples: x0 solves for q
         form = catalog.QuadraticForm(rank, rank + extra)
         coord = st.fractions(-4, 4, max_denominator=3)
         pts = []

@@ -194,20 +194,20 @@ class TestExhaustedTrial:
     def test_conic_parametrization_check_is_an_invariant(self, monkeypatch):
         # the check compares the conic at each reported parameter with its
         # plane point; shifting the finite parameters by one breaks it
-        real_fit = rnc.rnc_through_points
+        real_fit = catalog.rnc_through_points
 
         def shifted(d, points, free_params=(0, -1)):
             curve = real_fit(d, points, free_params)
             params = [(s + u, u) for s, u in curve.params]
             return curve_normalize(RationalCurve(curve.components, params))
 
-        monkeypatch.setattr(rnc, "rnc_through_points", shifted)
+        monkeypatch.setattr(catalog, "rnc_through_points", shifted)
         with pytest.raises(InvariantError, match="conic parametrization missed a point"):
             verify.verify_membership(ConeStandard(1, 4), trials=1, seed=0)
 
     def test_span_coordinates_check_is_an_invariant(self, monkeypatch):
         # the check rebuilds each point of the P^3 from its pivot coordinates
-        monkeypatch.setattr(rnc, "combine_rows", lambda coeffs, rows: ())
+        monkeypatch.setattr(catalog, "combine_rows", lambda coeffs, rows: ())
         with pytest.raises(InvariantError, match="intersection point escaped the span"):
             verify.verify_membership(CubicSpecial(2, 2), trials=1, seed=0)
 
@@ -254,9 +254,9 @@ class TestProjection:
         t = Polynomial.variable(1, 0)
         comps = [Polynomial.one(1), t**exponent, t ** (2 * exponent)]
         curve = curve_normalize(RationalCurve(comps))
-        samples = iter([F(1), F(-1), F(2)])
+        samples = (F(1), F(-1), F(2))
         monkeypatch.setattr(verify, "project_curve", lambda proj, fitted: curve)
-        monkeypatch.setattr(verify, "rand_rational", lambda rng: next(samples))
+        monkeypatch.setattr(verify, "rand_distinct_rationals", lambda rng, count: samples)
         report = verify.verify_veronese_projection(Scroll(ScrollSpec((1, 1))), trials=1, seed=0)
         assert report.trials[0]["injective_at_samples"] is injective
 
@@ -271,14 +271,14 @@ class TestProjection:
 class TestQuadricZeroSamples:
     def test_rank_two_samples_both_planes(self):
         # x0 x1 = 0 is the union of {x0 = 0} and {x1 = 0}
-        samples = verify._quadric_zero_samples(SegreSpecial(2, 4).form(), random.Random(11))
+        samples = catalog._quadric_zero_samples(SegreSpecial(2, 4).form(), random.Random(11))
         assert any(s[0] == 0 != s[1] for s in samples)
         assert any(s[1] == 0 != s[0] for s in samples)
 
     @pytest.mark.parametrize("rank", range(1, 6))
     def test_every_sample_is_a_zero(self, rank):
         form = catalog.QuadraticForm(rank, 5)
-        samples = verify._quadric_zero_samples(form, random.Random(rank))
+        samples = catalog._quadric_zero_samples(form, random.Random(rank))
         assert len(samples) == 5
         assert all(form.eval(s) == 0 for s in samples)
 
