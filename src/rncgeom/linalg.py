@@ -7,12 +7,11 @@ membership and join tests purely structural.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatchError, DirectSumError, RncGeomError
-from .poly import clear_denominators, combine, primitive_part
+from .poly import clear_denominators, combine
 
 
 def _frac_row(row) -> tuple:
@@ -20,67 +19,123 @@ def _frac_row(row) -> tuple:
 
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
-def rref(rows: Sequence[Sequence], ncols=None):
-    """Reduced row echelon form.
+def _echelon(rows: Sequence[Sequence], ncols=None):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination on the given rows.
 
-    Returns ``(rows, pivots)`` with zero rows dropped and unit pivots.
-    Elimination runs on integer rows, each kept free of content, so the
-    only division is that of each pivot row by its pivot, at the end.
+    Returns ``(rows, pivots, free, den)``: row i of the reduced row echelon
+    form is ``den`` at ``pivots[i]``, 0 at the other pivots and ``rows[i][k]``
+    at ``free[k]``, all over ``den``.  Zero rows are dropped.  Each input row
+    is cleared of its own denominators.  Every later step is
+    ``(p*x - a*y) / prev`` with ``p`` the new pivot and ``prev`` the one
+    before it; the division is exact, since every entry is then a minor of
+    the cleared matrix, so no gcd is taken.  A row holds the free columns
+    found so far and then the columns not yet reached: a pivot column is
+    dropped once chosen, and a free one stays where it is.
     """
-    work = [primitive_part(clear_denominators(r)[0]) for r in rows]
+    work = [clear_denominators(r)[0] for r in rows]
     if ncols is None:
         ncols = len(work[0]) if work else 0
     for r in work:
         if len(r) != ncols:
             raise DimensionMismatchError("ragged matrix")
     pivots = []
-    row = 0
+    nfree = 0  # the column being reached sits at this index of every row
+    prev = 1
+    height = len(work)
     for col in range(ncols):
-        pivot_row = None
-        for i in range(row, len(work)):
-            if work[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[row], work[pivot_row] = work[pivot_row], work[row]
-        prow = work[row]
-        p = prow[col]
-        for i in range(len(work)):
-            a = work[i][col]
-            if i != row and a != 0:
-                g = math.gcd(p, a)
-                pg, ag = p // g, a // g
-                new = [pg * x - ag * y for x, y in zip(work[i], prow)]
-                content = math.gcd(*new)
-                work[i] = [x // content for x in new] if content > 1 else new
-        pivots.append(col)
-        row += 1
-        if row == len(work):
+        row = len(pivots)
+        if row == height:
             break
-    reduced = [
-        tuple(Fraction(x, r[c]) if x else _ZERO for x in r)
-        for r, c in zip(work[:row], pivots)
-    ]
+        for i in range(row, height):
+            if work[i][nfree]:
+                break
+        else:
+            nfree += 1
+            continue
+        work[row], work[i] = work[i], work[row]
+        prow = work[row]
+        p = prow.pop(nfree)
+        for i, r in enumerate(work):
+            if i != row:
+                a = r.pop(nfree)
+                if a:
+                    work[i] = [(p * x - a * y) // prev for x, y in zip(r, prow)]
+                elif p != prev:
+                    work[i] = [p * x // prev for x in r]
+        pivots.append(col)
+        prev = p
+    piv = set(pivots)
+    free = [c for c in range(ncols) if c not in piv]
+    return work[: len(pivots)], pivots, free, prev
+
+
+def rref(rows: Sequence[Sequence], ncols=None):
+    """Reduced row echelon form.
+
+    Returns ``(rows, pivots)`` with zero rows dropped and unit pivots, built
+    from the integer rows of ``_echelon``.
+    """
+    ints, pivots, free, den = _echelon(rows, ncols)
+    ncols = len(pivots) + len(free)
+    reduced = []
+    for r, c in zip(ints, pivots):
+        vec = [_ZERO] * ncols
+        vec[c] = _ONE
+        for f, x in zip(free, r):
+            if x:
+                vec[f] = Fraction(x, den)
+        reduced.append(tuple(vec))
     return reduced, pivots
 
 
 def rank(rows, ncols=None) -> int:
-    return len(rref(rows, ncols)[0])
+    return len(_echelon(rows, ncols)[1])
+
+
+_PRIME = 2**61 - 1
+
+
+def integer_rank(rows, ncols: int) -> int:
+    """``rank`` of an integer matrix, certified modulo the prime 2^61 - 1.
+
+    A minor that is nonzero modulo p is a nonzero integer, so the rank over
+    Q is at least the rank modulo p.  A full rank modulo p is therefore the
+    answer, and only a drop runs the exact ``rank``.
+    """
+    if any(len(r) != ncols for r in rows):
+        raise DimensionMismatchError("ragged matrix")
+    basis = []  # (c, b): b is 1 at c and 0 at the pivots of the rows before it
+    for r in rows:
+        v = [x % _PRIME for x in r]
+        for c, b in basis:
+            a = v[c]
+            if a:
+                v = [(x - a * y) % _PRIME for x, y in zip(v, b)]
+        c = next((i for i, x in enumerate(v) if x), None)
+        if c is not None:
+            inv = pow(v[c], -1, _PRIME)
+            basis.append((c, [x * inv % _PRIME for x in v]))
+    if len(basis) == min(len(rows), ncols):
+        return len(basis)
+    return rank(rows, ncols)
 
 
 def nullspace(rows, ncols: int):
-    """Basis (tuples) of the right kernel of the given row matrix."""
-    reduced, pivots = rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
+    """Basis (tuples) of the right kernel of the given row matrix.
+
+    One vector per free column, 1 there and 0 at the other free columns.
+    """
+    ints, pivots, free, den = _echelon(rows, ncols)
     basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, p in zip(reduced, pivots):
-            vec[p] = -r[f]
+    for k, f in enumerate(free):
+        vec = [_ZERO] * ncols
+        vec[f] = _ONE
+        for r, c in zip(ints, pivots):
+            if r[k]:
+                vec[c] = Fraction(-r[k], den)
         basis.append(tuple(vec))
     return basis
 
@@ -178,10 +233,10 @@ class QMatrix:
         if n != self.ncols:
             raise RncGeomError("inverse of a non-square matrix")
         aug = [list(self.entries[i]) + [int(j == i) for j in range(n)] for i in range(n)]
-        reduced, pivots = rref(aug, 2 * n)
-        if pivots[:n] != list(range(n)) or len(reduced) < n:
+        ints, pivots, _, den = _echelon(aug, 2 * n)
+        if pivots[:n] != list(range(n)):
             raise RncGeomError("matrix is singular")
-        return QMatrix([r[n:] for r in reduced])
+        return QMatrix([[Fraction(x, den) if x else _ZERO for x in r] for r in ints])
 
     def __eq__(self, other):
         if not isinstance(other, QMatrix):

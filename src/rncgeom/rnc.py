@@ -37,7 +37,7 @@ from .errors import (
     RncGeomError,
     SpecError,
 )
-from .linalg import QMatrix, nullspace, rank
+from .linalg import QMatrix, integer_rank, nullspace
 from .poly import (
     Polynomial,
     RationalCurve,
@@ -64,14 +64,18 @@ class CurveCertificate:
 
 
 def certify_curve(curve: RationalCurve) -> CurveCertificate:
-    """Exact degree and span of a curve; degree = span characterizes RNCs."""
+    """Exact degree and span of a curve; degree = span characterizes RNCs.
+
+    The span is the rank of the integer coefficient matrix, which a full
+    rank modulo a prime certifies without exact elimination (``integer_rank``).
+    """
     c = curve_normalize(curve)
     degree = c.degree()
     if degree < 1:
         raise DegenerateCurveError("constant curve has no certificate")
     lists = c.integer_lists()
     rows = [[x[k] if k < len(x) else 0 for x in lists] for k in range(degree + 1)]
-    span_dim = rank(rows, c.ambient_dim + 1) - 1
+    span_dim = integer_rank(rows, c.ambient_dim + 1) - 1
     return CurveCertificate(degree, span_dim, degree == span_dim)
 
 

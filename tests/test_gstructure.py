@@ -216,13 +216,13 @@ class TestTypeCheckOracle:
         else:
             rows = random_codim_r(rng, r, n)
         calls = []
-        original = linalg.rref
+        original = linalg._echelon
 
         def counting(rows, ncols=None):
             calls.append(rows)
             return original(rows, ncols)
 
-        with mock.patch.object(linalg, "rref", counting):
+        with mock.patch.object(linalg, "_echelon", counting):
             result = is_type_subspace(structure, rows)
         assert (result is not None) == (kind == "type" or r == 1)
         assert len(calls) == 1
@@ -303,13 +303,13 @@ class TestCachedInverse:
         # construction, the type checks or a relation
         subs, _ = general_position_family(random.Random(15), 3, 3)
         reduced = []
-        original = linalg.rref
+        original = linalg._echelon
 
         def counting(rows, ncols=None):
             reduced.append([tuple(row) for row in rows])
             return original(rows, ncols)
 
-        with mock.patch.object(linalg, "rref", counting):
+        with mock.patch.object(linalg, "_echelon", counting):
             structure = construct_structure(subs)
             other = construct_structure(subs, rng=random.Random(97))
             for sub in subs:
@@ -326,13 +326,13 @@ class TestCachedInverse:
         subs, _ = general_position_family(random.Random(18), 2, 3)
         given = [[tuple(F(x) for x in row) for row in sub] for sub in subs]
         reduced = []
-        original = linalg.rref
+        original = linalg._echelon
 
         def counting(rows, ncols=None):
             reduced.append([tuple(F(x) for x in row) for row in rows])
             return original(rows, ncols)
 
-        with mock.patch.object(linalg, "rref", counting):
+        with mock.patch.object(linalg, "_echelon", counting):
             structure = construct_structure(subs)
             assert [reduced.count(sub) for sub in given] == [1] * len(subs)
             reduced.clear()

@@ -74,6 +74,13 @@ class TestCertify:
         with pytest.raises(DegenerateCurveError):
             certify_curve(RationalCurve([Polynomial.one(1), Polynomial.one(1)]))
 
+    def test_span_that_drops_only_modulo_the_prime(self):
+        # (1 : p t) has coefficient matrix [[1, 0], [0, p]], of rank 1
+        # modulo p = 2^61 - 1 and rank 2 over Q: the exact rank decides
+        p = 2**61 - 1
+        cert = certify_curve(poly.curve_from_lists([[1], [0, p]]))
+        assert (cert.degree, cert.span_dim, cert.is_rnc) == (1, 1, True)
+
     def test_span_equals_osculating_regularity(self):
         # dual route: coefficient-matrix rank against derivative ranks at
         # a generic point (the span of an irreducible curve equals its
@@ -372,8 +379,8 @@ class TestRncThroughPoints:
             return wrapper
 
         monkeypatch.setattr(QMatrix, "inverse", counting("inverse", QMatrix.inverse))
-        for module in (rnc, linalg):
-            monkeypatch.setattr(module, "rank", counting("rank", module.rank))
+        for module, name in ((rnc, "integer_rank"), (linalg, "rank")):
+            monkeypatch.setattr(module, name, counting("rank", getattr(module, name)))
         curve = rnc_through_points(5, points)
         assert calls == {"inverse": 1}
         monkeypatch.undo()

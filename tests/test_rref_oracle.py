@@ -3,8 +3,9 @@
 ``reference_rref`` is Gauss-Jordan over ``Fraction``, one division per
 pivot row and one ``Fraction`` product per eliminated entry.  The reduced
 row echelon form is unique, so ``linalg.rref`` must return the same tuples,
-and ``rank``, ``nullspace`` and ``QMatrix.inverse`` must return the same
-values under either kernel.
+and ``rank``, ``nullspace`` and ``QMatrix.inverse`` must return the values
+that ``reference_nullspace`` and ``reference_inverse`` read off it.  The
+modular rank certificate ``integer_rank`` is checked against ``rank``.
 """
 
 from fractions import Fraction
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from rncgeom import linalg
 from rncgeom.errors import DimensionMismatchError, RncGeomError
-from rncgeom.linalg import QMatrix, nullspace, rank, rref
+from rncgeom.linalg import QMatrix, integer_rank, nullspace, rank, rref
 from rncgeom.sampling import DENOMINATORS, NUMERATOR_RANGE
 
 
@@ -50,6 +51,29 @@ def reference_rref(rows, ncols=None):
         if row == len(work):
             break
     return [tuple(r) for r in work[:row]], pivots
+
+
+def reference_nullspace(rows, ncols):
+    """The kernel read off ``reference_rref``: 1 at one free column, 0 at the others."""
+    reduced, pivots = reference_rref(rows, ncols)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for r, p in zip(reduced, pivots):
+            vec[p] = -r[f]
+        basis.append(tuple(vec))
+    return basis
+
+
+def reference_inverse(rows):
+    """The inverse read off ``reference_rref`` of ``[A | I]``; None when singular."""
+    n = len(rows)
+    aug = [list(rows[i]) + [int(j == i) for j in range(n)] for i in range(n)]
+    reduced, pivots = reference_rref(aug, 2 * n)
+    if pivots[:n] != list(range(n)):
+        return None
+    return QMatrix([r[n:] for r in reduced])
 
 
 ENTRY = st.builds(Fraction, st.integers(*NUMERATOR_RANGE), st.sampled_from(DENOMINATORS))
@@ -121,10 +145,8 @@ class TestRrefAgainstReference:
     @given(matrices())
     def test_nullspace(self, case):
         rows, ncols = case
-        with mock.patch.object(linalg, "rref", reference_rref):
-            expected = nullspace(rows, ncols)
         kernel = nullspace(rows, ncols)
-        assert kernel == expected
+        assert kernel == reference_nullspace(rows, ncols)
         for vec in kernel:
             for row in rows:
                 assert sum(Fraction(a) * b for a, b in zip(row, vec)) == 0
@@ -134,13 +156,9 @@ class TestRrefAgainstReference:
     def test_inverse(self, case):
         rows, n = case
         m = QMatrix(rows)
-        with mock.patch.object(linalg, "rref", reference_rref):
-            try:
-                expected = m.inverse()
-            except RncGeomError:
-                expected = None
+        expected = reference_inverse(rows)
         if expected is None:
-            with pytest.raises(RncGeomError):
+            with pytest.raises(RncGeomError, match="^matrix is singular$"):
                 m.inverse()
         else:
             assert m.inverse() == expected
@@ -166,3 +184,92 @@ class TestRrefEdges:
     def test_zero_rows_are_dropped(self):
         rows = [[0, 0, 0], [0, "2/3", 4], [0, 0, 0], [0, -1, -6]]
         assert rref(rows) == ([(0, 1, 6)], [1])
+
+    def test_zero_column_before_the_first_pivot(self):
+        rows = [[0, 0, "1/2", 3], [0, 2, 1, 0], [0, 4, 2, 0]]
+        assert rref(rows) == reference_rref(rows)
+        assert rref(rows)[1] == [1, 2]
+        assert nullspace(rows, 4) == reference_nullspace(rows, 4)
+        assert nullspace(rows, 4)[0] == (1, 0, 0, 0)
+
+    def test_every_column_zero(self):
+        rows = [[0, 0, 0], ["0", Fraction(0), 0]]
+        assert rref(rows) == ([], [])
+        assert rank(rows, 3) == 0
+        assert nullspace(rows, 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        with pytest.raises(RncGeomError, match="^matrix is singular$"):
+            QMatrix([[0, 0], [0, 0]]).inverse()
+
+    def test_ncols_wider_than_the_rows(self):
+        for kernel in (rref, rank, nullspace):
+            with pytest.raises(DimensionMismatchError):
+                kernel([[1, 2], [3, 4]], 3)
+        with pytest.raises(DimensionMismatchError):
+            integer_rank([[1, 2], [3, 4]], 3)
+
+
+class TestOneCore:
+    """``rref``, ``rank``, ``nullspace`` and ``QMatrix.inverse`` each run
+    the one elimination core ``linalg._echelon`` exactly once per call."""
+
+    @pytest.mark.parametrize("call", [
+        lambda rows: rref(rows),
+        lambda rows: rank(rows, 3),
+        lambda rows: nullspace(rows, 3),
+        lambda rows: QMatrix(rows).inverse(),
+    ], ids=["rref", "rank", "nullspace", "inverse"])
+    def test_each_kernel_runs_the_core_once(self, call):
+        rows = [[2, "1/3", 0], [1, 0, -1], [0, 5, "7/2"]]
+        calls = []
+        original = linalg._echelon
+
+        def counting(rows, ncols=None):
+            calls.append(rows)
+            return original(rows, ncols)
+
+        with mock.patch.object(linalg, "_echelon", counting):
+            call(rows)
+        assert len(calls) == 1
+
+
+P = 2**61 - 1
+
+INTEGER = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-(2**80), 2**80),
+    st.builds(lambda k, e: k * P + e, st.integers(-3, 3), st.integers(-1, 1)),
+)
+
+
+@st.composite
+def integer_matrices(draw, max_rows=6, max_cols=7):
+    """``(rows, ncols)`` of integers, some rows combinations of the others.
+
+    Entries near multiples of the prime make a drop modulo p likelier.
+    """
+    ncols = draw(st.integers(0, max_cols))
+    nrows = draw(st.integers(0, max_rows))
+    rows = [draw(st.lists(INTEGER, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for i in range(nrows):
+        if i and draw(st.booleans()):
+            coeffs = draw(st.lists(INTEGER, min_size=i, max_size=i))
+            rows[i] = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)]
+    return rows, ncols
+
+
+class TestIntegerRank:
+    @settings(max_examples=200, deadline=None)
+    @given(integer_matrices())
+    def test_agrees_with_rank(self, case):
+        rows, ncols = case
+        assert integer_rank(rows, ncols) == rank(rows, ncols)
+
+    def test_rank_that_drops_only_modulo_the_prime(self):
+        assert integer_rank([[P, 0], [0, 1]], 2) == 2
+        assert integer_rank([[1, 1], [1, 1 + P]], 2) == 2
+        assert integer_rank([[1, 0, P], [0, 1, 0], [1, 1, 0]], 3) == 3
+
+    def test_full_rank_modulo_the_prime_runs_no_exact_rank(self):
+        with mock.patch.object(linalg, "_echelon", side_effect=AssertionError):
+            assert integer_rank([[1, 2, 3], [4, 5, 6]], 3) == 2
+            assert integer_rank([[1, 2], [3, 4], [5, 6]], 2) == 2
