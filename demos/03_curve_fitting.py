@@ -11,6 +11,7 @@ import random
 from fractions import Fraction as F
 
 from rncgeom import (
+    Polynomial,
     ScrollSpec,
     SegreSpecial,
     StandardScroll,
@@ -33,10 +34,10 @@ x, y, z = conic.components
 print("3xy + yz - 4xz =", ((x * y).scale(3) + y * z - (x * z).scale(4)).to_text(["t"]))
 
 # a scroll section: s = P_1(t) / P_0(t) interpolating three samples
-fit = fit_scroll_section(ScrollSpec((1, 1)), [(F(0), (F(1),)), (F(1), (F(2),)), (F(2), (F(5),))])
+p0, p1 = fit_scroll_section(ScrollSpec((1, 1)), [(F(0), (F(1),)), (F(1), (F(2),)), (F(2), (F(5),))])
 print("\nsection through (0,1), (1,2), (2,5):")
-print("  P0 =", fit.polys[0].to_text(["t"]))
-print("  P1 =", fit.polys[1].to_text(["t"]))
+print("  P0 =", Polynomial.univariate(p0).to_text(["t"]))
+print("  P1 =", Polynomial.univariate(p1).to_text(["t"]))
 
 # membership fits: curves of the class degree through random points
 rng = random.Random(12)

@@ -62,7 +62,6 @@ from .poly import (
 )
 from .rnc import (
     CurveCertificate,
-    SectionFit,
     certify_curve,
     conic_on_quadric,
     curve_contains_point,

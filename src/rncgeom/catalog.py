@@ -35,7 +35,6 @@ from .poly import (
     compositions,
     curve_from_lists,
     grlex_key,
-    integer_coefficients,
     power_product,
     projective_compose,
 )
@@ -528,14 +527,10 @@ class StandardScroll:
 
     def fit(self, points) -> RationalCurve:
         samples = [(p[0], tuple(p[1:])) for p in points]
-        fit = fit_scroll_section(self.a, samples)
-        for t, _ in samples:
-            if fit.polys[0].eval((t,)) == 0:
-                raise GenericityError("P_0 vanishes at a sample parameter")
         # the chart forms are homogeneous of degree rho in (x0, s) under the
-        # weights (0, 1, .., 1), so clearing P_0 .. P_r by one common factor
-        # scales every component alike
-        p0, *prest = integer_coefficients(fit.polys)[0]
+        # weights (0, 1, .., 1), so P_0 .. P_r over one common denominator
+        # scale every component alike
+        p0, *prest = fit_scroll_section(self.a, samples)
         args = [p0, [0, 1]] + prest
         params = [(t, 1) for t, _ in samples]
         return _through_chart(self, (0,) + (1,) * self.a.r, self.rho, args, params)

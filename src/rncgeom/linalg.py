@@ -348,14 +348,13 @@ class LinearProjection:
     a coordinate-spanned center is a plain coordinate deletion.
     """
 
-    __slots__ = ("center", "ambient_dim", "complement_cols", "matrix")
+    __slots__ = ("ambient_dim", "complement_cols", "matrix")
 
     def __init__(self, center: ProjSubspace, ambient_dim: int):
         if center.ambient_dim != ambient_dim:
             raise DimensionMismatchError("center lives in a different ambient")
         if center.dim == ambient_dim:
             raise RncGeomError("cannot project from the whole space")
-        self.center = center
         self.ambient_dim = ambient_dim
         n = ambient_dim + 1
         piv = set(center.pivots)
@@ -373,9 +372,6 @@ class LinearProjection:
     def target_dim(self) -> int:
         return len(self.complement_cols) - 1
 
-    def apply_vector(self, vec) -> tuple:
-        return self.matrix.matvec(vec)
-
     def apply_polys(self, components):
         """Push polynomial components through the projection matrix.
 
@@ -386,7 +382,7 @@ class LinearProjection:
         return [combine(row, components) for row in self.matrix.entries]
 
     def image_of(self, sub: ProjSubspace) -> ProjSubspace:
-        rows = [self.apply_vector(v) for v in sub.basis]
+        rows = [self.matrix.matvec(v) for v in sub.basis]
         return ProjSubspace(self.target_dim, rows)
 
 

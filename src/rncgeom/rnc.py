@@ -39,7 +39,6 @@ from .errors import (
 )
 from .linalg import QMatrix, integer_rank, nullspace
 from .poly import (
-    Polynomial,
     RationalCurve,
     _combine_ints,
     _gcd_ints,
@@ -47,6 +46,7 @@ from .poly import (
     clear_denominators,
     curve_from_lists,
     curve_normalize,
+    eval_homogeneous,
     primitive_part,
 )
 
@@ -194,21 +194,15 @@ def rnc_through_points(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SectionFit:
-    """Solution of the linear section system on a scroll."""
-
-    scroll: object  # a catalog.ScrollSpec
-    polys: list  # P_0 .. P_r with deg P_k <= n-1-a_k
-
-
-def fit_scroll_section(a, samples: Sequence) -> SectionFit:
+def fit_scroll_section(a, samples: Sequence) -> list:
     """Section s_k = P_k(t)/P_0(t) through n sample points (t_i, s_i).
 
     ``a`` is the scroll's degree vector, a ``catalog.ScrollSpec``.
 
     Homogeneous system of r n equations in r n + 1 coefficients; a
-    generic sample leaves a one-dimensional solution space.
+    generic sample leaves a one-dimensional solution space.  Returns the
+    integer coefficient lists (low degree first) of P_0 .. P_r, with
+    deg P_k <= n-1-a_k, over one common denominator.
     """
     n, r = a.n, a.r
     samples = [
@@ -243,20 +237,16 @@ def fit_scroll_section(a, samples: Sequence) -> SectionFit:
         raise GenericityError(
             f"section system has solution dimension {len(kernel)}, expected 1"
         )
-    coeffs = kernel[0]
-    polys = [
-        Polynomial.univariate(coeffs[offsets[k] : offsets[k + 1]])
-        for k in range(r + 1)
-    ]
-    if polys[0].is_zero():
-        raise GenericityError("section denominator P_0 vanished")
-    for t, s in samples:
-        if any(
-            s[k - 1] * polys[0].eval((t,)) != polys[k].eval((t,))
-            for k in range(1, r + 1)
-        ):
+    coeffs, _ = clear_denominators(kernel[0])
+    lists = [coeffs[offsets[k] : offsets[k + 1]] for k in range(r + 1)]
+    # each value vector is P_0(t_i) .. P_r(t_i) times one nonzero integer
+    values = eval_homogeneous(lists, [(t, 1) for t in ts])
+    for (_, s), (p0, *prest) in zip(samples, values):
+        if any(x * p0 != pk for x, pk in zip(s, prest)):
             raise InvariantError("a kernel vector missed an interpolation condition")
-    return SectionFit(a, polys)
+        if p0 == 0:
+            raise GenericityError("P_0 vanishes at a sample parameter")
+    return lists
 
 
 # ---------------------------------------------------------------------------

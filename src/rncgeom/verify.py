@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from . import catalog, rnc
@@ -62,8 +61,11 @@ def _run_trials(report, trials: int, seed: int, attempt) -> None:
     RESAMPLE_ERRORS is drawn again from the same rng, at most MAX_RETRIES
     times.  A trial that needs a splitting field or runs out of retries
     records why and turns a passing campaign inconclusive; the first
-    failing trial ends the campaign.
+    failing trial ends the campaign.  A campaign of no trials would pass
+    on nothing, so ``trials`` must be at least 1.
     """
+    if trials < 1:
+        raise SpecError("trials must be at least 1")
     inconclusive = False
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
@@ -184,36 +186,20 @@ class ProjectionReport:
         }
 
 
-def verify_veronese_projection(
-    spec, trials: int = 3, seed: int = 0, points=None, weights=None
-) -> ProjectionReport:
+def verify_veronese_projection(spec, trials: int = 3, seed: int = 0) -> ProjectionReport:
     """Project from osculators at an admissible (n-2)-tuple onto a Veronese.
 
     Checks, per trial: the image spans pi_{r,2}(rho); a fitted curve
     through the centers projects to a certified degree-rho RNC passing
     through the projected extra points, injectively at sampled
     parameters; and the single-point projection lands in the span of the
-    class (r, n-1, q - rho_1 - 1).
-
-    ``points`` may pin the first n-2 parameter points (the centers) and
-    ``weights`` a specific pondération; by default both are drawn per
-    trial from the seed.
+    class (r, n-1, q - rho_1 - 1).  The centers are drawn per trial from
+    the seed, with the pondération of the class.
     """
     params = declared_class(spec)
     if params.n < 3:
         raise SpecError("projection campaign needs a class with n >= 3")
-    pond = tuple(weights) if weights is not None else ponderation(params)
-    if sorted(pond) != sorted(ponderation(params)):
-        raise SpecError(
-            f"weights {pond} are not a pondération of q = {params.q} over n-1"
-        )
-    if pond[-1] < 1:
-        raise SpecError("the remaining weight must be at least 1")
-    fixed_centers = None
-    if points is not None:
-        fixed_centers = [tuple(Fraction(x) for x in p) for p in points]
-        if len(fixed_centers) != params.n - 2:
-            raise SpecError(f"need n-2 = {params.n - 2} center points")
+    pond = ponderation(params)
     variety = catalog.make_variety(spec)
     report = ProjectionReport(
         spec_to_json(spec), (params.r, params.n, params.q), pond
@@ -228,8 +214,6 @@ def verify_veronese_projection(
 
     def attempt(rng, resamples):
         sampled = rnc.sample_parameter_points(spec, rng)
-        if fixed_centers is not None:
-            sampled = fixed_centers + sampled[params.n - 2 :]
         centers = [(sampled[i], pond[i]) for i in range(params.n - 2)]
         proj, image = osculating_projection_map(variety, centers)
         span_found = image.span().dim
@@ -242,7 +226,7 @@ def verify_veronese_projection(
 
         extras = sampled[params.n - 2 :]
         incidence = all(
-            curve_contains_point(proj_curve, proj.apply_vector(variety.eval(p)))
+            curve_contains_point(proj_curve, proj.matrix.matvec(variety.eval(p)))
             for p in extras
         )
         record["projected_incidence"] = incidence

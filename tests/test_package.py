@@ -1,5 +1,5 @@
 """Whole-package checks: no stripped invariants, no dead private helpers, no
-unused imports, no unread parameters, and the benchmark's tracer fits."""
+unused imports, no unread parameters or attributes, and the benchmark's tracer fits."""
 
 import ast
 import collections
@@ -135,6 +135,66 @@ def test_every_parameter_is_read():
         for name in _unread_parameters(
             ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         )
+    ]
+    assert unread == []
+
+
+def _is_dataclass(cls):
+    """``@dataclass`` or ``@dataclass(...)`` decorates the class."""
+    targets = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    return any(isinstance(t, ast.Name) and t.id == "dataclass" for t in targets)
+
+
+def _declared_attributes(tree):
+    """``(class, name)`` for each ``__slots__`` name and each annotated
+    field of a dataclass."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if (
+                isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)
+            ):
+                for elt in ast.walk(node.value):
+                    if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
+                        yield cls.name, elt.value
+            elif (
+                isinstance(node, ast.AnnAssign)
+                and isinstance(node.target, ast.Name)
+                and _is_dataclass(cls)
+            ):
+                yield cls.name, node.target.id
+
+
+def _attribute_loads(tree):
+    """Attribute names loaded (``x.name``) or fetched by ``getattr(x, "name")``."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            yield n.attr
+        elif (
+            isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Name)
+            and n.func.id == "getattr"
+            and len(n.args) >= 2
+            and isinstance(n.args[1], ast.Constant)
+        ):
+            yield n.args[1].value
+
+
+def test_every_attribute_is_read():
+    # a slot or dataclass field that no line of the package reads is state
+    # every constructor fills for nothing; matched by name, like the guards above
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    loaded = {name for tree in trees.values() for name in _attribute_loads(tree)}
+    unread = [
+        f"{filename}:{cls}.{name}"
+        for filename, tree in trees.items()
+        for cls, name in _declared_attributes(tree)
+        if name not in loaded
     ]
     assert unread == []
 

@@ -39,7 +39,7 @@ from rncgeom.rnc import (
     rnc_through_points,
     sample_parameter_points,
 )
-from rncgeom.sampling import rand_vector
+from rncgeom.sampling import rand_distinct_rationals, rand_vector
 from rncgeom.verify import RESAMPLE_ERRORS
 from test_gcd_oracle import reference_curve_contains_point
 
@@ -403,13 +403,34 @@ class TestScrollSection:
     def test_frozen_example(self):
         # substitution oracle: s(0)=1, s(1)=2, s(2)=5 forces
         # P0 = t - 3, P1 = -t - 3 up to scale
-        fit = fit_scroll_section(
+        p0, p1 = fit_scroll_section(
             ScrollSpec((1, 1)), [(F(0), (F(1),)), (F(1), (F(2),)), (F(2), (F(5),))]
         )
-        p0, p1 = fit.polys
-        scale = p0.coefficient((1,))
-        assert p0 == Polynomial.univariate([-3, 1]).scale(scale)
-        assert p1 == Polynomial.univariate([-3, -1]).scale(scale)
+        scale = p0[1]
+        assert p0 == [-3 * scale, scale]
+        assert p1 == [-3 * scale, -scale]
+
+    def test_p0_vanishing_at_a_sample_is_a_genericity_failure(self):
+        # s(0)=1, s(1)=5, s(2)=5 forces P0 = t/5, P1 = t up to scale: the
+        # system has a one-dimensional solution, but P0(0) = 0
+        with pytest.raises(GenericityError, match="^P_0 vanishes at a sample parameter$"):
+            fit_scroll_section(ScrollSpec((1, 1)), [(0, (1,)), (1, (5,)), (2, (5,))])
+
+    @pytest.mark.parametrize("degrees", [(1, 1), (2, 1), (1, 1, 1), (2, 2, 1)])
+    def test_integer_lists_interpolate_the_samples(self, degrees):
+        a = ScrollSpec(degrees)
+        rng = random.Random(sum(degrees) * 10 + len(degrees))
+        for _ in range(10):
+            ts = rand_distinct_rationals(rng, a.n)
+            samples = [(t, rand_vector(rng, a.r)) for t in ts]
+            lists = fit_scroll_section(a, samples)
+            assert len(lists) == a.r + 1
+            assert all(type(c) is int for x in lists for c in x)
+            assert all(len(x) <= a.n - ak for x, ak in zip(lists, a.degrees))
+            p0, *prest = (Polynomial.univariate(x) for x in lists)
+            for t, s in samples:
+                assert p0.eval((t,)) != 0
+                assert [sk * p0.eval((t,)) for sk in s] == [pk.eval((t,)) for pk in prest]
 
     def test_unknown_count_identity(self):
         for degrees in ((1, 1), (2, 1), (2, 1, 1), (3, 2)):

@@ -212,6 +212,26 @@ class TestExhaustedTrial:
             verify.verify_membership(CubicSpecial(2, 2), trials=1, seed=0)
 
 
+class TestNoTrials:
+    """A campaign of no trials has nothing to pass on: it is a usage error."""
+
+    @pytest.fixture
+    def no_attempt(self, monkeypatch):
+        def sample(spec, rng):
+            raise AssertionError("an attempt ran")
+
+        monkeypatch.setattr(rnc, "sample_parameter_points", sample)
+
+    def test_membership(self, no_attempt):
+        with pytest.raises(SpecError, match="^trials must be at least 1$"):
+            verify.verify_membership(Scroll(ScrollSpec((1, 1))), trials=0)
+
+    def test_projection(self, no_attempt):
+        spec = StandardScroll(ScrollSpec((1, 1)), 2, 0)
+        with pytest.raises(SpecError, match="^trials must be at least 1$"):
+            verify.verify_veronese_projection(spec, trials=-3)
+
+
 class TestProjection:
     @pytest.mark.parametrize(
         "spec",
@@ -239,15 +259,6 @@ class TestProjection:
         with pytest.raises(SpecError):
             verify.verify_veronese_projection(Veronese(2, 2))
 
-    def test_explicit_points_and_weights(self):
-        spec = StandardScroll(ScrollSpec((1, 1)), 2, 0)
-        report = verify.verify_veronese_projection(
-            spec, trials=2, seed=3,
-            points=[(F(4), F(1, 2))], weights=(1, 2),
-        )
-        assert report.verdict == "pass"
-        assert report.ponderation == (1, 2)
-
     @pytest.mark.parametrize("exponent, injective", [(1, True), (2, False)])
     def test_injectivity_at_samples(self, exponent, injective, monkeypatch):
         # (1 : t^2 : t^4) takes one value at t = 1 and t = -1, (1 : t : t^2) does not
@@ -259,13 +270,6 @@ class TestProjection:
         monkeypatch.setattr(verify, "rand_distinct_rationals", lambda rng, count: samples)
         report = verify.verify_veronese_projection(Scroll(ScrollSpec((1, 1))), trials=1, seed=0)
         assert report.trials[0]["injective_at_samples"] is injective
-
-    def test_bad_weights_rejected(self):
-        spec = StandardScroll(ScrollSpec((1, 1)), 2, 0)
-        with pytest.raises(SpecError):
-            verify.verify_veronese_projection(spec, weights=(0, 3))
-        with pytest.raises(SpecError):
-            verify.verify_veronese_projection(spec, points=[(1, 1), (2, 2)])
 
 
 class TestQuadricZeroSamples:
