@@ -123,21 +123,54 @@ def integer_rank(rows, ncols: int) -> int:
     return rank(rows, ncols)
 
 
+def _kernel_ints(rows, ncols: int):
+    """``(vectors, den)``: the right kernel of the row matrix on integers.
+
+    One vector per free column of ``_echelon``: ``den`` there, 0 at the
+    other free columns and ``-rows[i][k]`` at ``pivots[i]``.
+    """
+    ints, pivots, free, den = _echelon(rows, ncols)
+    basis = []
+    for k, f in enumerate(free):
+        vec = [0] * ncols
+        vec[f] = den
+        for r, c in zip(ints, pivots):
+            vec[c] = -r[k]
+        basis.append(vec)
+    return basis, den
+
+
 def nullspace(rows, ncols: int):
     """Basis (tuples) of the right kernel of the given row matrix.
 
     One vector per free column, 1 there and 0 at the other free columns.
     """
-    ints, pivots, free, den = _echelon(rows, ncols)
-    basis = []
-    for k, f in enumerate(free):
-        vec = [_ZERO] * ncols
-        vec[f] = _ONE
-        for r, c in zip(ints, pivots):
-            if r[k]:
-                vec[c] = Fraction(-r[k], den)
-        basis.append(tuple(vec))
-    return basis
+    basis, den = _kernel_ints(rows, ncols)
+    return [
+        tuple(_ONE if x == den else Fraction(x, den) if x else _ZERO for x in vec)
+        for vec in basis
+    ]
+
+
+def _inverse_ints(rows):
+    """``(ints, den)`` of the inverse of a square row matrix: entry (i, j)
+    is ``ints[i][j]`` over ``den``, read off the free half of ``[A | I]``."""
+    n = len(rows)
+    aug = [list(row) + [int(j == i) for j in range(n)] for i, row in enumerate(rows)]
+    ints, pivots, _, den = _echelon(aug, 2 * n)
+    if pivots[:n] != list(range(n)):
+        raise RncGeomError("matrix is singular")
+    return ints, den
+
+
+def _accumulate(coeffs, rows, width: int) -> list:
+    """The integer row sum of a*row over paired integer coefficients and
+    rows of length ``width``."""
+    acc = [0] * width
+    for a, row in zip(coeffs, rows):
+        if a:
+            acc = [x + a * y for x, y in zip(acc, row)]
+    return acc
 
 
 def combine_rows(coeffs, rows) -> tuple:
@@ -155,10 +188,7 @@ def combine_rows(coeffs, rows) -> tuple:
         raise DimensionMismatchError("coefficient count differs from row count")
     ints, den = rows.cleared
     nums, coeff_den = clear_denominators(coeffs)
-    acc = [0] * rows.ncols
-    for a, row in zip(nums, ints):
-        if a:
-            acc = [x + a * y for x, y in zip(acc, row)]
+    acc = _accumulate(nums, ints, rows.ncols)
     den *= coeff_den
     return tuple(Fraction(x, den) if x else _ZERO for x in acc)
 
@@ -229,13 +259,9 @@ class QMatrix:
         return self.nrows == self.ncols and self.rank() == self.nrows
 
     def inverse(self) -> "QMatrix":
-        n = self.nrows
-        if n != self.ncols:
+        if self.nrows != self.ncols:
             raise RncGeomError("inverse of a non-square matrix")
-        aug = [list(self.entries[i]) + [int(j == i) for j in range(n)] for i in range(n)]
-        ints, pivots, _, den = _echelon(aug, 2 * n)
-        if pivots[:n] != list(range(n)):
-            raise RncGeomError("matrix is singular")
+        ints, den = _inverse_ints(self.entries)
         return QMatrix([[Fraction(x, den) if x else _ZERO for x in r] for r in ints])
 
     def __eq__(self, other):

@@ -1,4 +1,6 @@
+import contextlib
 import functools
+import math
 import random
 import re
 from fractions import Fraction as F
@@ -9,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rncgeom import linalg
-from rncgeom.errors import DimensionMismatchError, GeneralPositionError, GenericityError
+from rncgeom.errors import (
+    DimensionMismatchError,
+    GeneralPositionError,
+    GenericityError,
+    RncGeomError,
+)
 from rncgeom.gstructure import (
     TensorStructure,
     construct_structure,
@@ -80,6 +87,12 @@ class TestConstruct:
         subs[empty] = []
         with pytest.raises(DimensionMismatchError, match=f"subspace {empty} has an empty basis"):
             construct_structure(subs)
+
+    def test_empty_ambient(self):
+        # rows of length 0 give no r >= 1; nothing is row-reduced
+        with mock.patch.object(linalg, "_echelon", side_effect=AssertionError):
+            with pytest.raises(DimensionMismatchError, match="ambient dimension must be positive"):
+                construct_structure([[()], [()], [()]])
 
     def test_general_position_witness(self):
         rng = random.Random(4)
@@ -186,6 +199,11 @@ class TestTypeCheckOracle:
         structure = cached_structure(r, n, remixed)
         t, t_other = t[:n], t_other[:n]
         rng = random.Random(seed)
+        if kind == "type" and not any(t):
+            # a zero t[:n] is no point of P^{n-1}
+            with pytest.raises(DimensionMismatchError, match="parameter must be nonzero"):
+                structure.type_subspace(t)
+            return
         if kind == "type":
             rows = structure.type_subspace(t)
         elif kind == "random":
@@ -202,8 +220,7 @@ class TestTypeCheckOracle:
             rows = nullspace(ann, r * n)
         got = _outcome(is_type_subspace, structure, rows)
         assert got == _outcome(reference_is_type_subspace, structure, rows)
-        # a zero t[:n] is no point: both sides report the same error string
-        if kind == "type" and any(t):
+        if kind == "type":
             assert got is not None and rank([got, t], n) == 1
 
     @pytest.mark.parametrize("r, n", [(1, 2), (2, 3), (3, 4)])
@@ -259,6 +276,184 @@ class TestGrnRelation:
         assert grn_relation(structure, other) is not None
 
 
+def reference_construct_structure(subspaces, rng=None):
+    """The construction on Fraction matrices: the stack and the blocks are
+    inverted as ``QMatrix`` and m, m^-1 are combined row by row."""
+    n = len(subspaces) - 1
+    for idx, sub in enumerate(subspaces):
+        if not len(sub):
+            raise DimensionMismatchError(f"subspace {idx} has an empty basis")
+    dim = len(subspaces[0][0])
+    r = dim // n
+    annihilators = []
+    for idx, sub in enumerate(subspaces):
+        ann = nullspace(sub, dim)
+        if len(ann) != r:
+            raise DimensionMismatchError(f"subspace {idx} does not have codimension r={r}")
+        annihilators.append(QMatrix(ann))
+
+    def not_spanning(omitted):
+        witness = tuple(i for i in range(n + 1) if i != omitted)
+        return GeneralPositionError(
+            f"annihilators {witness} do not span the dual", witness=witness
+        )
+
+    try:
+        change = QMatrix([row for ann in annihilators[1:] for row in ann.entries]).inverse()
+    except RncGeomError:
+        raise not_spanning(0) from None
+    phis = annihilators[0]
+    if rng is not None:
+        phis = rand_invertible_matrix(rng, r) @ phis
+    coords = (phis @ change).entries
+    block_inverses = []
+    for alpha in range(n):
+        block = QMatrix([row[alpha * r : (alpha + 1) * r] for row in coords])
+        try:
+            block_inverses.append(block.inverse())
+        except RncGeomError:
+            raise not_spanning(alpha + 1) from None
+    m_rows = [
+        combine_rows(row[alpha * r : (alpha + 1) * r], annihilators[1 + alpha])
+        for row in coords
+        for alpha in range(n)
+    ]
+    inverse_rows = []
+    for row in change.entries:
+        parts = [
+            combine_rows(row[alpha * r : (alpha + 1) * r], block_inverses[alpha])
+            for alpha in range(n)
+        ]
+        inverse_rows.append([parts[alpha][j] for j in range(r) for alpha in range(n)])
+    return QMatrix(m_rows), QMatrix(inverse_rows)
+
+
+def reference_grn_relation(sa, sb):
+    """The Kronecker factorization on the Fraction transition sb.m sa.m^-1."""
+    r, n = sa.r, sa.n
+    transition = (sb.m @ sa.m_inverse).entries
+    flat = {
+        (j, k): [
+            transition[j * n + alpha][k * n + beta] for alpha in range(n) for beta in range(n)
+        ]
+        for j in range(r)
+        for k in range(r)
+    }
+    a_flat = next((values for values in flat.values() if any(values)), None)
+    if a_flat is None:
+        return None
+    pivot = next(i for i, x in enumerate(a_flat) if x != 0)
+    a_flat = [x / a_flat[pivot] for x in a_flat]
+    c_entries = [[F(0)] * r for _ in range(r)]
+    for (j, k), values in flat.items():
+        coeff = values[pivot]
+        if any(values[i] != coeff * a_flat[i] for i in range(n * n)):
+            return None
+        c_entries[j][k] = coeff
+    a = QMatrix([a_flat[i * n : (i + 1) * n] for i in range(n)])
+    c = QMatrix(c_entries)
+    if not a.is_invertible() or not c.is_invertible():
+        return None
+    return c, a
+
+
+def defective_family(rng, r, n, defect):
+    """A family of n + 1 subspaces of Q^{rn}: general, or with one defect.
+
+    ``shared``: two annihilators share a row; ``sum``: a row of one
+    annihilator is the sum of rows of two others; ``repeated`` and
+    ``dropped``: one basis repeats a row in place of its last, or loses it.
+    """
+    dim = r * n
+    subs = [random_codim_r(rng, r, n) for _ in range(n + 1)]
+    if defect in ("shared", "sum"):
+        anns = [[list(row) for row in nullspace(sub, dim)] for sub in subs]
+        a, b, c = rng.sample(range(n + 1), 3)
+        anns[a][0] = anns[b][0] if defect == "shared" else [
+            x + y for x, y in zip(anns[b][0], anns[c][-1])
+        ]
+        subs = [nullspace(ann, dim) for ann in anns]
+    elif defect in ("repeated", "dropped"):
+        k = rng.randrange(n + 1)
+        subs[k] = subs[k][:-1] + ([subs[k][0]] if defect == "repeated" else [])
+    return subs
+
+
+def _construction(build, subs, mix):
+    try:
+        m, m_inverse = build(subs, None if mix is None else random.Random(mix))
+    except (DimensionMismatchError, GeneralPositionError) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    return m, m_inverse
+
+
+def _built(subs, rng):
+    structure = construct_structure(subs, rng=rng)
+    return structure.m, structure.m_inverse
+
+
+def _relation(check, sa, sb):
+    result = check(sa, sb)
+    return None if result is None else (result[0].entries, result[1].entries)
+
+
+class TestConstructionOracle:
+    """The integer-row construction and relation against the Fraction ones."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        r=st.integers(1, 3),
+        n=st.integers(2, 4),
+        mix=st.one_of(st.none(), st.integers(0, 2**16)),
+        defect=st.sampled_from(["none", "none", "shared", "sum", "repeated", "dropped"]),
+        relation=st.sampled_from(["remix", "kronecker", "scrambled"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_reference(self, r, n, mix, defect, relation, seed):
+        rng = random.Random(seed)
+        subs = defective_family(rng, r, n, defect)
+        got = _construction(_built, subs, mix)
+        assert got == _construction(reference_construct_structure, subs, mix)
+        if not isinstance(got[0], QMatrix):
+            return
+        sa = TensorStructure(r, n, got[0])
+        if relation == "remix":
+            sb = construct_structure(subs, rng=random.Random(seed + 1))
+        elif relation == "kronecker":
+            moved = kron(rand_invertible_matrix(rng, r), rand_invertible_matrix(rng, n))
+            sb = TensorStructure(r, n, moved @ sa.m)
+        else:
+            sb = TensorStructure(r, n, rand_invertible_matrix(rng, r * n) @ sa.m)
+        expected = _relation(reference_grn_relation, sa, sb)
+        assert _relation(grn_relation, sa, sb) == expected
+        # for r = 1 every transition is 1 (x) A
+        assert (expected is None) == (relation == "scrambled" and r > 1)
+
+
+@contextlib.contextmanager
+def recording_inversions():
+    """Record the left half A of each ``[A | I]`` handed to the elimination
+    core, in call order."""
+    calls = []
+    original = linalg._echelon
+
+    def recording(rows, ncols=None):
+        k = len(rows)
+        if ncols == 2 * k and all(
+            list(row[k:]) == [int(i == j) for j in range(k)] for i, row in enumerate(rows)
+        ):
+            calls.append([list(row[:k]) for row in rows])
+        return original(rows, ncols)
+
+    with mock.patch.object(linalg, "_echelon", recording):
+        yield calls
+
+
+def parallel(u, v) -> bool:
+    """Whether two nonzero vectors are multiples of each other."""
+    return any(u) and any(v) and rank([u, v], len(u)) == 1
+
+
 class TestCachedInverse:
     def test_inverts_m(self):
         rng = random.Random(13)
@@ -268,34 +463,44 @@ class TestCachedInverse:
     def test_inversions_per_construction(self):
         # the construction inverts the stack S of the annihilators of
         # F_1..F_n and the n r x r blocks C_alpha with m = D S, nothing
-        # else; n + 1 type checks and a relation invert nothing more
+        # else; n + 1 type checks and a relation invert nothing more.  S
+        # and the blocks are handed over as integer rows scaled row by row,
+        # so each row of m is a nonzero multiple of the row rebuilt as D S.
         rng = random.Random(14)
         r, n = 2, 3
         subs, _ = general_position_family(rng, r, n)
         other = construct_structure(subs, rng=random.Random(98))
-        stack = QMatrix([row for sub in subs[1:] for row in nullspace(sub, r * n)])
-        calls = []
-        original = QMatrix.inverse
-
-        def counting(self):
-            calls.append(self)
-            return original(self)
-
-        with mock.patch.object(QMatrix, "inverse", counting):
+        stack = [row for sub in subs[1:] for row in nullspace(sub, r * n)]
+        with recording_inversions() as calls:
             structure = construct_structure(subs)
             for sub in subs:
                 assert is_type_subspace(structure, sub) is not None
             assert grn_relation(structure, other) is not None
         assert len(subs) == n + 1
-        assert len(calls) == 1 + n and calls[0] == stack
-        blocks = calls[1:]
-        assert all((block.nrows, block.ncols) == (r, r) for block in blocks)
-        d = [[F(0)] * (r * n) for _ in range(r * n)]
-        for alpha, block in enumerate(blocks):
+        assert [len(a) for a in calls] == [r * n] + [r] * n
+        assert all(parallel(got, want) for got, want in zip(calls[0], stack))
+        for alpha, block in enumerate(calls[1:]):
             for j in range(r):
-                for i in range(r):
-                    d[j * n + alpha][alpha * r + i] = block.entries[j][i]
-        assert QMatrix(d) @ stack == structure.m
+                rebuilt = [
+                    sum(block[j][i] * calls[0][alpha * r + i][k] for i in range(r))
+                    for k in range(r * n)
+                ]
+                assert parallel(rebuilt, structure.m.entries[j * n + alpha])
+
+    def test_inverted_rows_are_primitive(self):
+        # bit growth: the stack of annihilator rows and every block row are
+        # divided by their content before they are inverted, so the left
+        # half of each row of [A | I] is an integer row of content 1
+        for r, n in ((2, 3), (3, 3), (2, 4)):
+            subs, _ = general_position_family(random.Random(60 + 10 * r + n), r, n)
+            for mix in (None, random.Random(r * n)):
+                with recording_inversions() as calls:
+                    construct_structure(subs, rng=mix)
+                assert [len(a) for a in calls] == [r * n] + [r] * n
+                for a in calls:
+                    for row in a:
+                        assert all(type(x) is int for x in row)
+                        assert math.gcd(*row) == 1
 
     def test_m_never_row_reduced(self):
         # m^-1 is assembled from the inverses of S and of the blocks; no
@@ -450,6 +655,16 @@ class TestTypeRows:
             tuple(sum(u[j] * m[j * n + a][k] for j in range(r)) for k in range(r * n))
             for a in range(n)
         ]
+
+
+    def test_zero_parameter_is_no_point(self):
+        _, structure = general_position_family(random.Random(91), 2, 3)
+        with pytest.raises(DimensionMismatchError, match="parameter must be nonzero"):
+            structure.type_subspace_rows((0, F(0), 0))
+        with pytest.raises(DimensionMismatchError, match="parameter must be nonzero"):
+            structure.type_subspace((0, 0, 0))
+        with pytest.raises(DimensionMismatchError, match="parameter must be nonzero"):
+            structure.left_type_subspace((F(0), 0))
 
 
 class TestIntersectionLaw:
