@@ -307,12 +307,14 @@ class QuadraticForm:
             p = p + Polynomial.monomial(self.nvars, e)
         return p
 
+    def _check_lengths(self, *points):
+        for point in points:
+            if len(point) != self.nvars:
+                raise DimensionMismatchError(f"point length {len(point)} != {self.nvars} variables")
+
     def eval(self, point) -> Fraction:
         """The value of ``poly()`` at a point, read off the normal form."""
-        if len(point) != self.nvars:
-            raise DimensionMismatchError(
-                f"point length {len(point)} != {self.nvars} variables"
-            )
+        self._check_lengths(point)
         total = Fraction(0)
         for i in range(self.rank // 2):
             total += point[2 * i] * point[2 * i + 1]
@@ -320,15 +322,15 @@ class QuadraticForm:
             total += point[self.rank - 1] ** 2
         return total
 
-    def matrix(self) -> QMatrix:
-        """Symmetric bilinear form matrix (rank equals the declared rank)."""
-        m = [[Fraction(0)] * self.nvars for _ in range(self.nvars)]
+    def polar(self, u, v) -> Fraction:
+        """The polar form q(u + v) - q(u) - q(v), read off the normal form: no halves."""
+        self._check_lengths(u, v)
+        total = Fraction(0)
         for i in range(self.rank // 2):
-            m[2 * i][2 * i + 1] = Fraction(1, 2)
-            m[2 * i + 1][2 * i] = Fraction(1, 2)
+            total += u[2 * i] * v[2 * i + 1] + u[2 * i + 1] * v[2 * i]
         if self.rank % 2:
-            m[self.rank - 1][self.rank - 1] = Fraction(1)
-        return QMatrix(m)
+            total += 2 * u[self.rank - 1] * v[self.rank - 1]
+        return total
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +401,13 @@ def _chart_forms(spec, weights, degree: int) -> tuple:
     """
     comps = [Polynomial.one(len(weights))] + spec.components()
     return tuple(c.homogenize(degree, weights) for c in comps)
+
+
+def _lifted_conic(h: QuadraticForm, points) -> RationalCurve:
+    """The conic through the points (1, -h(s), s) of the quadric
+    x0 x1 + h(x2, ..) = 0, which is the normal form of rank h.rank + 2."""
+    lifted = [(Fraction(1), -h.eval(s)) + s for s in points]
+    return conic_on_quadric(QuadraticForm(h.rank + 2, h.nvars + 2), *lifted)
 
 
 def _isqrt_fraction(value: Fraction):
@@ -658,11 +667,7 @@ class QuadricVeronese:
         fact by the degree/span/incidence checks.
         """
         r, rho = self.r, self.rho
-        h = self.form()
-        lifted = [(Fraction(1), -h.eval(p)) + p for p in points]
-        # U_0 U_1 + h(U_2..U_{r+2}) is the hyperbolic normal form of its rank
-        quadric = QuadraticForm(self.rank, r + 3)
-        conic = conic_on_quadric(quadric.matrix(), *lifted)
+        conic = _lifted_conic(self.form(), points)
         lists = conic.integer_lists()  # U_0, U_1 .. U_{r+2} along the conic
         if not lists[0]:
             raise GenericityError("conic lies in the hyperplane at infinity")
@@ -706,25 +711,15 @@ class SegreSpecial:
         taus = [p[0] for p in points]
         if len(set(taus)) != 3:
             raise GeneralPositionError("tau values must be distinct")
-        qf = self.form()
-        quadric_pts = [
-            (Fraction(1),) + p[1:] + (qf.eval(p[1:]),) for p in points
-        ]
-        # ambient quadric U_0 U_{r+1} = q(U_1..U_r)
-        size = r + 2
-        m = [[Fraction(0)] * size for _ in range(size)]
-        m[0][size - 1] = Fraction(1, 2)
-        m[size - 1][0] = Fraction(1, 2)
-        qmat_inner = qf.matrix()
-        for i in range(r):
-            for j in range(r):
-                m[1 + i][1 + j] = -qmat_inner.entries[i][j]
-        conic = conic_on_quadric(QMatrix(m), *quadric_pts)
+        # the ambient quadric U_0 U_{r+1} = q(U_1..U_r) is the lift's
+        # x0 x1 + q(x2..) = 0 in the coordinates x = (U_0, -U_{r+1}, U_1..U_r)
+        conic = _lifted_conic(self.form(), [p[1:] for p in points])
+        x0, x1, *xs = conic.components
         # the pencil is in (u : s), the variable order of the homogenized conic
         targets = [(u, s) for s, u in conic.params]
         mat = projectivity_p1([(Fraction(1), tau) for tau in taus], targets)
         # the g share one scale factor, which curve_normalize strips
-        g = projective_compose([c.homogenize(2, (1,)) for c in conic.components], mat.entries)
+        g = projective_compose([c.homogenize(2, (1,)) for c in [x0, *xs, -x1]], mat.entries)
         tg = [[0] + x if x else x for x in g]  # t g, a shifted list
         # chart order [1, t, s, t s, q, t q] over g = (g0, gs, gq)
         comps = g[:1] + tg[:1] + g[1 : r + 1] + tg[1 : r + 1] + g[r + 1 :] + tg[r + 1 :]
@@ -779,13 +774,7 @@ class CubicSpecial:
             raise GenericityError("span meets {T0 = T1 = 0} in the wrong dimension")
         w1, w2 = line.basis
         qf = self.form()
-
-        def qeval(vec):
-            return qf.eval(vec[2:])
-
-        a = qeval(w1)
-        c = qeval(w2)
-        b = qeval(tuple(x + y for x, y in zip(w1, w2))) - a - c
+        a, b, c = qf.eval(w1[2:]), qf.polar(w1[2:], w2[2:]), qf.eval(w2[2:])
         roots = []
         if a == 0:
             if b == 0:
@@ -948,6 +937,9 @@ def spec_from_json(doc) -> object:
     missing = [f.name for f in fields(cls) if f.name not in params]
     if missing:
         raise SpecError(f"{family} spec missing params {missing}")
+    unknown = sorted(set(params) - {f.name for f in fields(cls)})
+    if unknown:
+        raise SpecError(f"{family} spec has unknown params {unknown}")
     try:
         return cls(**{f.name: _CODECS[f.type][0](params[f.name]) for f in fields(cls)})
     except (TypeError, ValueError) as exc:

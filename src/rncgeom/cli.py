@@ -79,13 +79,19 @@ def _load_spec(args) -> object:
     except json.JSONDecodeError as exc:
         raise SpecError(f"spec is not valid JSON: {exc}") from exc
     spec = spec_from_json(doc)
+    unknown = sorted(set(doc) - {"family", "params", "declare"})
+    if unknown:
+        raise SpecError(f"unknown spec document keys {unknown}")
     declare = None
-    if isinstance(doc, dict) and "declare" in doc:
+    if "declare" in doc:
         d = doc["declare"]
         try:
             declare = ClassParams(json_int(d["r"]), json_int(d["n"]), json_int(d["q"]))
+            unknown = sorted(set(d) - {"r", "n", "q"})
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"bad declare block: {exc}") from exc
+        if unknown:
+            raise SpecError(f"bad declare block: unknown keys {unknown}")
     return spec, declare
 
 

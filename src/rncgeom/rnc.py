@@ -254,32 +254,26 @@ def fit_scroll_section(a, samples: Sequence) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _pairing(qmat: QMatrix, u, v):
-    """The symmetric bilinear form of ``qmat`` on u and v."""
-    return sum(x * y for x, y in zip(qmat.matvec(u), v))
+def conic_on_quadric(form, p1, p2, p3) -> RationalCurve:
+    """Exact conic through three points of the quadric {q = 0}, within their plane.
 
-
-def conic_on_quadric(qmat: QMatrix, p1, p2, p3) -> RationalCurve:
-    """Exact conic through three points of a quadric, within their plane.
-
-    ``qmat`` must be symmetric: then nonzero pairwise pairings a, b and c
-    also make the points independent.  Dependent p1 and p2 give a = 0, and
+    ``form`` is a quadratic form such as a ``catalog.QuadraticForm``:
+    ``form.eval(p)`` is q(p), and ``form.polar(u, v)`` the symmetric bilinear
+    q(u + v) - q(u) - q(v).  So nonzero pairwise polars a, b and c also make
+    the points independent.  Dependent p1 and p2 give a = 0, and
     p3 = x p1 + y p2 gives 0 = q(p3) = x y a, so a = 0, or c = 0 (x = 0),
     or b = 0 (y = 0).
 
     The curve carries the parameter (s : u), t = s/u, of each point: p1 at
-    (-a : b), with a and b twice the pairings of p1 with p2 and p3, p2 at
-    (0 : 1) and p3 at (1 : 0).
+    (-a : b), with a and b the polars of p1 with p2 and p3, p2 at (0 : 1)
+    and p3 at (1 : 0).
     """
     pts = [tuple(Fraction(x) for x in p) for p in (p1, p2, p3)]
-    n = qmat.nrows
-    if any(len(p) != n for p in pts):
-        raise DimensionMismatchError("point length disagrees with the form")
-    if any(_pairing(qmat, p, p) for p in pts):
+    if any(form.eval(p) for p in pts):
         raise GeneralPositionError("point does not lie on the quadric")
-    a = 2 * _pairing(qmat, pts[0], pts[1])
-    b = 2 * _pairing(qmat, pts[0], pts[2])
-    c = 2 * _pairing(qmat, pts[1], pts[2])
+    a = form.polar(pts[0], pts[1])
+    b = form.polar(pts[0], pts[2])
+    c = form.polar(pts[1], pts[2])
     if a == 0 or b == 0 or c == 0:
         raise GeneralPositionError("plane section is a degenerate conic")
 

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rncgeom import catalog, rnc, verify
 from rncgeom.catalog import (
@@ -221,11 +223,6 @@ class TestScrollSpec:
 
 
 class TestQuadraticForm:
-    def test_rank_matches(self):
-        for rank in range(1, 5):
-            form = QuadraticForm(rank, 5)
-            assert form.matrix().rank() == rank
-
     def test_hyperbolic_values(self):
         form = QuadraticForm(3, 3)  # x1 x2 + x3^2
         assert form.eval((F(2), F(3), F(1))) == 7
@@ -248,6 +245,28 @@ class TestQuadraticForm:
                     assert type(value) is F and value == form.poly().eval(point)
                 ints = tuple(rng.randint(-9, 9) for _ in range(nvars))
                 assert form.eval(ints) == form.poly().eval(ints)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), nvars=st.integers(1, 6), ints=st.booleans())
+    def test_polar_is_that_of_the_polynomial(self, data, nvars, ints):
+        # polar(u, v) = P(u + v) - P(u) - P(v), symmetric, with polar(u, u) = 2 q(u)
+        form = QuadraticForm(data.draw(st.integers(0, nvars)), nvars)
+        coord = st.integers(-9, 9) if ints else st.fractions(-9, 9, max_denominator=7)
+        u, v = (
+            tuple(data.draw(st.lists(coord, min_size=nvars, max_size=nvars)))
+            for _ in range(2)
+        )
+        p = form.poly()
+        total = tuple(x + y for x, y in zip(u, v))
+        value = form.polar(u, v)
+        assert type(value) is F
+        assert value == p.eval(total) - p.eval(u) - p.eval(v)
+        assert form.polar(v, u) == value
+        assert form.polar(u, u) == 2 * form.eval(u)
+        with pytest.raises(DimensionMismatchError):
+            form.polar(u, v + (0,))
+        with pytest.raises(DimensionMismatchError):
+            form.polar(u[1:], v)
 
     def test_eval_rejects_a_point_of_the_wrong_length(self):
         with pytest.raises(DimensionMismatchError):
@@ -390,6 +409,9 @@ class TestJsonRoundTrip:
             {"family": "Scroll", "params": {"a": "11"}},
             {"family": "Scroll", "params": {"a": {"1": 1}}},
             {"family": "StandardScroll", "params": {"a": [1, 1], "rho": 2, "chi": "1"}},
+            # a parameter the family does not have is not dropped
+            {"family": "Veronese", "params": {"dim": 2, "order": 2, "bogus": 1}},
+            {"family": "Veronese33", "params": {"r": 2}},
         ]
         for doc in docs:
             with pytest.raises(SpecError):

@@ -294,6 +294,13 @@ class TestUsageErrors:
         (["enumerate", "--index-set", '{"type":"cone","r":2,"q":true}'], JSON_INT_ERROR + "True"),
         (["build", "--spec", '{"family":"Veronese","params":{"dim":Infinity,"order":2}}'],
          "bad parameter value: " + JSON_INT_ERROR + "inf"),
+        # a key the document format does not know is an error, not dropped
+        (["verify", "--spec", '{"family":"Veronese","params":{"dim":2,"order":2,"bogus":1}}',
+          "--trials", "1"], "Veronese spec has unknown params ['bogus']"),
+        (["verify", "--spec", '{"family":"Scroll","params":{"a":[1,1]},'
+          '"declare":{"r":1,"n":3,"q":5,"s":1}}'], "bad declare block: unknown keys ['s']"),
+        (["verify", "--spec", '{"family":"Scroll","params":{"a":[1,1]},'
+          '"declar":{"r":1,"n":3,"q":5}}'], "unknown spec document keys ['declar']"),
     ])
     def test_malformed_input(self, argv, message, capsys):
         assert main(argv) == EXIT_USAGE

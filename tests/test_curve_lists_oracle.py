@@ -13,7 +13,9 @@ code read before it moved to the lists:
 - the cone fitter: Lagrange interpolation over ``Fraction`` of each s_j
   along the conic, with the point at (1 : 0) handled apart;
 - the quadric-Veronese fitter: ``power_product`` over ``Fraction`` of the
-  conic's components, the conic from ``poly.combine`` over ``Fraction``.
+  conic's components, the conic from ``poly.combine`` over ``Fraction``;
+- the conic on a quadric and the Segre fitter: the pairings of the
+  quadric's Gram matrix, Segre's written for U_0 U_{r+1} = q(U_1..U_r).
 
 ``rnc_through_points`` keeps its reference in ``tests/test_rnc.py``.
 """
@@ -26,7 +28,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rncgeom import catalog, linalg, poly, rnc
-from rncgeom.catalog import ConeStandard, QuadricVeronese
+from rncgeom.catalog import ConeStandard, QuadricVeronese, SegreSpecial
 from rncgeom.errors import DegenerateCurveError, GeneralPositionError, GenericityError
 from rncgeom.linalg import projection_from, span_of
 from rncgeom.osculation import project_curve
@@ -309,11 +311,26 @@ class TestInterpolationOnIntegers:
 # ---------------------------------------------------------------------------
 
 
+def reference_gram(form) -> linalg.QMatrix:
+    """The symmetric Gram matrix M of a ``QuadraticForm``, q(x) = x^T M x."""
+    m = [[Fraction(0)] * form.nvars for _ in range(form.nvars)]
+    for i in range(form.rank // 2):
+        m[2 * i][2 * i + 1] = Fraction(1, 2)
+        m[2 * i + 1][2 * i] = Fraction(1, 2)
+    if form.rank % 2:
+        m[form.rank - 1][form.rank - 1] = Fraction(1)
+    return linalg.QMatrix(m)
+
+
+def reference_pairing(qmat, u, v) -> Fraction:
+    return sum(x * y for x, y in zip(qmat.matvec(u), v))
+
+
 def reference_conic_on_quadric(qmat, p1, p2, p3) -> RationalCurve:
     pts = [tuple(Fraction(x) for x in p) for p in (p1, p2, p3)]
-    a = 2 * rnc._pairing(qmat, pts[0], pts[1])
-    b = 2 * rnc._pairing(qmat, pts[0], pts[2])
-    c = 2 * rnc._pairing(qmat, pts[1], pts[2])
+    a = 2 * reference_pairing(qmat, pts[0], pts[1])
+    b = 2 * reference_pairing(qmat, pts[0], pts[2])
+    c = 2 * reference_pairing(qmat, pts[1], pts[2])
     if a == 0 or b == 0 or c == 0:
         raise GeneralPositionError("plane section is a degenerate conic")
     t = Polynomial.variable(1, 0)
@@ -329,7 +346,7 @@ def reference_fit_quadric_veronese(spec, points) -> RationalCurve:
     h = spec.form()
     lifted = [(Fraction(1), -h.eval(p)) + p for p in points]
     quadric = catalog.QuadraticForm(spec.rank, r + 3)
-    conic = reference_conic_on_quadric(quadric.matrix(), *lifted)
+    conic = reference_conic_on_quadric(reference_gram(quadric), *lifted)
     x0, *xprime = conic.components
     if x0.is_zero():
         raise GenericityError("conic lies in the hyperplane at infinity")
@@ -340,6 +357,32 @@ def reference_fit_quadric_veronese(spec, points) -> RationalCurve:
         power_product([x0] + xprime[1:], (rho - sum(gamma),) + gamma) for gamma in block_b
     ]
     return curve_normalize(RationalCurve(comps, conic.params))
+
+
+def reference_fit_segre(spec, points) -> RationalCurve:
+    """The conic on U_0 U_{r+1} = q(U_1..U_r), on that quadric's own Gram
+    matrix, through the projectivity sending each (1 : tau) to its point."""
+    r = spec.r
+    taus = [p[0] for p in points]
+    if len(set(taus)) != 3:
+        raise GeneralPositionError("tau values must be distinct")
+    qf = spec.form()
+    quadric_pts = [(Fraction(1),) + p[1:] + (qf.eval(p[1:]),) for p in points]
+    size = r + 2
+    m = [[Fraction(0)] * size for _ in range(size)]
+    m[0][size - 1] = m[size - 1][0] = Fraction(1, 2)
+    inner = reference_gram(qf).entries
+    for i in range(r):
+        for j in range(r):
+            m[1 + i][1 + j] = -inner[i][j]
+    conic = reference_conic_on_quadric(linalg.QMatrix(m), *quadric_pts)
+    targets = [(u, s) for s, u in conic.params]
+    mat = rnc.projectivity_p1([(Fraction(1), tau) for tau in taus], targets)
+    g = poly.projective_compose([c.homogenize(2, (1,)) for c in conic.components], mat.entries)
+    tg = [[0] + x if x else x for x in g]
+    # chart order [1, t, s, t s, q, t q] over g = (g0, gs, gq)
+    comps = g[:1] + tg[:1] + g[1 : r + 1] + tg[1 : r + 1] + g[r + 1 :] + tg[r + 1 :]
+    return curve_from_lists(comps, [(tau, 1) for tau in taus])
 
 
 def reference_interpolate(points) -> Polynomial:
@@ -409,6 +452,25 @@ class TestFittersOnLists:
         )
 
     @settings(max_examples=60, deadline=None)
+    @given(
+        spec=st.sampled_from(
+            [
+                SegreSpecial(1, 3),
+                SegreSpecial(2, 3),
+                SegreSpecial(2, 4),
+                SegreSpecial(3, 5),
+                SegreSpecial(4, 4),
+            ]
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_segre_matches_reference(self, spec, seed):
+        points = _random_points(spec, seed)
+        assert _outcome(SegreSpecial.fit, spec, points) == _outcome(
+            reference_fit_segre, spec, points
+        )
+
+    @settings(max_examples=60, deadline=None)
     @given(rank=st.integers(3, 5), extra=st.integers(0, 1), data=st.data())
     def test_conic_on_quadric_matches_reference(self, rank, extra, data):
         form = catalog.QuadraticForm(rank, rank + extra)
@@ -419,7 +481,6 @@ class TestFittersOnLists:
             assume(s[1] != 0)
             s[0] = -form.eval([Fraction(0)] + s[1:]) / s[1]
             pts.append(tuple(s))
-        qmat = form.matrix()
-        assert _outcome(rnc.conic_on_quadric, qmat, *pts) == _outcome(
-            reference_conic_on_quadric, qmat, *pts
+        assert _outcome(rnc.conic_on_quadric, form, *pts) == _outcome(
+            reference_conic_on_quadric, reference_gram(form), *pts
         )

@@ -458,15 +458,7 @@ class TestScrollSection:
 class TestConicOnQuadric:
     def quadric_p3(self):
         # U0 U1 + U2 U3 = 0
-        half = F(1, 2)
-        return QMatrix(
-            [
-                [0, half, 0, 0],
-                [half, 0, 0, 0],
-                [0, 0, 0, half],
-                [0, 0, half, 0],
-            ]
-        )
+        return catalog.QuadraticForm(4, 4)
 
     def test_stereographic_identity(self):
         # [1 : -t^2 : t] parametrizes U0 U1 + U2^2 = 0
@@ -482,9 +474,9 @@ class TestConicOnQuadric:
 
     def test_three_points_on_quadric(self):
         # [1 : -uv : u : v] with pairwise distinct u and v: no shared rulings
-        qmat = self.quadric_p3()
+        form = self.quadric_p3()
         pts = [(1, -1, 1, 1), (1, -6, 2, 3), (1, 5, 5, -1)]
-        curve = conic_on_quadric(qmat, *pts)
+        curve = conic_on_quadric(form, *pts)
         cert = certify_curve(curve)
         assert cert.degree == 2 and cert.span_dim == 2
         for p in pts:
@@ -496,9 +488,9 @@ class TestConicOnQuadric:
 
     def test_incidence_at_its_points_takes_no_gcd(self, monkeypatch):
         # the curve carries the pair of each point, swapped to (s : u)
-        qmat = self.quadric_p3()
+        form = self.quadric_p3()
         pts = [(1, -1, 1, 1), (1, -6, 2, 3), (1, 5, 5, -1)]
-        curve = conic_on_quadric(qmat, *pts)
+        curve = conic_on_quadric(form, *pts)
         assert len(curve.params) == 3
         gcds = _callers(monkeypatch, "_gcd_ints")
         assert all(curve_contains_point(curve, p) for p in pts)
@@ -518,7 +510,7 @@ class TestConicOnQuadric:
             assert form.eval(s) == 0
             pts.append(tuple(s))
         try:
-            curve = conic_on_quadric(form.matrix(), *pts)
+            curve = conic_on_quadric(form, *pts)
         except GeneralPositionError:
             assume(False)
         assert len(curve.params) == 3
@@ -526,10 +518,10 @@ class TestConicOnQuadric:
             assert _proportional(_at(curve, pair), p)
 
     def test_collinear_points_rejected(self):
-        qmat = self.quadric_p3()
+        form = self.quadric_p3()
         pts = [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)]
         with pytest.raises(GeneralPositionError):
-            conic_on_quadric(qmat, *pts)
+            conic_on_quadric(form, *pts)
 
     @pytest.mark.parametrize(
         "pts",
@@ -688,25 +680,43 @@ class TestPointContract:
             fit_rnc_through(spec, points)
 
 
-def _hand_built_quadric(h, r):
-    """Gram matrix of U_0 U_1 + h(U_2..U_{r+2}), written out entry by entry."""
-    size = r + 3
-    m = [[F(0)] * size for _ in range(size)]
-    m[0][1] = F(1, 2)
-    m[1][0] = F(1, 2)
-    hmat = h.matrix()
-    for i in range(r + 1):
-        for j in range(r + 1):
-            m[2 + i][2 + j] = hmat.entries[i][j]
-    return QMatrix(m)
+def _lift_of(spec, monkeypatch) -> tuple:
+    """The form and the three points that ``spec.fit`` hands ``conic_on_quadric``."""
+    seen = []
+
+    def recording(form, *pts):
+        seen.append((form, pts))
+        return conic_on_quadric(form, *pts)
+
+    monkeypatch.setattr(catalog, "conic_on_quadric", recording)
+    _fit(spec)
+    return seen[-1]
 
 
 @pytest.mark.parametrize("r", range(2, 6))
-def test_quadric_veronese_quadric_is_the_hyperbolic_form(r):
+def test_quadric_veronese_quadric_is_the_hyperbolic_form(r, monkeypatch):
+    # the lift's ambient form is U_0 U_1 + h(U_2..U_{r+2})
+    u = [Polynomial.variable(r + 3, j) for j in range(r + 3)]
     for rank in range(5, r + 4):
-        h = QuadricVeronese(r, 1, rank).form()
-        expected = _hand_built_quadric(h, r)
-        assert catalog.QuadraticForm(rank, r + 3).matrix() == expected
+        spec = QuadricVeronese(r, 1, rank)
+        form, _ = _lift_of(spec, monkeypatch)
+        assert form.poly() == u[0] * u[1] + spec.form().poly().compose(u[2:])
+
+
+@pytest.mark.parametrize("r", range(1, 5))
+def test_segre_quadric_is_the_lift_in_its_coordinates(r, monkeypatch):
+    # in x = (U_0, -U_{r+1}, U_1..U_r) the lift's form is -(U_0 U_{r+1} - q(U)),
+    # and its points are Segre's (1, s, q(s))
+    u = [Polynomial.variable(r + 2, j) for j in range(r + 2)]
+    for mu in range(3, r + 3):
+        spec = SegreSpecial(r, mu)
+        q = spec.form()
+        form, pts = _lift_of(spec, monkeypatch)
+        segre = u[0] * u[r + 1] - q.poly().compose(u[1 : r + 1])
+        assert form.poly().compose([u[0], -u[r + 1]] + u[1 : r + 1]) == -segre
+        for x in pts:
+            point = (x[0],) + x[2:] + (-x[1],)
+            assert point[0] == 1 and point[r + 1] == q.eval(point[1 : r + 1])
 
 
 def _fit(spec, seed=20):
