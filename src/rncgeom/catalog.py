@@ -43,7 +43,6 @@ from .rnc import (
     _products_but_one,
     conic_on_quadric,
     fit_scroll_section,
-    projectivity_p1,
     rnc_through_points,
 )
 from .sampling import (
@@ -392,22 +391,21 @@ def _through_chart(spec, weights, degree: int, args, params) -> RationalCurve:
 
 @cache
 def _chart_forms(spec, weights, degree: int) -> tuple:
-    """The chart [1 : spec.components()] homogenized to ``degree``, with
-    one weight per chart variable and a new leading variable.
+    """The chart [1 : spec.components()] of ``make_variety`` homogenized to
+    ``degree``, with one weight per chart variable and a new leading variable.
 
     Built once per (spec, weights, degree) per process and shared by
     every fit; the cache is unbounded, since its keys are the specs a
     process fits.
     """
-    comps = [Polynomial.one(len(weights))] + spec.components()
-    return tuple(c.homogenize(degree, weights) for c in comps)
+    return tuple(c.homogenize(degree, weights) for c in make_variety(spec).components)
 
 
-def _lifted_conic(h: QuadraticForm, points) -> RationalCurve:
-    """The conic through the points (1, -h(s), s) of the quadric
-    x0 x1 + h(x2, ..) = 0, which is the normal form of rank h.rank + 2."""
+def _lift(h: QuadraticForm, points) -> tuple:
+    """The quadric x0 x1 + h(x2, ..) = 0, the normal form of rank h.rank + 2,
+    and its points (1, -h(s), s)."""
     lifted = [(Fraction(1), -h.eval(s)) + s for s in points]
-    return conic_on_quadric(QuadraticForm(h.rank + 2, h.nvars + 2), *lifted)
+    return QuadraticForm(h.rank + 2, h.nvars + 2), lifted
 
 
 def _isqrt_fraction(value: Fraction):
@@ -429,11 +427,14 @@ def _zero_poly_check(variety: Parametrization, substitution) -> bool:
     return True
 
 
-def _quadric_zero_samples(form: QuadraticForm, rng: random.Random, count=5):
+_QUADRIC_SAMPLES = 5  # zeros of q drawn for a quadric witness
+
+
+def _quadric_zero_samples(form: QuadraticForm, rng: random.Random):
     """Rational points of q(s) = 0 through the hyperbolic presentation."""
     out = []
     guard = 0
-    while len(out) < count and guard < 100 * count:
+    while len(out) < _QUADRIC_SAMPLES and guard < 100 * _QUADRIC_SAMPLES:
         guard += 1
         s = [rand_rational(rng) for _ in range(form.nvars)]
         if form.rank == 1:
@@ -667,7 +668,9 @@ class QuadricVeronese:
         fact by the degree/span/incidence checks.
         """
         r, rho = self.r, self.rho
-        conic = _lifted_conic(self.form(), points)
+        form, lifted = _lift(self.form(), points)
+        a, b = (form.polar(lifted[0], x) for x in lifted[1:])
+        conic = conic_on_quadric(form, lifted, [(-a, b), (0, 1), (1, 0)])
         lists = conic.integer_lists()  # U_0, U_1 .. U_{r+2} along the conic
         if not lists[0]:
             raise GenericityError("conic lies in the hyperplane at infinity")
@@ -713,17 +716,14 @@ class SegreSpecial:
             raise GeneralPositionError("tau values must be distinct")
         # the ambient quadric U_0 U_{r+1} = q(U_1..U_r) is the lift's
         # x0 x1 + q(x2..) = 0 in the coordinates x = (U_0, -U_{r+1}, U_1..U_r)
-        conic = _lifted_conic(self.form(), [p[1:] for p in points])
-        x0, x1, *xs = conic.components
-        # the pencil is in (u : s), the variable order of the homogenized conic
-        targets = [(u, s) for s, u in conic.params]
-        mat = projectivity_p1([(Fraction(1), tau) for tau in taus], targets)
-        # the g share one scale factor, which curve_normalize strips
-        g = projective_compose([c.homogenize(2, (1,)) for c in [x0, *xs, -x1]], mat.entries)
+        form, lifted = _lift(self.form(), [p[1:] for p in points])
+        pairs = [(tau, 1) for tau in taus]
+        x0, x1, *xs = conic_on_quadric(form, lifted, pairs).integer_lists()
+        g = [x0, *xs, [-c for c in x1]]
         tg = [[0] + x if x else x for x in g]  # t g, a shifted list
         # chart order [1, t, s, t s, q, t q] over g = (g0, gs, gq)
         comps = g[:1] + tg[:1] + g[1 : r + 1] + tg[1 : r + 1] + g[r + 1 :] + tg[r + 1 :]
-        return curve_from_lists(comps, [(tau, 1) for tau in taus])
+        return curve_from_lists(comps, pairs)
 
     def witness(self) -> tuple:
         return _quadric_witness(self, 11, max(1, self.r - 1), line=True)

@@ -374,15 +374,12 @@ class LinearProjection:
     a coordinate-spanned center is a plain coordinate deletion.
     """
 
-    __slots__ = ("ambient_dim", "complement_cols", "matrix")
+    __slots__ = ("complement_cols", "matrix")
 
-    def __init__(self, center: ProjSubspace, ambient_dim: int):
-        if center.ambient_dim != ambient_dim:
-            raise DimensionMismatchError("center lives in a different ambient")
-        if center.dim == ambient_dim:
+    def __init__(self, center: ProjSubspace):
+        if center.dim == center.ambient_dim:
             raise RncGeomError("cannot project from the whole space")
-        self.ambient_dim = ambient_dim
-        n = ambient_dim + 1
+        n = center.ambient_dim + 1
         piv = set(center.pivots)
         self.complement_cols = tuple(c for c in range(n) if c not in piv)
         rows = []
@@ -412,6 +409,7 @@ class LinearProjection:
         return ProjSubspace(self.target_dim, rows)
 
 
-def projection_from(center: ProjSubspace, ambient_dim: int) -> LinearProjection:
-    """Linear projection killing exactly the center (empty center: identity)."""
-    return LinearProjection(center, ambient_dim)
+def projection_from(center: ProjSubspace) -> LinearProjection:
+    """Linear projection of the center's ambient killing exactly the center
+    (empty center: identity)."""
+    return LinearProjection(center)

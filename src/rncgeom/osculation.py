@@ -413,7 +413,7 @@ def osculating_projection_map(v: Parametrization, centers):
         raise GeneralPositionError(
             f"osculators not in direct sum (dim {center.dim} < {expected})"
         )
-    proj = projection_from(center, v.ambient_dim)
+    proj = projection_from(center)
     return proj, Parametrization._projected(v, proj)
 
 
@@ -454,7 +454,7 @@ def curve_projection_check(curve: RationalCurve, t0, k: int) -> bool:
         )
     point_vec = curve.eval(t0)
     center = span_of([point_vec], curve.ambient_dim)
-    proj = projection_from(center, curve.ambient_dim)
+    proj = projection_from(center)
     image = project_curve(proj, curve)
 
     # extension through a' = image of the tangent direction

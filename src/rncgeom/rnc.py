@@ -2,9 +2,9 @@
 
 The module holds the curve kernels that know no variety family:
 certification, incidence, interpolation through d+3 points, scroll
-sections, conics on quadrics and projectivities of P^1.  The spec classes
-of ``catalog`` build their curves from them, and ``sample_parameter_points``
-and ``fit_rnc_through`` dispatch to a spec's own sampler and fitter.
+sections and conics on quadrics.  The spec classes of ``catalog`` build
+their curves from them, and ``sample_parameter_points`` and
+``fit_rnc_through`` dispatch to a spec's own sampler and fitter.
 
 The interpolation routine through d+3 points uses the classical frame
 normalization: d+2 points go to the coordinate simplex and unit point,
@@ -94,8 +94,13 @@ def curve_contains_point(curve: RationalCurve, point, assume_normalized=False) -
     the gcd of the 2x2 cross minors against a nonzero coordinate of the
     point, built on the curve's integer lists: a common root, or a match
     with the value at infinity, certifies membership.
+
+    The curve is normalized first, at once when it is already;
+    ``assume_normalized`` raises ValueError when normalizing changes it.
     """
-    c = curve if assume_normalized else curve_normalize(curve)
+    c = curve_normalize(curve)
+    if assume_normalized and c != curve:
+        raise ValueError("curve is not normalized")
     p, _ = clear_denominators(point)
     if len(p) != c.ambient_dim + 1:
         raise DimensionMismatchError("point/curve ambient mismatch")
@@ -254,51 +259,37 @@ def fit_scroll_section(a, samples: Sequence) -> list:
 # ---------------------------------------------------------------------------
 
 
-def conic_on_quadric(form, p1, p2, p3) -> RationalCurve:
-    """Exact conic through three points of the quadric {q = 0}, within their plane.
+def conic_on_quadric(form, points, pairs) -> RationalCurve:
+    """Exact conic through three points of the quadric {q = 0}, within their
+    plane, that reaches point i at the parameter pair (s_i : u_i), t = s/u.
 
     ``form`` is a quadratic form such as a ``catalog.QuadraticForm``:
     ``form.eval(p)`` is q(p), and ``form.polar(u, v)`` the symmetric bilinear
-    q(u + v) - q(u) - q(v).  So nonzero pairwise polars a, b and c also make
-    the points independent.  Dependent p1 and p2 give a = 0, and
-    p3 = x p1 + y p2 gives 0 = q(p3) = x y a, so a = 0, or c = 0 (x = 0),
-    or b = 0 (y = 0).
+    q(u + v) - q(u) - q(v).  So nonzero pairwise polars also make the points
+    independent: p3 = x p1 + y p2 gives 0 = q(p3) = x y polar(p1, p2).
 
-    The curve carries the parameter (s : u), t = s/u, of each point: p1 at
-    (-a : b), with a and b the polars of p1 with p2 and p3, p2 at (0 : 1)
-    and p3 at (1 : 0).
+    The conic is x(t) = sum_i lam_i p_i l_i(t), l_i the product of the
+    u_k t - s_k over k != i.  Over the cyclic triples (m, j, k), b_m is the
+    polar of p_j and p_k, d_m = s_j u_k - s_k u_j and lam_m = b_m d_j d_k;
+    then q(x) = prod_k (u_k t - s_k) b_1 b_2 b_3 d_1 d_2 d_3 sum_m d_m (u_m t - s_m),
+    and the sum is 0.  Scaling a point or a pair scales every term alike, so
+    each is cleared of its own denominators and the sum taken on integers.
     """
-    pts = [tuple(Fraction(x) for x in p) for p in (p1, p2, p3)]
+    pts = [clear_denominators(p)[0] for p in points]
     if any(form.eval(p) for p in pts):
         raise GeneralPositionError("point does not lie on the quadric")
-    a = form.polar(pts[0], pts[1])
-    b = form.polar(pts[0], pts[2])
-    c = form.polar(pts[1], pts[2])
-    if a == 0 or b == 0 or c == 0:
+    cyclic = ((1, 2), (2, 0), (0, 1))  # (j, k) at position m
+    b = [form.polar(pts[j], pts[k]).numerator for j, k in cyclic]  # integers
+    if not all(b):
         raise GeneralPositionError("plane section is a degenerate conic")
-
-    # the plane's coordinates along c t, -(a + b t) and t times the latter,
-    # each cleared over one denominator
-    (ia, ib, ic), _ = clear_denominators((a, b, c))
-    units = ([0, ic], [-ia, -ib], [0, -ia, -ib])
-    comps = [_combine_ints(row, units) for row in QMatrix(list(zip(*pts))).cleared[0]]
-    return curve_from_lists(comps, [(-a, b), (0, 1), (1, 0)])
-
-
-def projectivity_p1(sources, targets) -> QMatrix:
-    """2x2 matrix sending three source parameter pairs to three targets."""
-
-    def frame(pts):
-        p0, p1, p2 = [tuple(Fraction(x) for x in p) for p in pts]
-        mat = QMatrix([[p0[0], p1[0]], [p0[1], p1[1]]])
-        c = mat.inverse().matvec(p2)
-        if c[0] == 0 or c[1] == 0:
-            raise GeneralPositionError("parameter pairs are not pairwise distinct")
-        return QMatrix(
-            [[c[0] * p0[0], c[1] * p1[0]], [c[0] * p0[1], c[1] * p1[1]]]
-        )
-
-    return frame(targets) @ frame(sources).inverse()
+    ints = [clear_denominators(pair)[0] for pair in pairs]
+    d = [ints[j][0] * ints[k][1] - ints[k][0] * ints[j][1] for j, k in cyclic]
+    if not all(d):
+        raise GeneralPositionError("parameter pairs are not pairwise distinct")
+    lam = [bm * d[j] * d[k] for bm, (j, k) in zip(b, cyclic)]
+    prods = _products_but_one(ints)
+    comps = [_combine_ints([c * x for c, x in zip(lam, coords)], prods) for coords in zip(*pts)]
+    return curve_from_lists(comps, pairs)
 
 
 def _products_but_one(pairs) -> list:

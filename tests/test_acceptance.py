@@ -242,7 +242,7 @@ def test_osculation_suite():
         ok, _, _ = try_direct_sum([center, rep.subspace])
         if not ok:
             continue
-        proj = projection_from(center, variety.ambient_dim)
+        proj = projection_from(center)
         image = Parametrization(
             variety.nparams, proj.apply_polys(list(variety.components))
         )

@@ -108,6 +108,21 @@ class TestOneChartPerSpec:
         # the chart [1 : components], each form homogenized by the first fit
         assert len(homogenized) == len(spec.components()) + 1
 
+    @pytest.mark.parametrize(
+        "spec",
+        [Veronese(2, 3), Scroll(ScrollSpec((2, 1))), StandardScroll(ScrollSpec((1, 1)), 2, 0),
+         ConeStandard(1, 4), Veronese33()],
+        ids=lambda s: s.family,
+    )
+    def test_chart_and_two_fits_build_the_components_once(self, spec, monkeypatch):
+        clear_chart_caches()
+        built = counting(monkeypatch, type(spec), "components")
+        catalog.make_variety(spec)
+        rng = random.Random(5)
+        for _ in range(2):
+            rnc.fit_rnc_through(spec, rnc.sample_parameter_points(spec, rng))
+        assert len(built) == 1
+
     def test_a_failed_build_is_not_cached(self, monkeypatch):
         clear_chart_caches()
         spec = Veronese(2, 4)

@@ -15,7 +15,9 @@ code read before it moved to the lists:
 - the quadric-Veronese fitter: ``power_product`` over ``Fraction`` of the
   conic's components, the conic from ``poly.combine`` over ``Fraction``;
 - the conic on a quadric and the Segre fitter: the pairings of the
-  quadric's Gram matrix, Segre's written for U_0 U_{r+1} = q(U_1..U_r).
+  quadric's Gram matrix and a conic on its own frame, whose pairs the
+  kernel is handed; Segre's written for U_0 U_{r+1} = q(U_1..U_r) and
+  moved to the (tau_i : 1) by a projectivity of P^1 (``projectivity_p1``).
 
 ``rnc_through_points`` keeps its reference in ``tests/test_rnc.py``.
 """
@@ -111,7 +113,7 @@ def projections(draw, curve):
         vectors.append(reference_eval(curve, t))
     center = span_of(vectors, n)
     assume(center.dim < n)
-    return projection_from(center, n)
+    return projection_from(center)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +138,7 @@ class TestProjectCurve:
     def test_center_through_a_point_of_the_curve(self, data, curve, t):
         point = curve.eval(t)
         assume(any(point))
-        proj = projection_from(span_of([point], curve.ambient_dim), curve.ambient_dim)
+        proj = projection_from(span_of([point], curve.ambient_dim))
         assert _outcome(project_curve, proj, curve) == _outcome(
             reference_project_curve, proj, curve
         )
@@ -145,7 +147,7 @@ class TestProjectCurve:
         # a conic in the plane {x3 = 0} of P^3, projected from that plane
         conic = curve_from_lists([[1], [0, 1], [0, 0, 1], []])
         plane = span_of([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], 3)
-        proj = projection_from(plane, 3)
+        proj = projection_from(plane)
         with pytest.raises(DegenerateCurveError):
             project_curve(proj, conic)
         with pytest.raises(DegenerateCurveError):
@@ -153,7 +155,7 @@ class TestProjectCurve:
 
     def test_builds_no_polynomial(self, monkeypatch):
         curve = curve_from_lists([[1, 2], [0, 3, 1], [5, 0, 0, 1], [0, 0, 1]])
-        proj = projection_from(span_of([curve.eval(Fraction(1, 2))], 3), 3)
+        proj = projection_from(span_of([curve.eval(Fraction(1, 2))], 3))
         built = _counting(monkeypatch, Polynomial, "__init__")
         image = project_curve(proj, curve)
         assert certify_curve(image).is_rnc
@@ -260,7 +262,7 @@ class TestOneForm:
             _, curve = _fit(spec)
             n = curve.ambient_dim
             center = span_of([curve.eval(Fraction(1, 3))], n)
-            image = project_curve(projection_from(center, n), curve)
+            image = project_curve(projection_from(center), curve)
             assert certify_curve(image).degree == curve.degree() - 1
         assert built == []
 
@@ -326,7 +328,17 @@ def reference_pairing(qmat, u, v) -> Fraction:
     return sum(x * y for x, y in zip(qmat.matvec(u), v))
 
 
+def reference_pairs(qmat, p1, p2, p3) -> list:
+    """The pairs at which ``reference_conic_on_quadric`` reaches its points:
+    (-a : b), (0 : 1) and (1 : 0), a and b the polars of p1 with p2 and p3."""
+    a, b = (2 * reference_pairing(qmat, p1, x) for x in (p2, p3))
+    return [(-a, b), (0, 1), (1, 0)]
+
+
 def reference_conic_on_quadric(qmat, p1, p2, p3) -> RationalCurve:
+    """The conic through three points of the quadric of ``qmat``, within
+    their plane, on its own frame: the plane's coordinates along c t,
+    -(a + b t) and t times the latter."""
     pts = [tuple(Fraction(x) for x in p) for p in (p1, p2, p3)]
     a = 2 * reference_pairing(qmat, pts[0], pts[1])
     b = 2 * reference_pairing(qmat, pts[0], pts[2])
@@ -338,7 +350,7 @@ def reference_conic_on_quadric(qmat, p1, p2, p3) -> RationalCurve:
     u1 = -(t.scale(b) + Polynomial.constant(1, a))
     u2 = t * u1
     comps = [poly.combine(coords, (u0, u1, u2)) for coords in zip(*pts)]
-    return curve_normalize(RationalCurve(comps, [(-a, b), (0, 1), (1, 0)]))
+    return curve_normalize(RationalCurve(comps, reference_pairs(qmat, *pts)))
 
 
 def reference_fit_quadric_veronese(spec, points) -> RationalCurve:
@@ -359,6 +371,22 @@ def reference_fit_quadric_veronese(spec, points) -> RationalCurve:
     return curve_normalize(RationalCurve(comps, conic.params))
 
 
+def projectivity_p1(sources, targets) -> linalg.QMatrix:
+    """2x2 matrix sending three source parameter pairs to three targets."""
+
+    def frame(pts):
+        p0, p1, p2 = [tuple(Fraction(x) for x in p) for p in pts]
+        mat = linalg.QMatrix([[p0[0], p1[0]], [p0[1], p1[1]]])
+        c = mat.inverse().matvec(p2)
+        if c[0] == 0 or c[1] == 0:
+            raise GeneralPositionError("parameter pairs are not pairwise distinct")
+        return linalg.QMatrix(
+            [[c[0] * p0[0], c[1] * p1[0]], [c[0] * p0[1], c[1] * p1[1]]]
+        )
+
+    return frame(targets) @ frame(sources).inverse()
+
+
 def reference_fit_segre(spec, points) -> RationalCurve:
     """The conic on U_0 U_{r+1} = q(U_1..U_r), on that quadric's own Gram
     matrix, through the projectivity sending each (1 : tau) to its point."""
@@ -377,7 +405,7 @@ def reference_fit_segre(spec, points) -> RationalCurve:
             m[1 + i][1 + j] = -inner[i][j]
     conic = reference_conic_on_quadric(linalg.QMatrix(m), *quadric_pts)
     targets = [(u, s) for s, u in conic.params]
-    mat = rnc.projectivity_p1([(Fraction(1), tau) for tau in taus], targets)
+    mat = projectivity_p1([(Fraction(1), tau) for tau in taus], targets)
     g = poly.projective_compose([c.homogenize(2, (1,)) for c in conic.components], mat.entries)
     tg = [[0] + x if x else x for x in g]
     # chart order [1, t, s, t s, q, t q] over g = (g0, gs, gq)
@@ -481,6 +509,9 @@ class TestFittersOnLists:
             assume(s[1] != 0)
             s[0] = -form.eval([Fraction(0)] + s[1:]) / s[1]
             pts.append(tuple(s))
-        assert _outcome(rnc.conic_on_quadric, form, *pts) == _outcome(
-            reference_conic_on_quadric, reference_gram(form), *pts
+        # the kernel at the pairs of the reference's frame
+        gram = reference_gram(form)
+        pairs = reference_pairs(gram, *pts)
+        assert _outcome(rnc.conic_on_quadric, form, pts, pairs) == _outcome(
+            reference_conic_on_quadric, gram, *pts
         )

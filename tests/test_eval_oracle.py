@@ -207,7 +207,7 @@ def test_image_that_drops_generic_rank_is_rejected():
     point = (Fraction(1), Fraction(2))
     with pytest.raises(DegenerateParametrizationError):
         osculating_projection_map(v, [(point, 0)])
-    proj = projection_from(span_of([v.eval(point)]), v.ambient_dim)
+    proj = projection_from(span_of([v.eval(point)]))
     with pytest.raises(DegenerateParametrizationError):
         Parametrization(2, proj.apply_polys(list(v.components)))
 

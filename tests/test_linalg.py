@@ -84,24 +84,24 @@ class TestGrassmannIdentity:
 class TestProjectionFrom:
     def test_point_center_drops_coordinate(self):
         center = span_of([(1, 0, 0, 0)])
-        proj = projection_from(center, 3)
+        proj = projection_from(center)
         assert proj.complement_cols == (1, 2, 3)
         assert proj.matrix.matvec((5, 1, 2, 3)) == (1, 2, 3)
 
     def test_empty_center_is_identity(self):
-        proj = projection_from(span_of([], ambient_dim=2), 2)
+        proj = projection_from(span_of([], ambient_dim=2))
         assert proj.complement_cols == (0, 1, 2)
         assert proj.matrix.matvec((1, 2, 3)) == (1, 2, 3)
 
     def test_whole_space_rejected(self):
         full = span_of([(1, 0), (0, 1)])
         with pytest.raises(RncGeomError):
-            projection_from(full, 1)
+            projection_from(full)
 
     def test_fixes_complement(self):
         rng = random.Random(3)
         center = span_of([rand_vector(rng, 6) for _ in range(2)], 5)
-        proj = projection_from(center, 5)
+        proj = projection_from(center)
         for col_idx, col in enumerate(proj.complement_cols):
             vec = [F(0)] * 6
             vec[col] = F(1)
@@ -113,7 +113,7 @@ class TestProjectionFrom:
     def test_kills_exactly_center(self):
         rng = random.Random(4)
         center = span_of([rand_vector(rng, 5) for _ in range(2)], 4)
-        proj = projection_from(center, 4)
+        proj = projection_from(center)
         for v in center.basis:
             assert all(x == 0 for x in proj.matrix.matvec(v))
         assert QMatrix(list(proj.matrix.entries)).rank() == len(proj.complement_cols)
@@ -126,7 +126,7 @@ class TestProjectionFrom:
         from rncgeom.osculation import osculator
 
         rep = osculator(variety, (F(0), F(0), F(0)), 1)
-        proj = projection_from(rep.subspace, variety.ambient_dim)
+        proj = projection_from(rep.subspace)
         # chart order [1, t, s1, s2, t s1, t s2, q, t q]: degree >= 2 survive
         assert proj.complement_cols == (4, 5, 6, 7)
 

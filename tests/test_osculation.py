@@ -248,7 +248,7 @@ class TestProjectionCompatibility:
                 break
         from rncgeom.linalg import projection_from
 
-        proj = projection_from(center, v.ambient_dim)
+        proj = projection_from(center)
         image = Parametrization(v.nparams, proj.apply_polys(list(v.components)))
         image_osc = osculator(image, point, 1)
         assert image_osc.subspace == proj.image_of(rep.subspace)

@@ -141,24 +141,28 @@ class TestContainsPoint:
     def test_fraction_curve_agrees_with_reference(self):
         on, off = self._points()
         assert on[-2][0] == 0
-        for assume_normalized in (True, False):
-            for point in on + off:
-                expected = reference_curve_contains_point(self.BASE, point, assume_normalized)
-                assert curve_contains_point(self.BASE, point, assume_normalized) == expected
-                assert expected == (point in on)
+        normal = curve_normalize(self.BASE)
+        for point in on + off:
+            expected = reference_curve_contains_point(self.BASE, point)
+            assert expected == (point in on)
+            assert curve_contains_point(self.BASE, point) == expected
+            assert curve_contains_point(normal, point, assume_normalized=True) == expected
+            # the flag is a claim, checked: BASE has Fraction coefficients
+            with pytest.raises(ValueError, match="curve is not normalized"):
+                curve_contains_point(self.BASE, point, assume_normalized=True)
 
     def test_curve_with_common_factor_agrees_with_reference(self):
-        # a common factor makes every minor vanish at its root, so only the
-        # normalizing call can tell the off-curve points apart
+        # a common factor makes every minor vanish at its root, so only
+        # normalization can tell the off-curve points apart
         factor = Polynomial.univariate([F(-2, 5), F(3, 5)])
         curve = RationalCurve([c * factor for c in self.BASE.components])
         on, off = self._points()
-        for assume_normalized in (True, False):
-            for point in on + off:
-                expected = reference_curve_contains_point(curve, point, assume_normalized)
-                assert curve_contains_point(curve, point, assume_normalized) == expected
-                if not assume_normalized:
-                    assert expected == (point in on)
+        for point in on + off:
+            expected = reference_curve_contains_point(curve, point)
+            assert expected == (point in on)
+            assert curve_contains_point(curve, point) == expected
+            with pytest.raises(ValueError, match="curve is not normalized"):
+                curve_contains_point(curve, point, assume_normalized=True)
 
 
 def _reference_rnc_through_points(d, points, free_params):
@@ -472,11 +476,14 @@ class TestConicOnQuadric:
         u0, u1, u2 = curve.components
         assert (u0 * u1 + u2 * u2).is_zero()
 
+    # distinct parameter pairs, the point at infinity among them
+    PAIRS = [(F(0), F(1)), (F(1), F(0)), (F(-2, 3), F(1))]
+
     def test_three_points_on_quadric(self):
         # [1 : -uv : u : v] with pairwise distinct u and v: no shared rulings
         form = self.quadric_p3()
         pts = [(1, -1, 1, 1), (1, -6, 2, 3), (1, 5, 5, -1)]
-        curve = conic_on_quadric(form, *pts)
+        curve = conic_on_quadric(form, pts, self.PAIRS)
         cert = certify_curve(curve)
         assert cert.degree == 2 and cert.span_dim == 2
         for p in pts:
@@ -487,11 +494,11 @@ class TestConicOnQuadric:
         assert residual.is_zero()
 
     def test_incidence_at_its_points_takes_no_gcd(self, monkeypatch):
-        # the curve carries the pair of each point, swapped to (s : u)
+        # the curve carries the pair it was asked to reach each point at
         form = self.quadric_p3()
         pts = [(1, -1, 1, 1), (1, -6, 2, 3), (1, 5, 5, -1)]
-        curve = conic_on_quadric(form, *pts)
-        assert len(curve.params) == 3
+        curve = conic_on_quadric(form, pts, self.PAIRS)
+        assert curve.params == tuple(self.PAIRS)
         gcds = _callers(monkeypatch, "_gcd_ints")
         assert all(curve_contains_point(curve, p) for p in pts)
         assert gcds == []
@@ -499,29 +506,63 @@ class TestConicOnQuadric:
     @settings(max_examples=40, deadline=None)
     @given(rank=st.integers(3, 5), extra=st.integers(0, 1), data=st.data())
     def test_carried_pairs_reach_their_points(self, rank, extra, data):
-        # points of q = 0 drawn like catalog._quadric_zero_samples: x0 solves for q
+        # the pairs QuadricVeronese passes: (-a : b), a and b the polars of
+        # the first point with the other two, then (0 : 1) and (1 : 0)
         form = catalog.QuadraticForm(rank, rank + extra)
-        coord = st.fractions(-4, 4, max_denominator=3)
-        pts = []
-        for _ in range(3):
-            s = data.draw(st.lists(coord, min_size=form.nvars, max_size=form.nvars))
-            assume(s[1] != 0)
-            s[0] = -form.eval([F(0)] + s[1:]) / s[1]
-            assert form.eval(s) == 0
-            pts.append(tuple(s))
+        pts = _quadric_points(form, data)
+        a, b = (form.polar(pts[0], x) for x in pts[1:])
         try:
-            curve = conic_on_quadric(form, *pts)
+            curve = conic_on_quadric(form, pts, [(-a, b), (0, 1), (1, 0)])
         except GeneralPositionError:
             assume(False)
         assert len(curve.params) == 3
         for p, pair in zip(pts, curve.params):
             assert _proportional(_at(curve, pair), p)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rank=st.integers(3, 5),
+        extra=st.integers(0, 1),
+        data=st.data(),
+        scale=st.fractions(-3, 3, max_denominator=4).filter(bool),
+    )
+    def test_closed_form_conic_at_any_pairs(self, rank, extra, data, scale):
+        form = catalog.QuadraticForm(rank, rank + extra)
+        pts = _quadric_points(form, data)
+        pair = st.one_of(
+            st.just((F(1), F(0))), st.tuples(st.fractions(-5, 5, max_denominator=4), st.just(F(1)))
+        )
+        pairs = data.draw(st.lists(pair, min_size=3, max_size=3))
+        assume(all(s * v != u * t for (s, u), (t, v) in itertools.combinations(pairs, 2)))
+        try:
+            curve = conic_on_quadric(form, pts, pairs)
+        except GeneralPositionError:
+            assume(False)
+        # each point at its pair, and the whole conic on the quadric
+        assert curve.params == tuple(pairs)
+        for p, pair in zip(pts, pairs):
+            assert _proportional(_at(curve, pair), p)
+        assert form.poly().compose(list(curve.components)).is_zero()
+        # a scaled point is the same projective point: the same curve
+        i = data.draw(st.integers(0, 2))
+        scaled = list(pts)
+        scaled[i] = tuple(scale * x for x in pts[i])
+        again = conic_on_quadric(form, scaled, pairs)
+        assert again == curve and again.params == curve.params
+        # a pair repeated (up to a scale) leaves no conic
+        with pytest.raises(GeneralPositionError, match="parameter pairs"):
+            conic_on_quadric(form, pts, [pairs[0], pairs[1], tuple(2 * x for x in pairs[0])])
+
+    def test_point_off_the_quadric_rejected(self):
+        pts = [(1, -1, 1, 1), (1, -6, 2, 3), (1, 5, 5, 1)]
+        with pytest.raises(GeneralPositionError, match="does not lie on the quadric"):
+            conic_on_quadric(self.quadric_p3(), pts, self.PAIRS)
+
     def test_collinear_points_rejected(self):
         form = self.quadric_p3()
         pts = [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)]
         with pytest.raises(GeneralPositionError):
-            conic_on_quadric(form, *pts)
+            conic_on_quadric(form, pts, self.PAIRS)
 
     @pytest.mark.parametrize(
         "pts",
@@ -534,10 +575,24 @@ class TestConicOnQuadric:
         ids=["p3=p1", "p3=2p2", "line-on-quadric"],
     )
     def test_dependent_points_rejected(self, pts):
-        # dependent points of the quadric have a zero pairing, so the
-        # degenerate-conic check rejects them without a rank
+        # dependent points of the quadric have a zero polar, so the
+        # degenerate-conic check rejects them without a rank, before the
+        # pairs are read
         with pytest.raises(GeneralPositionError, match="degenerate conic"):
-            conic_on_quadric(self.quadric_p3(), *pts)
+            conic_on_quadric(self.quadric_p3(), pts, [(0, 1)] * 3)
+
+
+def _quadric_points(form, data) -> list:
+    """Three points of q = 0 drawn like catalog._quadric_zero_samples: x0 solves for q."""
+    coord = st.fractions(-4, 4, max_denominator=3)
+    pts = []
+    for _ in range(3):
+        s = data.draw(st.lists(coord, min_size=form.nvars, max_size=form.nvars))
+        assume(s[1] != 0)
+        s[0] = -form.eval([F(0)] + s[1:]) / s[1]
+        assert form.eval(s) == 0
+        pts.append(tuple(s))
+    return pts
 
 
 ALL_SPECS = [
@@ -681,12 +736,13 @@ class TestPointContract:
 
 
 def _lift_of(spec, monkeypatch) -> tuple:
-    """The form and the three points that ``spec.fit`` hands ``conic_on_quadric``."""
+    """The form, the three points and the pairs that ``spec.fit`` hands
+    ``conic_on_quadric``."""
     seen = []
 
-    def recording(form, *pts):
-        seen.append((form, pts))
-        return conic_on_quadric(form, *pts)
+    def recording(form, pts, pairs):
+        seen.append((form, pts, pairs))
+        return conic_on_quadric(form, pts, pairs)
 
     monkeypatch.setattr(catalog, "conic_on_quadric", recording)
     _fit(spec)
@@ -695,28 +751,32 @@ def _lift_of(spec, monkeypatch) -> tuple:
 
 @pytest.mark.parametrize("r", range(2, 6))
 def test_quadric_veronese_quadric_is_the_hyperbolic_form(r, monkeypatch):
-    # the lift's ambient form is U_0 U_1 + h(U_2..U_{r+2})
+    # the lift's ambient form is U_0 U_1 + h(U_2..U_{r+2}), and the pairs are
+    # (-a : b), (0 : 1), (1 : 0), a and b the polars of the first point
     u = [Polynomial.variable(r + 3, j) for j in range(r + 3)]
     for rank in range(5, r + 4):
         spec = QuadricVeronese(r, 1, rank)
-        form, _ = _lift_of(spec, monkeypatch)
+        form, pts, pairs = _lift_of(spec, monkeypatch)
         assert form.poly() == u[0] * u[1] + spec.form().poly().compose(u[2:])
+        a, b = (form.polar(pts[0], x) for x in pts[1:])
+        assert pairs == [(-a, b), (0, 1), (1, 0)]
 
 
 @pytest.mark.parametrize("r", range(1, 5))
 def test_segre_quadric_is_the_lift_in_its_coordinates(r, monkeypatch):
     # in x = (U_0, -U_{r+1}, U_1..U_r) the lift's form is -(U_0 U_{r+1} - q(U)),
-    # and its points are Segre's (1, s, q(s))
+    # its points are Segre's (1, s, q(s)) and the pairs are the (tau : 1)
     u = [Polynomial.variable(r + 2, j) for j in range(r + 2)]
     for mu in range(3, r + 3):
         spec = SegreSpecial(r, mu)
         q = spec.form()
-        form, pts = _lift_of(spec, monkeypatch)
+        form, pts, pairs = _lift_of(spec, monkeypatch)
         segre = u[0] * u[r + 1] - q.poly().compose(u[1 : r + 1])
         assert form.poly().compose([u[0], -u[r + 1]] + u[1 : r + 1]) == -segre
         for x in pts:
             point = (x[0],) + x[2:] + (-x[1],)
             assert point[0] == 1 and point[r + 1] == q.eval(point[1 : r + 1])
+        assert [w for _, w in pairs] == [1, 1, 1] and len({s for s, _ in pairs}) == 3
 
 
 def _fit(spec, seed=20):
@@ -778,7 +838,7 @@ class TestNormalizedCurves:
         curve = RationalCurve(TestContainsPoint.BASE.components, params)
         normal = curve_normalize(curve)
         center = span_of([normal.eval(F(1, 2))], 3)
-        image = project_curve(projection_from(center, 3), normal)
+        image = project_curve(projection_from(center), normal)
         assert normal.params == image.params == tuple(params)
         gcds = _callers(monkeypatch, "_gcd_ints")
         for pair in params:
@@ -800,7 +860,9 @@ class TestNormalizedCurves:
         del gcds[:]
         assert not curve_contains_point(curve, off, assume_normalized=False)
         assert "curve_normalize" in gcds
-        assert curve_contains_point(curve, off, assume_normalized=True)
+        # the raw lists would answer True: every minor vanishes at the root
+        with pytest.raises(ValueError, match="curve is not normalized"):
+            curve_contains_point(curve, off, assume_normalized=True)
         assert curve_normalize(curve) == curve_normalize(base)
 
 
