@@ -66,6 +66,60 @@ class TensorStructure:
         ]
 
 
+# The latest frame that _frame built, as (rows, frame): the snapshot of
+# its input rows and what _frame returned for them.
+_last_frame = None
+
+
+def _not_spanning(omitted: int, n: int) -> GeneralPositionError:
+    witness = tuple(i for i in range(n + 1) if i != omitted)
+    return GeneralPositionError(f"annihilators {witness} do not span the dual", witness=witness)
+
+
+def _frame(subspaces: Sequence, r: int, dim: int) -> tuple:
+    """The half of ``construct_structure`` that depends on its input alone.
+
+    Returns ``(kernels, annihilators, adj, den_s)``: the integer kernel
+    ``(vectors, den)`` of each F_i, checked for codimension r; those of
+    F_1..F_n made primitive, row by row; and S^-1 = adj / den_S for their
+    stack S.  The latest frame is kept, keyed by a snapshot of the rows
+    compared by value, so a remixed construction on the same subspaces
+    and the type checks of those subspaces eliminate nothing again.  A
+    frame that raises is not kept, and a kept one is never mutated.
+    """
+    global _last_frame
+    rows = tuple(tuple(map(tuple, sub)) for sub in subspaces)
+    last = _last_frame
+    if last is not None and last[0] == rows:
+        return last[1]
+    kernels = []
+    for idx, sub in enumerate(rows):
+        kernel = _kernel_ints(sub, dim)
+        if len(kernel[0]) != r:
+            raise DimensionMismatchError(f"subspace {idx} does not have codimension r={r}")
+        kernels.append(kernel)
+    annihilators = [[primitive_part(v) for v in ann] for ann, _ in kernels[1:]]
+    try:
+        adj, den_s = _inverse_ints([row for ann in annihilators for row in ann])
+    except RncGeomError:
+        raise _not_spanning(0, len(rows) - 1) from None
+    frame = kernels, annihilators, adj, den_s
+    _last_frame = rows, frame
+    return frame
+
+
+def _frame_kernel(rows, dim: int) -> tuple:
+    """``_kernel_ints(rows, dim)``, read from the latest frame when it holds these rows."""
+    last = _last_frame
+    if last is not None:
+        rows = tuple(map(tuple, rows))
+        subs, (kernels, *_) = last
+        for sub, kernel in zip(subs, kernels):
+            if sub == rows and len(sub[0]) == dim:
+                return kernel
+    return _kernel_ints(rows, dim)
+
+
 def construct_structure(subspaces: Sequence, rng=None) -> TensorStructure:
     """The unique structure making n+1 general codim-r subspaces type (r, n-1).
 
@@ -92,6 +146,10 @@ def construct_structure(subspaces: Sequence, rng=None) -> TensorStructure:
     S^-1 = adj / den_S, the coordinates are the integer rows phi adj over
     den_phi den_S.  Each block row is divided by its content g_j before
     the block is inverted, which scales column j of the inverse by 1/g_j.
+
+    The kernels and S^-1 come from ``_frame``, which keeps those of the
+    latest input.  A second call on the same rows, such as a remix,
+    reuses them and computes only its blocks, m and m^-1.
     """
     count = len(subspaces)
     if count < 3:
@@ -107,27 +165,8 @@ def construct_structure(subspaces: Sequence, rng=None) -> TensorStructure:
         raise DimensionMismatchError(f"ambient dimension {dim} not divisible by n={n}")
     r = dim // n
 
-    kernels = []
-    for idx, sub in enumerate(subspaces):
-        kernel = _kernel_ints(sub, dim)
-        if len(kernel[0]) != r:
-            raise DimensionMismatchError(
-                f"subspace {idx} does not have codimension r={r}"
-            )
-        kernels.append(kernel)
-    (phis, den_phi), *others = kernels
-    annihilators = [[primitive_part(v) for v in ann] for ann, _ in others]
-
-    def not_spanning(omitted):
-        witness = tuple(i for i in range(n + 1) if i != omitted)
-        return GeneralPositionError(
-            f"annihilators {witness} do not span the dual", witness=witness
-        )
-
-    try:
-        adj, den_s = _inverse_ints([row for ann in annihilators for row in ann])
-    except RncGeomError:
-        raise not_spanning(0) from None
+    kernels, annihilators, adj, den_s = _frame(subspaces, r, dim)
+    phis, den_phi = kernels[0]
 
     if rng is not None:
         mix, mix_den = rand_invertible_matrix(rng, r).cleared
@@ -147,7 +186,7 @@ def construct_structure(subspaces: Sequence, rng=None) -> TensorStructure:
                 [[x // g for x in row] for row, g in zip(block, contents)]
             )
         except RncGeomError:
-            raise not_spanning(alpha + 1) from None
+            raise _not_spanning(alpha + 1, n) from None
         block_inverses.append((ints, [den_b * g for g in contents]))
     den_m = den_phi * den_s
     m_rows = [
@@ -182,11 +221,12 @@ def is_type_subspace(structure: TensorStructure, subspace_rows) -> Optional[tupl
     independent by themselves, since the annihilator basis is, m^-1 is
     invertible and u -> u t^T is injective for t != 0.  The test is
     scale-free, so it runs on the integer kernel vectors against the
-    cleared m^-1.
+    cleared m^-1.  A subspace of the latest frame that ``construct_structure``
+    built, with rows equal by value, reuses its kernel and eliminates nothing.
     """
     r, n = structure.r, structure.n
     dim = r * n
-    ann, _ = _kernel_ints(subspace_rows, dim)
+    ann, _ = _frame_kernel(subspace_rows, dim)
     if len(ann) != r:
         raise DimensionMismatchError("subspace must have codimension r")
     minv, _ = structure.m_inverse.cleared

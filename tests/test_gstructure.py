@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rncgeom import linalg
+from rncgeom import gstructure, linalg
 from rncgeom.errors import (
     DimensionMismatchError,
     GeneralPositionError,
@@ -24,6 +24,7 @@ from rncgeom.gstructure import (
     is_type_subspace,
 )
 from rncgeom.linalg import QMatrix, combine_rows, kron, nullspace, rank
+from rncgeom.poly import clear_denominators
 from rncgeom.sampling import rand_invertible_matrix, rand_vector
 
 
@@ -33,6 +34,16 @@ def random_codim_r(rng, r, n):
         rows = [rand_vector(rng, dim) for _ in range(dim - r)]
         if rank(rows, dim) == dim - r:
             return rows
+
+
+@pytest.fixture(autouse=True)
+def fresh_frame(monkeypatch):
+    """Each test starts with no frame kept from an earlier one."""
+    monkeypatch.setattr(gstructure, "_last_frame", None)
+
+
+def forget_frame():
+    gstructure._last_frame = None
 
 
 def general_position_family(rng, r, n):
@@ -461,42 +472,53 @@ class TestCachedInverse:
         assert structure.m_inverse @ structure.m == QMatrix.identity(6)
 
     def test_inversions_per_construction(self):
-        # the construction inverts the stack S of the annihilators of
+        # cold, the construction inverts the stack S of the annihilators of
         # F_1..F_n and the n r x r blocks C_alpha with m = D S, nothing
-        # else; n + 1 type checks and a relation invert nothing more.  S
-        # and the blocks are handed over as integer rows scaled row by row,
-        # so each row of m is a nonzero multiple of the row rebuilt as D S.
+        # else.  Warm, n + 1 type checks and a relation invert nothing
+        # more, and a remix inverts only its own n blocks: S once in all.
+        # S and the blocks are handed over as integer rows scaled row by
+        # row, so each row of m is a nonzero multiple of the row rebuilt
+        # as D S.
         rng = random.Random(14)
         r, n = 2, 3
         subs, _ = general_position_family(rng, r, n)
         other = construct_structure(subs, rng=random.Random(98))
         stack = [row for sub in subs[1:] for row in nullspace(sub, r * n)]
+        forget_frame()
         with recording_inversions() as calls:
             structure = construct_structure(subs)
+            assert [len(a) for a in calls] == [r * n] + [r] * n
             for sub in subs:
                 assert is_type_subspace(structure, sub) is not None
             assert grn_relation(structure, other) is not None
+            remixed = construct_structure(subs, rng=random.Random(98))
         assert len(subs) == n + 1
-        assert [len(a) for a in calls] == [r * n] + [r] * n
+        assert [len(a) for a in calls] == [r * n] + [r] * n + [r] * n
+        assert remixed.m == other.m and remixed.m_inverse == other.m_inverse
         assert all(parallel(got, want) for got, want in zip(calls[0], stack))
-        for alpha, block in enumerate(calls[1:]):
-            for j in range(r):
-                rebuilt = [
-                    sum(block[j][i] * calls[0][alpha * r + i][k] for i in range(r))
-                    for k in range(r * n)
-                ]
-                assert parallel(rebuilt, structure.m.entries[j * n + alpha])
+        for built, blocks in ((structure, calls[1 : n + 1]), (remixed, calls[n + 1 :])):
+            for alpha, block in enumerate(blocks):
+                for j in range(r):
+                    rebuilt = [
+                        sum(block[j][i] * calls[0][alpha * r + i][k] for i in range(r))
+                        for k in range(r * n)
+                    ]
+                    assert parallel(rebuilt, built.m.entries[j * n + alpha])
 
     def test_inverted_rows_are_primitive(self):
         # bit growth: the stack of annihilator rows and every block row are
         # divided by their content before they are inverted, so the left
-        # half of each row of [A | I] is an integer row of content 1
+        # half of each row of [A | I] is an integer row of content 1.  A
+        # cold construction inverts S and the blocks, a warm one the blocks.
         for r, n in ((2, 3), (3, 3), (2, 4)):
             subs, _ = general_position_family(random.Random(60 + 10 * r + n), r, n)
-            for mix in (None, random.Random(r * n)):
+            for mix, again in ((None, random.Random(r * n)), (random.Random(r * n), None)):
+                forget_frame()
                 with recording_inversions() as calls:
                     construct_structure(subs, rng=mix)
-                assert [len(a) for a in calls] == [r * n] + [r] * n
+                    assert [len(a) for a in calls] == [r * n] + [r] * n
+                    construct_structure(subs, rng=again)
+                assert [len(a) for a in calls] == [r * n] + [r] * n + [r] * n
                 for a in calls:
                     for row in a:
                         assert all(type(x) is int for x in row)
@@ -527,8 +549,11 @@ class TestCachedInverse:
 
     def test_each_subspace_row_reduced_once(self):
         # the kernel of F_i gives its codimension; F_i is not also
-        # row-reduced for its rank, in the construction or in a type check
-        subs, _ = general_position_family(random.Random(18), 2, 3)
+        # row-reduced for its rank.  Cold, a construction and a type check
+        # each reduce F_i once.  Across a job's construction, its n + 1 type
+        # checks and its remix, F_i and the stack [S | I] are reduced once.
+        r, n = 2, 3
+        subs, _ = general_position_family(random.Random(18), r, n)
         given = [[tuple(F(x) for x in row) for row in sub] for sub in subs]
         reduced = []
         original = linalg._echelon
@@ -537,13 +562,26 @@ class TestCachedInverse:
             reduced.append([tuple(F(x) for x in row) for row in rows])
             return original(rows, ncols)
 
+        def stacks():
+            return sum(len(rows) == r * n and len(rows[0]) == 2 * r * n for rows in reduced)
+
+        forget_frame()
         with mock.patch.object(linalg, "_echelon", counting):
             structure = construct_structure(subs)
             assert [reduced.count(sub) for sub in given] == [1] * len(subs)
+            forget_frame()
             reduced.clear()
             for sub in subs:
                 assert is_type_subspace(structure, sub) is not None
+            assert [reduced.count(sub) for sub in given] == [1] * len(subs)
+            forget_frame()
+            reduced.clear()
+            structure = construct_structure(subs)
+            for sub in subs:
+                assert is_type_subspace(structure, sub) is not None
+            construct_structure(subs, rng=random.Random(3))
         assert [reduced.count(sub) for sub in given] == [1] * len(subs)
+        assert stacks() == 1
 
     @pytest.mark.parametrize("r, n", [(1, 2), (2, 2), (2, 3), (3, 3), (2, 4)])
     def test_each_defect_raises_its_witness(self, r, n):
@@ -575,6 +613,136 @@ class TestCachedInverse:
                 with pytest.raises(GeneralPositionError, match=f"^{message}$") as info:
                     construct_structure(family, rng=mix)
                 assert info.value.witness == witness
+
+
+def echelon_inputs():
+    """Record the rows of each call to the elimination core, as tuples."""
+    reduced = []
+    original = linalg._echelon
+
+    def recording(rows, ncols=None):
+        reduced.append([tuple(row) for row in rows])
+        return original(rows, ncols)
+
+    return reduced, mock.patch.object(linalg, "_echelon", recording)
+
+
+def job(subs, mix, cold):
+    """What a tensor job reads: m and m^-1 of a construction and of a remix,
+    the t of each subspace and of two others, and the relation.  ``cold``
+    forgets the frame before every call."""
+
+    def call(fn, *args, **kwargs):
+        if cold:
+            forget_frame()
+        try:
+            return fn(*args, **kwargs)
+        except (DimensionMismatchError, GeneralPositionError) as exc:
+            return type(exc), str(exc)
+
+    structure = call(construct_structure, subs)
+    if not isinstance(structure, TensorStructure):
+        return structure
+    other = call(construct_structure, subs, rng=random.Random(mix))
+    r, n = structure.r, structure.n
+    probes = subs + [structure.type_subspace([1] * n), random_codim_r(random.Random(mix), r, n)]
+    got = structure.m, structure.m_inverse, [call(is_type_subspace, structure, p) for p in probes]
+    if not isinstance(other, TensorStructure):
+        return got, other
+    return got, other.m, other.m_inverse, grn_relation(structure, other)
+
+
+class TestFrameMemo:
+    """``construct_structure`` keeps the kernels and S^-1 of its latest input."""
+
+    def test_mutated_input_is_not_stale(self):
+        subs, _ = general_position_family(random.Random(30), 2, 3)
+        subs = [[list(row) for row in sub] for sub in subs]
+        before = construct_structure(subs)
+        subs[0][0][0] += 1
+        subs[1], subs[2] = subs[2], subs[1]
+        got = construct_structure(subs)
+        t = is_type_subspace(got, subs[0])
+        forget_frame()
+        fresh = construct_structure(subs)
+        assert got.m != before.m
+        assert (got.m, got.m_inverse) == (fresh.m, fresh.m_inverse)
+        forget_frame()
+        assert t == is_type_subspace(fresh, subs[0])
+
+    def test_value_equal_rows_hit(self):
+        # int rows and Fraction rows with the same values are one input:
+        # the second construction reduces no subspace and inverts no S
+        r, n = 2, 3
+        subs, _ = general_position_family(random.Random(31), r, n)
+        ints = [[clear_denominators(row)[0] for row in sub] for sub in subs]
+        fracs = [[tuple(F(x) for x in row) for row in sub] for sub in ints]
+        first = construct_structure(ints)
+        types = [is_type_subspace(first, sub) for sub in ints]
+        reduced, patch = echelon_inputs()
+        with patch:
+            second = construct_structure(fracs)
+            again = [is_type_subspace(second, sub) for sub in fracs]
+        assert [len(rows) for rows in reduced] == [r] * n  # the blocks alone
+        assert second.m == first.m and second.m_inverse == first.m_inverse
+        assert again == types and all(t is not None for t in types)
+
+    def test_other_dimension_misses(self):
+        # a subspace of the kept frame, checked against a structure on
+        # another space, is rejected as it is with no frame kept
+        _, small = general_position_family(random.Random(34), 2, 2)
+        subs, _ = general_position_family(random.Random(35), 2, 3)
+        with pytest.raises(DimensionMismatchError, match="ragged"):
+            is_type_subspace(small, subs[1])
+
+    @pytest.mark.parametrize("defect", ["stack", "codimension", "block"])
+    def test_raising_input(self, defect):
+        # an input whose frame raises (S singular, or a subspace of the
+        # wrong codimension) raises again on every call, eliminating afresh,
+        # and leaves the kept frame in place.  One whose frame holds but a
+        # block C_alpha is singular keeps its frame and raises again from it.
+        r, n = 2, 3
+        dim = r * n
+        subs, _ = general_position_family(random.Random(32), r, n)
+        kept = gstructure._last_frame
+        anns = [[list(row) for row in nullspace(sub, dim)] for sub in subs]
+        if defect == "stack":
+            anns[1][0] = anns[2][0]
+        elif defect == "block":
+            anns[0][0] = [x + y for x, y in zip(anns[2][0], anns[3][0])]
+        bad = [nullspace(ann, dim) for ann in anns]
+        if defect == "codimension":
+            bad[2] = bad[2][:-1]
+        error = DimensionMismatchError if defect == "codimension" else GeneralPositionError
+        for call in range(2):
+            reduced, patch = echelon_inputs()
+            with patch:
+                with pytest.raises(error) as info:
+                    construct_structure(bad)
+            if call == 0:
+                message = str(info.value)
+            assert str(info.value) == message
+            if defect == "block":
+                assert "(0, 2, 3)" in message
+                assert gstructure._last_frame[0] == tuple(map(tuple, bad))
+                # cold: n + 1 kernels, S and C_0; warm: C_0 alone
+                assert len(reduced) == (1 if call else n + 3)
+            else:
+                assert gstructure._last_frame is kept
+                assert reduced[0] == [tuple(row) for row in bad[0]]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        r=st.integers(1, 3),
+        n=st.integers(2, 4),
+        defect=st.sampled_from(["none", "none", "shared", "repeated"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_warm_matches_cold(self, r, n, defect, seed):
+        subs = defective_family(random.Random(seed), r, n, defect)
+        forget_frame()
+        warm = job(subs, seed + 1, cold=False)
+        assert warm == job(subs, seed + 1, cold=True)
 
 
 class TestAssembledInverse:

@@ -45,6 +45,24 @@ class TestSpanOf:
         sub = span_of([], ambient_dim=2)
         assert sub.dim == -1
 
+    def test_contains_subspace(self):
+        # a plane of P^4 contains its lines, its points, itself and the
+        # empty span; a span with one vector off the plane is not inside
+        rng = random.Random(6)
+        vecs = [rand_vector(rng, 5) for _ in range(3)]
+        plane = span_of(vecs)
+        assert plane.dim == 2
+        combo = tuple(2 * x - y for x, y in zip(vecs[0], vecs[2]))
+        for sub in ([vecs[0]], vecs[:2], [vecs[1], combo], vecs, []):
+            assert plane.contains_subspace(span_of(sub, 4))
+        # off is v0 + v1 + v2 + e4, and e4 is not on this plane
+        *head, last = (sum(col) for col in zip(*vecs))
+        off = (*head, last + 1)
+        assert not plane.contains_vector((0, 0, 0, 0, 1))
+        assert not plane.contains_subspace(span_of([vecs[0], off]))
+        assert not plane.contains_subspace(span_of([off]))
+        assert span_of(vecs + [off]).contains_subspace(plane)
+
 
 class TestDirectSum:
     def test_disjoint_points_make_line(self):

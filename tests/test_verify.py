@@ -128,9 +128,11 @@ class TestProjectedImagesAreLazy:
         ids=lambda s: s.family,
     )
     def test_campaign_builds_no_image_components(self, spec, monkeypatch):
-        # a warm chart of an earlier test would already hold its partials
+        # a warm chart of an earlier test would already hold its partials,
+        # and a warm chart form would not ask make_variety for its chart
         catalog.make_variety.cache_clear()
-        applied, differentiated, charts = [], [], []
+        catalog._chart_forms.cache_clear()
+        applied, differentiated, charts = [], [], {}
         apply_polys, partial = LinearProjection.apply_polys, Polynomial.partial
         make_variety = catalog.make_variety
 
@@ -143,8 +145,8 @@ class TestProjectedImagesAreLazy:
             return partial(self, orders)
 
         def recording_make(spec):
-            charts.append(make_variety(spec))
-            return charts[-1]
+            charts[spec] = make_variety(spec)
+            return charts[spec]
 
         monkeypatch.setattr(LinearProjection, "apply_polys", counting_apply)
         monkeypatch.setattr(Polynomial, "partial", counting_partial)
@@ -152,8 +154,16 @@ class TestProjectedImagesAreLazy:
         report = verify.verify_veronese_projection(spec, trials=2, seed=0)
         assert report.verdict == "pass"
         assert applied == []
-        (chart,) = charts
-        own = {id(c) for layer in chart._partials for comps in layer.values() for c in comps}
+        # the campaign's own chart; a Scroll fits through the chart of its
+        # StandardScroll(a, 1, 0), which is differentiated when it is built
+        assert set(charts) == ({spec, spec.standard()} if isinstance(spec, Scroll) else {spec})
+        own = {
+            id(c)
+            for chart in charts.values()
+            for layer in chart._partials
+            for comps in layer.values()
+            for c in comps
+        }
         assert differentiated and all(id(p) in own for p in differentiated)
 
 
