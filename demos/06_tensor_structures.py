@@ -9,6 +9,7 @@ Kronecker-factored group G_{r,n}.
 """
 
 import random
+import sys
 from fractions import Fraction as F
 
 from rncgeom.gstructure import construct_structure, grn_relation, is_type_subspace
@@ -45,7 +46,8 @@ other = construct_structure(subspaces, rng=rng)
 c, a = grn_relation(structure, other)
 print("transition factors as C (x) A with C, A of sizes",
       (c.nrows, a.nrows))
-assert kron(c, a) @ structure.m == other.m
+if kron(c, a) @ structure.m != other.m:
+    sys.exit("the transition does not factor as C (x) A")
 
 # type (r, n-1) and type (r-1, n) subspaces always meet in excess:
 # their intersection has dimension (r-1)(n-1)

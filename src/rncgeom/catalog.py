@@ -311,20 +311,20 @@ class QuadraticForm:
             if len(point) != self.nvars:
                 raise DimensionMismatchError(f"point length {len(point)} != {self.nvars} variables")
 
-    def eval(self, point) -> Fraction:
-        """The value of ``poly()`` at a point, read off the normal form."""
+    def eval(self, point) -> int | Fraction:
+        """The value of ``poly()`` at a point, read off the normal form, in the point's type."""
         self._check_lengths(point)
-        total = Fraction(0)
+        total = 0 * sum(point[:1])  # the zero of the point's type
         for i in range(self.rank // 2):
             total += point[2 * i] * point[2 * i + 1]
         if self.rank % 2:
             total += point[self.rank - 1] ** 2
         return total
 
-    def polar(self, u, v) -> Fraction:
+    def polar(self, u, v) -> int | Fraction:
         """The polar form q(u + v) - q(u) - q(v), read off the normal form: no halves."""
         self._check_lengths(u, v)
-        total = Fraction(0)
+        total = 0 * sum(u[:1])  # the zero of u's type
         for i in range(self.rank // 2):
             total += u[2 * i] * v[2 * i + 1] + u[2 * i + 1] * v[2 * i]
         if self.rank % 2:
@@ -538,8 +538,8 @@ class StandardScroll:
     def fit(self, points) -> RationalCurve:
         samples = [(p[0], tuple(p[1:])) for p in points]
         # the chart forms are homogeneous of degree rho in (x0, s) under the
-        # weights (0, 1, .., 1), so P_0 .. P_r over one common denominator
-        # scale every component alike
+        # weights (0, 1, .., 1), so one common scale of P_0 .. P_r scales
+        # every component alike
         p0, *prest = fit_scroll_section(self.a, samples)
         args = [p0, [0, 1]] + prest
         params = [(t, 1) for t, _ in samples]
@@ -558,23 +558,16 @@ class StandardScroll:
 
 @dataclass(frozen=True)
 class Scroll:
-    """The scroll itself, which is its standard model A(1, 0)."""
+    """The scroll itself, which is its standard model A(1, 0): it shares that
+    model's class, components and fitter, and fits through its own chart."""
 
     a: ScrollSpec
     family = "Scroll"
+    rho, chi = 1, 0
     sampler = staticmethod(rand_points_distinct_first_coord)
-
-    def standard(self) -> StandardScroll:
-        return StandardScroll(self.a, 1, 0)
-
-    def declared(self) -> ClassParams:
-        return self.standard().declared()
-
-    def components(self) -> list:
-        return self.standard().components()
-
-    def fit(self, points) -> RationalCurve:
-        return self.standard().fit(points)
+    declared = StandardScroll.declared
+    components = StandardScroll.components
+    fit = StandardScroll.fit
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,11 @@ cross minors when none of them verifies.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, zip_longest
+from itertools import accumulate, combinations, zip_longest
 from typing import Sequence
 
 from .errors import (
@@ -37,7 +38,7 @@ from .errors import (
     RncGeomError,
     SpecError,
 )
-from .linalg import QMatrix, integer_rank, nullspace
+from .linalg import QMatrix, _kernel_ints, integer_rank
 from .poly import (
     RationalCurve,
     _combine_ints,
@@ -202,53 +203,59 @@ def rnc_through_points(
 def fit_scroll_section(a, samples: Sequence) -> list:
     """Section s_k = P_k(t)/P_0(t) through n sample points (t_i, s_i).
 
-    ``a`` is the scroll's degree vector, a ``catalog.ScrollSpec``.
-
-    Homogeneous system of r n equations in r n + 1 coefficients; a
-    generic sample leaves a one-dimensional solution space.  Returns the
-    integer coefficient lists (low degree first) of P_0 .. P_r, with
-    deg P_k <= n-1-a_k, over one common denominator.
+    The curve is the section of the scroll X_0 of degrees ``a`` (a
+    ``catalog.ScrollSpec``) in P^{r+n-1} by the P^{n-1} that the samples
+    span.  Sample i lifts to the chart coordinates t_i^j s_k (j <= a_k,
+    s_0 = 1), and the kernel of the lifts is r forms, which read
+    sum_k l_ik(t) s_k on the scroll.  P_k = (-1)^k det(l without column k),
+    the signed maximal minors, has degree at most n-1-a_k.  Returns the
+    integer coefficient lists (low degree first, padded to length n-a_k)
+    of P_0 .. P_r, primitive together and with their last nonzero
+    coefficient positive.
     """
     n, r = a.n, a.r
-    samples = [
-        (Fraction(t), tuple(Fraction(x) for x in s)) for t, s in samples
-    ]
+    samples = [(Fraction(t), tuple(Fraction(x) for x in s)) for t, s in samples]
     if len(samples) != n:
         raise DimensionMismatchError(f"need n = {n} samples")
     if any(len(s) != r for _, s in samples):
         raise DimensionMismatchError("sample s-part must have length r")
-    ts = [t for t, _ in samples]
-    if len(set(ts)) != n:
+    if len({t for t, _ in samples}) != n:
         raise GeneralPositionError("sample parameters t_i must be distinct")
 
-    sizes = [n - a.degrees[k] for k in range(r + 1)]
-    offsets = [0]
-    for size in sizes:
-        offsets.append(offsets[-1] + size)
-    total = offsets[-1]  # = r n + 1
-
-    rows = []
+    top = a.degrees[0]
+    lifts = []  # each scaled to integers: s by its lcm, t^j by den(t)^a_0
     for t, s in samples:
-        powers = [t**j for j in range(max(sizes))]
-        for k in range(1, r + 1):
-            row = [Fraction(0)] * total
-            for j in range(sizes[0]):
-                row[offsets[0] + j] = s[k - 1] * powers[j]
-            for j in range(sizes[k]):
-                row[offsets[k] + j] = -powers[j]
-            rows.append(row)
-    kernel = nullspace(rows, total)
-    if len(kernel) != 1:
-        raise GenericityError(
-            f"section system has solution dimension {len(kernel)}, expected 1"
-        )
-    coeffs, _ = clear_denominators(kernel[0])
-    lists = [coeffs[offsets[k] : offsets[k + 1]] for k in range(r + 1)]
+        xs, _ = clear_denominators((1,) + s)
+        powers = [t.numerator**j * t.denominator ** (top - j) for j in range(top + 1)]
+        lifts.append([x * powers[j] for x, ak in zip(xs, a.degrees) for j in range(ak + 1)])
+    kernel, _ = _kernel_ints(lifts, r + n)
+    if len(kernel) != r:
+        raise GenericityError(f"the samples do not span a P^{n - 1}")
+    starts = list(accumulate((ak + 1 for ak in a.degrees), initial=0))
+    # the minors of rows 0..i of (l_ik) on each set of i+1 columns, each
+    # expanded along row i: (r+1) 2^r products in all, not (r+1)!
+    minors = {(): [1]}
+    for i, form in enumerate(kernel):
+        ell = [form[b:e] for b, e in zip(starts, starts[1:])]
+        minors = {
+            cols: _combine_ints(
+                [(-1) ** (i + p) for p in range(i + 1)],
+                [_mul_ints(ell[c], minors[cols[:p] + cols[p + 1 :]]) for p, c in enumerate(cols)],
+            )
+            for cols in combinations(range(r + 1), i + 1)
+        }
+    full = tuple(range(r + 1))
+    lists = [[(-1) ** k * c for c in minors[full[:k] + full[k + 1 :]]] for k in full]
+    last = next((x[-1] for x in reversed(lists) if x), 0)
+    if not last:
+        raise GenericityError("the minors of the section all vanish")
+    unit = math.gcd(*(c for x in lists for c in x)) * (1 if last > 0 else -1)
+    lists = [[c // unit for c in x] + [0] * (n - ak - len(x)) for x, ak in zip(lists, a.degrees)]
     # each value vector is P_0(t_i) .. P_r(t_i) times one nonzero integer
-    values = eval_homogeneous(lists, [(t, 1) for t in ts])
+    values = eval_homogeneous(lists, [(t, 1) for t, _ in samples])
     for (_, s), (p0, *prest) in zip(samples, values):
         if any(x * p0 != pk for x, pk in zip(s, prest)):
-            raise InvariantError("a kernel vector missed an interpolation condition")
+            raise InvariantError("the section missed an interpolation condition")
         if p0 == 0:
             raise GenericityError("P_0 vanishes at a sample parameter")
     return lists

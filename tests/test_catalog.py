@@ -244,7 +244,8 @@ class TestQuadraticForm:
                     value = form.eval(point)
                     assert type(value) is F and value == form.poly().eval(point)
                 ints = tuple(rng.randint(-9, 9) for _ in range(nvars))
-                assert form.eval(ints) == form.poly().eval(ints)
+                value = form.eval(ints)
+                assert type(value) is int and value == form.poly().eval(ints)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), nvars=st.integers(1, 6), ints=st.booleans())
@@ -259,7 +260,8 @@ class TestQuadraticForm:
         p = form.poly()
         total = tuple(x + y for x, y in zip(u, v))
         value = form.polar(u, v)
-        assert type(value) is F
+        # int in, int out; Fraction in, Fraction out
+        assert type(value) is (int if ints else F)
         assert value == p.eval(total) - p.eval(u) - p.eval(v)
         assert form.polar(v, u) == value
         assert form.polar(u, u) == 2 * form.eval(u)

@@ -80,7 +80,9 @@ class TestOneChartPerSpec:
         assert catalog.make_variety(a) is catalog.make_variety(b)
         # a Scroll is not its standard model: a different spec, a different chart
         scroll = Scroll(ScrollSpec((1, 1)))
-        assert catalog.make_variety(scroll) is not catalog.make_variety(scroll.standard())
+        assert catalog.make_variety(scroll) is not catalog.make_variety(
+            StandardScroll(scroll.a, 1, 0)
+        )
 
     def test_two_campaigns_check_the_generic_rank_once(self, monkeypatch):
         clear_chart_caches()

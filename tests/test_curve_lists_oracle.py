@@ -17,7 +17,9 @@ code read before it moved to the lists:
 - the conic on a quadric and the Segre fitter: the pairings of the
   quadric's Gram matrix and a conic on its own frame, whose pairs the
   kernel is handed; Segre's written for U_0 U_{r+1} = q(U_1..U_r) and
-  moved to the (tau_i : 1) by a projectivity of P^1 (``projectivity_p1``).
+  moved to the (tau_i : 1) by a projectivity of P^1 (``projectivity_p1``);
+- the scroll section: the one kernel vector of the r n x (r n + 1) system
+  P_k(t_i) = s_ik P_0(t_i), cleared to integers.
 
 ``rnc_through_points`` keeps its reference in ``tests/test_rnc.py``.
 """
@@ -30,8 +32,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rncgeom import catalog, linalg, poly, rnc
-from rncgeom.catalog import ConeStandard, QuadricVeronese, SegreSpecial
-from rncgeom.errors import DegenerateCurveError, GeneralPositionError, GenericityError
+from rncgeom.catalog import ConeStandard, QuadricVeronese, ScrollSpec, SegreSpecial
+from rncgeom.errors import (
+    DegenerateCurveError,
+    GeneralPositionError,
+    GenericityError,
+    InvariantError,
+)
 from rncgeom.linalg import projection_from, span_of
 from rncgeom.osculation import project_curve
 from rncgeom.poly import (
@@ -41,8 +48,13 @@ from rncgeom.poly import (
     curve_normalize,
     power_product,
 )
-from rncgeom.rnc import certify_curve, curve_contains_point, rnc_through_points
-from rncgeom.sampling import rand_points
+from rncgeom.rnc import (
+    certify_curve,
+    curve_contains_point,
+    fit_scroll_section,
+    rnc_through_points,
+)
+from rncgeom.sampling import rand_distinct_rationals, rand_points, rand_vector
 from test_gcd_oracle import reference_normal_form
 from test_rnc import SPEC_OF_FAMILY, _fit
 
@@ -515,3 +527,111 @@ class TestFittersOnLists:
         assert _outcome(rnc.conic_on_quadric, form, pts, pairs) == _outcome(
             reference_conic_on_quadric, gram, *pts
         )
+
+
+# ---------------------------------------------------------------------------
+# scroll sections
+# ---------------------------------------------------------------------------
+
+
+def reference_fit_scroll_section(a, samples) -> list:
+    """The section through the samples as the one kernel vector of the
+    r n x (r n + 1) system P_k(t_i) = s_ik P_0(t_i), deg P_k <= n-1-a_k, over
+    ``Fraction``, cleared to integers; then the checks of the section."""
+    n, r = a.n, a.r
+    samples = [(Fraction(t), tuple(Fraction(x) for x in s)) for t, s in samples]
+    sizes = [n - a.degrees[k] for k in range(r + 1)]
+    offsets = [0]
+    for size in sizes:
+        offsets.append(offsets[-1] + size)
+    total = offsets[-1]  # = r n + 1
+    rows = []
+    for t, s in samples:
+        powers = [t**j for j in range(max(sizes))]
+        for k in range(1, r + 1):
+            row = [Fraction(0)] * total
+            for j in range(sizes[0]):
+                row[offsets[0] + j] = s[k - 1] * powers[j]
+            for j in range(sizes[k]):
+                row[offsets[k] + j] = -powers[j]
+            rows.append(row)
+    kernel = linalg.nullspace(rows, total)
+    if len(kernel) != 1:
+        raise GenericityError(
+            f"section system has solution dimension {len(kernel)}, expected 1"
+        )
+    coeffs, _ = poly.clear_denominators(kernel[0])
+    lists = [coeffs[offsets[k] : offsets[k + 1]] for k in range(r + 1)]
+    values = poly.eval_homogeneous(lists, [(t, 1) for t, _ in samples])
+    for (_, s), (p0, *prest) in zip(samples, values):
+        if any(x * p0 != pk for x, pk in zip(s, prest)):
+            raise InvariantError("the section missed an interpolation condition")
+        if p0 == 0:
+            raise GenericityError("P_0 vanishes at a sample parameter")
+    return lists
+
+
+def _section_outcome(function, a, samples):
+    try:
+        return function(a, samples)
+    except GenericityError as exc:
+        return type(exc), str(exc)
+
+
+# the reference's message for a degenerate system; the section has none, and
+# says instead that the samples do not span a P^{n-1} or that its minors vanish
+SYSTEM_DIMENSION = "section system has solution dimension"
+
+
+@st.composite
+def scroll_shapes(draw, max_n):
+    """Non-increasing degree vectors (a_0, .., a_r), r <= 5, with n <= max_n."""
+    degrees = draw(st.lists(st.integers(0, 3), min_size=1, max_size=6))
+    assume(1 <= sum(degrees) <= max_n - 1)
+    return ScrollSpec(tuple(sorted(degrees, reverse=True)))
+
+
+class TestScrollSectionAgainstSystem:
+    """The section as the signed maximal minors of the samples' kernel against
+    the kernel vector of the r n x (r n + 1) system it replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(a=scroll_shapes(max_n=10), seed=st.integers(0, 2**16))
+    @example(a=ScrollSpec((3, 0)), seed=0)
+    @example(a=ScrollSpec((2, 2, 0)), seed=0)
+    @example(a=ScrollSpec((1, 1, 1, 1, 1, 1)), seed=0)
+    def test_random_rational_draws(self, a, seed):
+        rng = random.Random(seed)
+        ts = rand_distinct_rationals(rng, a.n)
+        samples = [(t, rand_vector(rng, a.r)) for t in ts]
+        expected = _section_outcome(reference_fit_scroll_section, a, samples)
+        got = _section_outcome(fit_scroll_section, a, samples)
+        if isinstance(expected, tuple) and expected[1].startswith(SYSTEM_DIMENSION):
+            assert got[0] is GenericityError
+        else:
+            assert got == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(a=scroll_shapes(max_n=7), data=st.data())
+    def test_small_integer_draws(self, a, data):
+        # degenerate draws are common here, and each route names its own reason
+        ts = data.draw(st.permutations(range(-3, 4)))[: a.n]
+        s = st.tuples(*[st.integers(-1, 1)] * a.r)
+        samples = [(t, data.draw(s)) for t in ts]
+        expected = _section_outcome(reference_fit_scroll_section, a, samples)
+        got = _section_outcome(fit_scroll_section, a, samples)
+        if isinstance(expected, list):
+            assert got == expected
+        else:
+            assert isinstance(got, tuple) and got[0] is expected[0]
+
+    def test_minors_that_all_vanish_are_a_genericity_failure(self):
+        # three samples with s_1 = 0 span the plane {x2 = x3 = 0} of the scroll
+        # (1, t, s_1, t s_1, s_2), which meets every fiber in a line: the
+        # kernel's forms x2 and x3 give the rows (0, 1, 0) and (0, t, 0)
+        a = ScrollSpec((1, 1, 0))
+        samples = [(0, (0, 1)), (1, (0, 2)), (2, (0, 5))]
+        with pytest.raises(GenericityError, match="^the minors of the section all vanish$"):
+            fit_scroll_section(a, samples)
+        with pytest.raises(GenericityError, match=f"^{SYSTEM_DIMENSION} 2, expected 1$"):
+            reference_fit_scroll_section(a, samples)

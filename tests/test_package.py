@@ -14,9 +14,10 @@ PACKAGE = Path(rncgeom.__file__).resolve().parent
 
 
 def test_no_assert_statements():
-    # python -O strips assert; invariants must raise typed errors instead
+    # python -O strips assert; invariants must raise typed errors instead,
+    # and a demo's checks must run under -O too
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]

@@ -415,8 +415,10 @@ class TestScrollSection:
         assert p1 == [-3 * scale, -scale]
 
     def test_p0_vanishing_at_a_sample_is_a_genericity_failure(self):
-        # s(0)=1, s(1)=5, s(2)=5 forces P0 = t/5, P1 = t up to scale: the
-        # system has a one-dimensional solution, but P0(0) = 0
+        # s(0)=1, s(1)=5, s(2)=5: the lifts (1, t, s, t s) span the plane
+        # whose one form reads t (5 - s) on the scroll, so the section is the
+        # ruling t = 0 and the line s = 5, and its minors P0 = t, P1 = 5 t
+        # vanish at t = 0
         with pytest.raises(GenericityError, match="^P_0 vanishes at a sample parameter$"):
             fit_scroll_section(ScrollSpec((1, 1)), [(0, (1,)), (1, (5,)), (2, (5,))])
 

@@ -154,9 +154,8 @@ class TestProjectedImagesAreLazy:
         report = verify.verify_veronese_projection(spec, trials=2, seed=0)
         assert report.verdict == "pass"
         assert applied == []
-        # the campaign's own chart; a Scroll fits through the chart of its
-        # StandardScroll(a, 1, 0), which is differentiated when it is built
-        assert set(charts) == ({spec, spec.standard()} if isinstance(spec, Scroll) else {spec})
+        # the campaign's own chart, through which every family fits
+        assert set(charts) == {spec}
         own = {
             id(c)
             for chart in charts.values()
