@@ -374,6 +374,18 @@ def quadric_veronese_blocks(r: int, rho: int):
     return block_a, block_b
 
 
+@cache
+def _conic_exponents(r: int, rho: int) -> tuple:
+    """The order-rho system of ``QuadricVeronese.fit`` as exponents over
+    (U_0, U_1, .., U_{r+2}): U_0^rho, block A over U_1.. and block B over
+    U_0, U_2..  Built once per (r, rho) per process."""
+    block_a, block_b = quadric_veronese_blocks(r, rho)
+    exponents = [(rho,) + (0,) * (r + 2)]
+    exponents += [(0,) + beta for beta in block_a]
+    exponents += [(rho - sum(gamma), 0) + gamma for gamma in block_b]
+    return tuple(exponents)
+
+
 def _monomials(nvars: int, exponents) -> list:
     return [Polynomial.monomial(nvars, e) for e in exponents]
 
@@ -660,20 +672,14 @@ class QuadricVeronese:
         reading of the degree-2rho section count and is certified after the
         fact by the degree/span/incidence checks.
         """
-        r, rho = self.r, self.rho
         form, lifted = _lift(self.form(), points)
         a, b = (form.polar(lifted[0], x) for x in lifted[1:])
         conic = conic_on_quadric(form, lifted, [(-a, b), (0, 1), (1, 0)])
         lists = conic.integer_lists()  # U_0, U_1 .. U_{r+2} along the conic
         if not lists[0]:
             raise GenericityError("conic lies in the hyperplane at infinity")
-        block_a, block_b = quadric_veronese_blocks(r, rho)
-        # over (U_0, U_1, ..): U_0^rho, block A over U_1.., block B over U_0, U_2..
-        exponents = [(rho,) + (0,) * (r + 2)]
-        exponents += [(0,) + beta for beta in block_a]
-        exponents += [(rho - sum(gamma), 0) + gamma for gamma in block_b]
         powers = [[[1], x] for x in lists]
-        comps = [_power_product_ints(powers, expo) for expo in exponents]
+        comps = [_power_product_ints(powers, e) for e in _conic_exponents(self.r, self.rho)]
         return curve_from_lists(comps, conic.params)
 
 

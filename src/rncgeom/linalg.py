@@ -28,14 +28,18 @@ def _echelon(rows: Sequence[Sequence], ncols=None):
     Returns ``(rows, pivots, free, den)``: row i of the reduced row echelon
     form is ``den`` at ``pivots[i]``, 0 at the other pivots and ``rows[i][k]``
     at ``free[k]``, all over ``den``.  Zero rows are dropped.  Each input row
-    is cleared of its own denominators.  Every later step is
+    is cleared of its own denominators; a row of ``int`` entries is taken
+    as it is.  Every later step is
     ``(p*x - a*y) / prev`` with ``p`` the new pivot and ``prev`` the one
     before it; the division is exact, since every entry is then a minor of
     the cleared matrix, so no gcd is taken.  A row holds the free columns
     found so far and then the columns not yet reached: a pivot column is
     dropped once chosen, and a free one stays where it is.
     """
-    work = [clear_denominators(r)[0] for r in rows]
+    work = [
+        list(r) if all(type(x) is int for x in r) else clear_denominators(r)[0]
+        for r in rows
+    ]
     if ncols is None:
         ncols = len(work[0]) if work else 0
     for r in work:
@@ -337,6 +341,8 @@ def join(parts: Sequence[ProjSubspace]) -> ProjSubspace:
     ambient = parts[0].ambient_dim
     if any(p.ambient_dim != ambient for p in parts):
         raise DimensionMismatchError("ambient dimensions differ")
+    if len(parts) == 1:
+        return parts[0]
     rows = [v for p in parts for v in p.basis]
     return ProjSubspace(ambient, rows)
 

@@ -28,6 +28,7 @@ from .linalg import (
     LinearProjection,
     ProjSubspace,
     projection_from,
+    rank,
     span_of,
     try_direct_sum,
 )
@@ -130,14 +131,17 @@ class Parametrization:
         return _eval_compiled(self._compiled[k], cleared)
 
     def _check_generic_rank(self):
+        """The rank of the order-0 and order-1 rows at a random point that
+        is no base point must be nparams + 1, as in a regular order-1
+        osculator; the rows are ranked as integers, with no subspace built."""
         rng = random.Random(0xA11CE)
         for _ in range(sampling.MAX_RETRIES):
-            p = sampling.rand_vector(rng, self.nparams)
+            orders = _rows_by_order(self, sampling.rand_vector(rng, self.nparams))
             try:
-                rep = osculator(self, p, 1)
+                rows = _lifted_point(next(orders))
             except DegenerateParametrizationError:
                 continue  # a base point of the map
-            if rep.subspace.dim == self.nparams:
+            if rank(rows + next(orders), self.ambient_dim + 1) == self.nparams + 1:
                 return
         raise DegenerateParametrizationError(
             "map does not have generic rank equal to its parameter count"
@@ -293,16 +297,16 @@ def osculator(v: Parametrization, point, k: int) -> OsculatorReport:
 def regularity_order(v: Parametrization, point) -> int:
     """Largest k such that the map is k-regular at the point.
 
-    The order-k osculator is spanned by the reduced basis of the
-    order-(k-1) one and the order-k derivative rows.  Terminates because
-    the osculator dimension is capped by the ambient space while the
-    regular dimension keeps growing with k.
+    The order-k osculator is spanned by the integer rows of orders 0..k,
+    so their rank is its dimension plus one.  Terminates because the rank
+    is capped by the ambient space while the regular dimension keeps
+    growing with k.
     """
     orders = _rows_by_order(v, point)
-    span = span_of(_lifted_point(next(orders)), v.ambient_dim)
+    rows = _lifted_point(next(orders))
     for k, order_rows in enumerate(orders, start=1):
-        span = span_of(list(span.basis) + order_rows, v.ambient_dim)
-        if span.dim + 1 != math.comb(v.nparams + k, v.nparams):
+        rows.extend(order_rows)
+        if rank(rows, v.ambient_dim + 1) != math.comb(v.nparams + k, v.nparams):
             return k - 1
 
 

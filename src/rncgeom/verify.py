@@ -194,7 +194,8 @@ def verify_veronese_projection(spec, trials: int = 3, seed: int = 0) -> Projecti
     through the projected extra points, injectively at sampled
     parameters; and the single-point projection lands in the span of the
     class (r, n-1, q - rho_1 - 1).  The centers are drawn per trial from
-    the seed, with the pondération of the class.
+    the seed, with the pondération of the class.  At n = 3 the single
+    point is the whole center, so its image is the one already built.
     """
     params = declared_class(spec)
     if params.n < 3:
@@ -206,11 +207,7 @@ def verify_veronese_projection(spec, trials: int = 3, seed: int = 0) -> Projecti
     )
     rho = pond[-1]
     image_span_expected = pi(params.r, 2, rho)
-    single_span_expected = (
-        pi(params.r, params.n - 1, params.q - pond[0] - 1)
-        if params.n - 1 >= 2
-        else None
-    )
+    single_span_expected = pi(params.r, params.n - 1, params.q - pond[0] - 1)
 
     def attempt(rng, resamples):
         sampled = rnc.sample_parameter_points(spec, rng)
@@ -226,8 +223,7 @@ def verify_veronese_projection(spec, trials: int = 3, seed: int = 0) -> Projecti
 
         extras = sampled[params.n - 2 :]
         incidence = all(
-            curve_contains_point(proj_curve, proj.matrix.matvec(variety.eval(p)))
-            for p in extras
+            curve_contains_point(proj_curve, image.eval(p)) for p in extras
         )
         record["projected_incidence"] = incidence
 
@@ -241,17 +237,14 @@ def verify_veronese_projection(spec, trials: int = 3, seed: int = 0) -> Projecti
         )
         record["injective_at_samples"] = injective
 
-        single_ok = True
-        if single_span_expected is not None:
-            _, single_image = osculating_projection_map(
-                variety, [(sampled[0], pond[0])]
-            )
-            single_found = single_image.span().dim
-            record["single_point_span"] = {
-                "found": single_found,
-                "expected": single_span_expected,
-            }
-            single_ok = single_found == single_span_expected
+        single_image = image
+        if params.n > 3:
+            _, single_image = osculating_projection_map(variety, [(sampled[0], pond[0])])
+        single_found = single_image.span().dim
+        record["single_point_span"] = {
+            "found": single_found,
+            "expected": single_span_expected,
+        }
 
         ok = (
             span_found == image_span_expected
@@ -259,7 +252,7 @@ def verify_veronese_projection(spec, trials: int = 3, seed: int = 0) -> Projecti
             and cert.degree == rho
             and incidence
             and injective
-            and single_ok
+            and single_found == single_span_expected
         )
         return record, ok
 

@@ -44,6 +44,7 @@ PROJECTION_SPECS = [s for s in ONE_PER_FAMILY if isinstance(s, PROJECTION_FAMILI
 def clear_chart_caches():
     catalog.make_variety.cache_clear()
     catalog._chart_forms.cache_clear()
+    catalog._conic_exponents.cache_clear()
 
 
 def counting(monkeypatch, owner, name):
@@ -124,6 +125,18 @@ class TestOneChartPerSpec:
         for _ in range(2):
             rnc.fit_rnc_through(spec, rnc.sample_parameter_points(spec, rng))
         assert len(built) == 1
+
+    def test_two_quadric_veronese_fits_build_the_exponents_once(self, monkeypatch):
+        clear_chart_caches()
+        spec = QuadricVeronese(3, 2, 5)
+        catalog.make_variety(spec)  # the chart's components read the blocks too
+        blocks = counting(monkeypatch, catalog, "quadric_veronese_blocks")
+        rng = random.Random(5)
+        curves = [
+            rnc.fit_rnc_through(spec, rnc.sample_parameter_points(spec, rng)) for _ in range(2)
+        ]
+        assert all(c.degree() == catalog.declared_class(spec).q for c in curves)
+        assert blocks == [(3, 2)]
 
     def test_a_failed_build_is_not_cached(self, monkeypatch):
         clear_chart_caches()

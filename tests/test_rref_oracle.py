@@ -6,6 +6,8 @@ row echelon form is unique, so ``linalg.rref`` must return the same tuples,
 and ``rank``, ``nullspace`` and ``QMatrix.inverse`` must return the values
 that ``reference_nullspace`` and ``reference_inverse`` read off it.  The
 modular rank certificate ``integer_rank`` is checked against ``rank``.
+Rows of ``int`` entries skip the clearing step, and are checked against the
+same rows given as ``Fraction``s.
 """
 
 from fractions import Fraction
@@ -273,3 +275,39 @@ class TestIntegerRank:
         with mock.patch.object(linalg, "_echelon", side_effect=AssertionError):
             assert integer_rank([[1, 2, 3], [4, 5, 6]], 3) == 2
             assert integer_rank([[1, 2], [3, 4], [5, 6]], 2) == 2
+
+
+@st.composite
+def int_and_mixed_matrices(draw):
+    """``(rows, ncols)`` of ``integer_matrices`` with some rows turned into a
+    mix of ``int`` and ``Fraction`` entries, some over a denominator."""
+    rows, ncols = draw(integer_matrices())
+    for i, row in enumerate(rows):
+        if draw(st.booleans()):
+            dens = draw(st.lists(st.sampled_from((None,) + DENOMINATORS),
+                                 min_size=ncols, max_size=ncols))
+            rows[i] = [x if d is None else Fraction(x, d) for x, d in zip(row, dens)]
+    return rows, ncols
+
+
+class TestIntegerRowsAsGiven:
+    """``_echelon`` takes a row of ``int`` entries as it is and clears only the
+    rows that hold a ``Fraction``: every kernel returns on such rows what it
+    returns on the same rows given as ``Fraction``s."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(int_and_mixed_matrices())
+    def test_same_as_fraction_rows(self, case):
+        rows, ncols = case
+        given_rows = [list(r) for r in rows]
+        fractions = [[Fraction(x) for x in r] for r in rows]
+        assert linalg._echelon(rows, ncols) == linalg._echelon(fractions, ncols)
+        assert rref(rows, ncols) == rref(fractions, ncols)
+        assert rank(rows, ncols) == rank(fractions, ncols)
+        assert nullspace(rows, ncols) == nullspace(fractions, ncols)
+        assert rows == given_rows  # the rows taken as they are stay the caller's
+
+    def test_integer_rows_are_not_cleared(self):
+        with mock.patch.object(linalg, "clear_denominators", side_effect=AssertionError):
+            assert rank([[1, 2, 3], (4, 5, 6)], 3) == 2
+            assert rref([[2, 4], [1, 3]]) == ([(1, 0), (0, 1)], [0, 1])

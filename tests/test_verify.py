@@ -1,8 +1,13 @@
+import hashlib
+import itertools
+import json
 import random
 import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rncgeom import catalog, rnc, verify
 from rncgeom.catalog import (
@@ -26,8 +31,9 @@ from rncgeom.errors import (
     SpecError,
 )
 from rncgeom.linalg import LinearProjection
+from rncgeom.osculation import Parametrization, osculator
 from rncgeom.poly import Polynomial, RationalCurve, curve_normalize
-from rncgeom.sampling import MAX_RETRIES
+from rncgeom.sampling import MAX_RETRIES, rand_vector
 from test_rnc import _callers
 
 
@@ -279,6 +285,110 @@ class TestProjection:
         monkeypatch.setattr(verify, "rand_distinct_rationals", lambda rng, count: samples)
         report = verify.verify_veronese_projection(Scroll(ScrollSpec((1, 1))), trials=1, seed=0)
         assert report.trials[0]["injective_at_samples"] is injective
+
+
+class TestOneProjectionPerCentreSet:
+    """At n = 3 the single-point centre is the campaign's whole centre, so an
+    attempt reuses its image and projects once; at n >= 4 it projects twice.
+    The reports keep their bytes: the digests are those of the campaign that
+    projected twice at every n."""
+
+    DIGESTS = {
+        "QuadricVeronese": "83525232f543f3be48fe8c63b37ce98859ea5c305f010fb43c4d2b1b6f032e5b",
+        "StandardScroll": "78de1a3d8a0833c5f250d6c95bfbbe1162d29054a18f52b03aa007b1f31f47cc",
+        "ConeStandard": "2042209fd5ea800595e2ff441403151e0fcd9a7759443e7be0346d827e6bef5d",
+    }
+
+    @pytest.mark.parametrize(
+        "spec, per_attempt",
+        [
+            (QuadricVeronese(3, 2, 5), 1),
+            (StandardScroll(ScrollSpec((1, 1)), 2, 0), 1),
+            (ConeStandard(2, 4), 2),
+        ],
+        ids=lambda s: getattr(s, "family", s),
+    )
+    def test_projections_per_attempt(self, spec, per_attempt, monkeypatch):
+        assert catalog.declared_class(spec).n == (3 if per_attempt == 1 else 5)
+        attempts, projections = [], []
+        sample, project = rnc.sample_parameter_points, verify.osculating_projection_map
+
+        def counting_sample(spec, rng):
+            attempts.append(spec)  # every attempt draws its points first
+            return sample(spec, rng)
+
+        def counting_project(variety, centers):
+            projections.append(len(centers))
+            return project(variety, centers)
+
+        monkeypatch.setattr(rnc, "sample_parameter_points", counting_sample)
+        monkeypatch.setattr(verify, "osculating_projection_map", counting_project)
+        report = verify.verify_veronese_projection(spec, trials=2, seed=0)
+        assert report.verdict == "pass"
+        assert attempts and len(projections) == per_attempt * len(attempts)
+        text = json.dumps(report.to_json(), sort_keys=True, separators=(", ", ": "))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[spec.family]
+
+
+def reference_generic_rank(v) -> bool:
+    """The generic-rank verdict read off a regular order-1 osculator, drawn
+    as ``Parametrization._check_generic_rank`` draws its points."""
+    rng = random.Random(0xA11CE)
+    for _ in range(MAX_RETRIES):
+        try:
+            rep = osculator(v, rand_vector(rng, v.nparams), 1)
+        except DegenerateParametrizationError:
+            continue  # a base point of the map
+        if rep.subspace.dim == v.nparams:
+            return True
+    return False
+
+
+COEFF = st.integers(-3, 3)
+
+
+@st.composite
+def maps(draw):
+    """``(d, components)`` of a map from Q^d through m <= d linear forms.
+
+    With m < d the generic rank is below d.  A common linear factor, when
+    drawn, puts base points among the sampled points; one that vanishes at
+    the first point ``reference_generic_rank`` draws makes it skip that one.
+    """
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, d))
+    xs = [Polynomial.variable(d, i) for i in range(d)]
+    ys = [
+        sum((c * x for c, x in zip(draw(st.lists(COEFF, min_size=d, max_size=d)), xs)),
+            Polynomial.constant(d, draw(COEFF)))
+        for _ in range(m)
+    ]
+    exponents = [e for total in range(3) for e in itertools.product(range(total + 1), repeat=m)
+                 if sum(e) == total]
+    comps = []
+    for _ in range(draw(st.integers(2, 6))):
+        coeffs = draw(st.lists(COEFF, min_size=len(exponents), max_size=len(exponents)))
+        inner = Polynomial(m, {e: c for e, c in zip(exponents, coeffs) if c})
+        comps.append(inner.compose(ys))
+    base = draw(st.sampled_from(("none", "some", "first")))
+    if base != "none":
+        first = rand_vector(random.Random(0xA11CE), d)[0]
+        comps = [(xs[0] - (first if base == "first" else draw(COEFF))) * c for c in comps]
+    return d, comps
+
+
+class TestGenericRankOnIntegerRows:
+    @settings(max_examples=150, deadline=None)
+    @given(maps())
+    def test_verdict_is_that_of_the_order_one_osculator(self, case):
+        d, comps = case
+        v = Parametrization(d, comps, check=False)
+        try:
+            v._check_generic_rank()
+            verdict = True
+        except DegenerateParametrizationError:
+            verdict = False
+        assert verdict == reference_generic_rank(v)
 
 
 class TestQuadricZeroSamples:
