@@ -7,6 +7,7 @@ membership and join tests purely structural.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -341,8 +342,6 @@ def join(parts: Sequence[ProjSubspace]) -> ProjSubspace:
     ambient = parts[0].ambient_dim
     if any(p.ambient_dim != ambient for p in parts):
         raise DimensionMismatchError("ambient dimensions differ")
-    if len(parts) == 1:
-        return parts[0]
     rows = [v for p in parts for v in p.basis]
     return ProjSubspace(ambient, rows)
 
@@ -372,34 +371,26 @@ def intersect(a: ProjSubspace, b: ProjSubspace) -> ProjSubspace:
 
 
 class LinearProjection:
-    """Projection of P^N from a center onto a coordinate complement.
+    """Projection of P^N: the linear forms ``rows`` over ``den`` that vanish
+    on its center, primitive together, with ``den > 0``.
 
-    The complement is the span of the non-pivot coordinates of the
-    center's echelon basis, so the matrix of the map has one row per
-    surviving coordinate and projecting a monomial parametrization from
-    a coordinate-spanned center is a plain coordinate deletion.
+    They are the center's integer kernel (``_kernel_ints``), one form per
+    free column of its echelon form, so projecting a monomial
+    parametrization from a coordinate-spanned center is a coordinate deletion.
     """
 
-    __slots__ = ("complement_cols", "matrix")
+    __slots__ = ("rows", "den")
 
-    def __init__(self, center: ProjSubspace):
-        if center.dim == center.ambient_dim:
+    def __init__(self, forms, den: int):
+        if not forms:
             raise RncGeomError("cannot project from the whole space")
-        n = center.ambient_dim + 1
-        piv = set(center.pivots)
-        self.complement_cols = tuple(c for c in range(n) if c not in piv)
-        rows = []
-        for c in self.complement_cols:
-            row = [Fraction(0)] * n
-            row[c] = Fraction(1)
-            for basis_row, p in zip(center.basis, center.pivots):
-                row[p] = -basis_row[c]
-            rows.append(row)
-        self.matrix = QMatrix(rows)
+        g = math.gcd(den, *(x for row in forms for x in row)) * (1 if den > 0 else -1)
+        self.rows = [[x // g for x in row] for row in forms]
+        self.den = den // g
 
     @property
     def target_dim(self) -> int:
-        return len(self.complement_cols) - 1
+        return len(self.rows) - 1
 
     def apply_polys(self, components):
         """Push polynomial components through the projection matrix.
@@ -408,14 +399,17 @@ class LinearProjection:
         projected ``Parametrization``.  Curves are projected on their integer
         lists instead (``osculation.project_curve``).
         """
-        return [combine(row, components) for row in self.matrix.entries]
+        return [combine([Fraction(x, self.den) for x in row], components) for row in self.rows]
 
     def image_of(self, sub: ProjSubspace) -> ProjSubspace:
-        rows = [self.matrix.matvec(v) for v in sub.basis]
+        if sub.ambient_dim + 1 != len(self.rows[0]):
+            raise DimensionMismatchError("ambient mismatch")
+        vecs = [clear_denominators(v)[0] for v in sub.basis]
+        rows = [[sum(a * x for a, x in zip(row, v)) for row in self.rows] for v in vecs]
         return ProjSubspace(self.target_dim, rows)
 
 
 def projection_from(center: ProjSubspace) -> LinearProjection:
     """Linear projection of the center's ambient killing exactly the center
     (empty center: identity)."""
-    return LinearProjection(center)
+    return LinearProjection(*_kernel_ints(center.basis, center.ambient_dim + 1))

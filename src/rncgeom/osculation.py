@@ -27,6 +27,8 @@ from .errors import (
 from .linalg import (
     LinearProjection,
     ProjSubspace,
+    _kernel_ints,
+    integer_rank,
     projection_from,
     rank,
     span_of,
@@ -77,15 +79,14 @@ class Parametrization:
     def _projected(cls, parent: "Parametrization", proj: LinearProjection):
         """The image of ``parent`` under ``proj``, with its generic rank checked.
 
-        Besides the pair, it keeps the nonzero entries of each row of the
-        matrix's cleared form, so that a value is a sparse dot product over Z.
+        Besides the pair, it keeps the nonzero entries of each integer row
+        of the projection, so that a value is a sparse dot product over Z.
         """
-        ints, den = proj.matrix.cleared
-        sparse = [[(j, m) for j, m in enumerate(row) if m] for row in ints]
+        sparse = [[(j, m) for j, m in enumerate(row) if m] for row in proj.rows]
         out = cls.__new__(cls)
         out.nparams = parent.nparams
         out._components = None
-        out._image_of = (parent, proj, sparse, den)
+        out._image_of = (parent, proj, sparse)
         out._span = out._partials = out._compiled = None
         out._check_generic_rank()
         return out
@@ -122,10 +123,10 @@ class Parametrization:
         ``_compile``); an image multiplies its parent's rows by the matrix.
         """
         if self._image_of is not None:
-            parent, _, sparse, den = self._image_of
+            parent, proj, sparse = self._image_of
             rows, parent_den = parent._values(cleared, k)
             images = [[sum(m * row[j] for j, m in mrow) for mrow in sparse] for row in rows]
-            return images, parent_den * den
+            return images, parent_den * proj.den
         while len(self._compiled) <= k:
             self._compiled.append(_compile(self._partial_layer(len(self._compiled))))
         return _eval_compiled(self._compiled[k], cleared)
@@ -138,7 +139,7 @@ class Parametrization:
         for _ in range(sampling.MAX_RETRIES):
             orders = _rows_by_order(self, sampling.rand_vector(rng, self.nparams))
             try:
-                rows = _lifted_point(next(orders))
+                rows = next(orders)
             except DegenerateParametrizationError:
                 continue  # a base point of the map
             if rank(rows + next(orders), self.ambient_dim + 1) == self.nparams + 1:
@@ -263,17 +264,26 @@ def _rows_by_order(v: Parametrization, point):
     """Yield, for k = 0, 1, 2, ..., the rows at the point of the order-k partials.
 
     The rows are those of ``Parametrization._values``: each layer's values
-    times one positive integer, which changes no span.
+    times one positive integer, which changes no span.  The order-0 layer
+    raises at a base point of the map.
     """
     cleared = _cleared(v, point)
     for k in itertools.count():
-        yield v._values(cleared, k)[0]
+        rows = v._values(cleared, k)[0]
+        if k == 0 and not any(rows[0]):
+            raise DegenerateParametrizationError("base point of the parametrization")
+        yield rows
 
 
-def _lifted_point(rows) -> list:
-    """The order-0 rows, unless the point is a base point of the map."""
-    if not any(rows[0]):
-        raise DegenerateParametrizationError("base point of the parametrization")
+def _osculator_rows(v: Parametrization, point, k: int) -> list:
+    """The integer rows of orders 0..k at the point, which span the order-k
+    osculator."""
+    if k < 0:
+        raise ValueError("order must be non-negative")
+    orders = _rows_by_order(v, point)
+    rows = next(orders)
+    for order_rows in itertools.islice(orders, k):
+        rows.extend(order_rows)
     return rows
 
 
@@ -283,13 +293,7 @@ def osculator(v: Parametrization, point, k: int) -> OsculatorReport:
     Spanned by the lifted point and all derivative vectors of order
     1..k; regular when the projective dimension reaches C(d+k, d) - 1.
     """
-    if k < 0:
-        raise ValueError("order must be non-negative")
-    orders = _rows_by_order(v, point)
-    rows = _lifted_point(next(orders))
-    for order_rows in itertools.islice(orders, k):
-        rows.extend(order_rows)
-    sub = span_of(rows, v.ambient_dim)
+    sub = span_of(_osculator_rows(v, point, k), v.ambient_dim)
     expected = math.comb(v.nparams + k, v.nparams)
     return OsculatorReport(k, sub, sub.dim + 1 == expected, expected)
 
@@ -303,7 +307,7 @@ def regularity_order(v: Parametrization, point) -> int:
     growing with k.
     """
     orders = _rows_by_order(v, point)
-    rows = _lifted_point(next(orders))
+    rows = next(orders)
     for k, order_rows in enumerate(orders, start=1):
         rows.extend(order_rows)
         if rank(rows, v.ambient_dim + 1) != math.comb(v.nparams + k, v.nparams):
@@ -409,15 +413,16 @@ def osculating_projection_map(v: Parametrization, centers):
     ``centers`` is a list of (parameter point, order) pairs.  Returns
     ``(projection, image)``; the center subspaces must be in projective
     direct sum, and the composed map lands in the coordinate complement
-    of the center.
+    of the center.  One kernel of the osculators' stacked integer rows is
+    the projection; the parts are in direct sum when their ranks add up.
     """
-    parts = [osculator(v, p, k).subspace for p, k in centers]
-    ok, center, expected = try_direct_sum(parts)
-    if not ok:
-        raise GeneralPositionError(
-            f"osculators not in direct sum (dim {center.dim} < {expected})"
-        )
-    proj = projection_from(center)
+    n = v.ambient_dim + 1
+    parts = [_osculator_rows(v, p, k) for p, k in centers]
+    forms, den = _kernel_ints([row for rows in parts for row in rows], n)
+    dim, expected = n - len(forms) - 1, sum(integer_rank(rows, n) for rows in parts) - 1
+    if dim != expected:
+        raise GeneralPositionError(f"osculators not in direct sum (dim {dim} < {expected})")
+    proj = LinearProjection(forms, den)
     return proj, Parametrization._projected(v, proj)
 
 
@@ -429,14 +434,15 @@ def osculating_projection(v: Parametrization, centers) -> Parametrization:
 def project_curve(proj: LinearProjection, curve: RationalCurve) -> RationalCurve:
     """Image of a curve under a linear projection, in normalized form.
 
-    The image lists are the rows of the matrix's cleared form times the
-    curve's integer lists.  The image keeps the curve's parameter pairs: the
+    The image lists are the projection's integer rows times the curve's
+    integer lists.  The image keeps the curve's parameter pairs: the
     parameter does not change.  A center that contains the curve's span
     leaves no image and raises DegenerateCurveError.
     """
     lists = curve.integer_lists()
-    rows, _ = proj.matrix.cleared
-    return curve_from_lists([_combine_ints(row, lists) for row in rows], curve.params)
+    if len(lists) != len(proj.rows[0]):
+        raise DimensionMismatchError("curve ambient differs from the projection's")
+    return curve_from_lists([_combine_ints(row, lists) for row in proj.rows], curve.params)
 
 
 def curve_projection_check(curve: RationalCurve, t0, k: int) -> bool:

@@ -99,17 +99,22 @@ class TestGrassmannIdentity:
             assert join([a, b]).dim + meet.dim == a.dim + b.dim
 
 
+def _projected_vector(proj, vec):
+    """The image of a vector under the projection's rows over its den."""
+    return tuple(F(sum(a * x for a, x in zip(row, vec)), proj.den) for row in proj.rows)
+
+
 class TestProjectionFrom:
     def test_point_center_drops_coordinate(self):
         center = span_of([(1, 0, 0, 0)])
         proj = projection_from(center)
-        assert proj.complement_cols == (1, 2, 3)
-        assert proj.matrix.matvec((5, 1, 2, 3)) == (1, 2, 3)
+        assert proj.rows == [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]] and proj.den == 1
+        assert _projected_vector(proj, (5, 1, 2, 3)) == (1, 2, 3)
 
     def test_empty_center_is_identity(self):
         proj = projection_from(span_of([], ambient_dim=2))
-        assert proj.complement_cols == (0, 1, 2)
-        assert proj.matrix.matvec((1, 2, 3)) == (1, 2, 3)
+        assert proj.rows == [[1, 0, 0], [0, 1, 0], [0, 0, 1]] and proj.den == 1
+        assert _projected_vector(proj, (1, 2, 3)) == (1, 2, 3)
 
     def test_whole_space_rejected(self):
         full = span_of([(1, 0), (0, 1)])
@@ -120,21 +125,22 @@ class TestProjectionFrom:
         rng = random.Random(3)
         center = span_of([rand_vector(rng, 6) for _ in range(2)], 5)
         proj = projection_from(center)
-        for col_idx, col in enumerate(proj.complement_cols):
+        complement = [c for c in range(6) if c not in center.pivots]
+        assert len(complement) == len(proj.rows)
+        for col_idx, col in enumerate(complement):
             vec = [F(0)] * 6
             vec[col] = F(1)
-            image = proj.matrix.matvec(vec)
-            expected = [F(0)] * len(proj.complement_cols)
+            expected = [F(0)] * len(complement)
             expected[col_idx] = F(1)
-            assert list(image) == expected
+            assert list(_projected_vector(proj, vec)) == expected
 
     def test_kills_exactly_center(self):
         rng = random.Random(4)
         center = span_of([rand_vector(rng, 5) for _ in range(2)], 4)
         proj = projection_from(center)
         for v in center.basis:
-            assert all(x == 0 for x in proj.matrix.matvec(v))
-        assert QMatrix(list(proj.matrix.entries)).rank() == len(proj.complement_cols)
+            assert all(x == 0 for x in _projected_vector(proj, v))
+        assert rank(proj.rows, 5) == len(proj.rows) == 5 - len(center.basis)
 
     def test_segre_osculator_center_kills_degree_one(self):
         # echelon-pivot oracle: the order-1 osculator at the origin of the
@@ -146,7 +152,8 @@ class TestProjectionFrom:
         rep = osculator(variety, (F(0), F(0), F(0)), 1)
         proj = projection_from(rep.subspace)
         # chart order [1, t, s1, s2, t s1, t s2, q, t q]: degree >= 2 survive
-        assert proj.complement_cols == (4, 5, 6, 7)
+        assert proj.rows == [[int(j == c) for j in range(8)] for c in (4, 5, 6, 7)]
+        assert proj.den == 1
 
 
 class TestQMatrix:

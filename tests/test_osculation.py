@@ -5,10 +5,14 @@ from unittest import mock
 
 import pytest
 
-from rncgeom import catalog
+from rncgeom import catalog, linalg
 from rncgeom.catalog import ScrollSpec, SegreSpecial, StandardScroll, Veronese, Scroll
-from rncgeom.errors import DegenerateParametrizationError, GeneralPositionError
-from rncgeom.linalg import span_of
+from rncgeom.errors import (
+    DegenerateParametrizationError,
+    DimensionMismatchError,
+    GeneralPositionError,
+)
+from rncgeom.linalg import projection_from, span_of
 from rncgeom.osculation import (
     Parametrization,
     admissibility_check,
@@ -18,9 +22,10 @@ from rncgeom.osculation import (
     osculating_projection,
     osculating_projection_map,
     osculator,
+    project_curve,
     regularity_order,
 )
-from rncgeom.poly import Polynomial, RationalCurve
+from rncgeom.poly import Polynomial, RationalCurve, curve_from_lists
 from rncgeom.sampling import rand_invertible_matrix, rand_vector
 
 
@@ -192,7 +197,10 @@ class TestOsculatingProjection:
             for pos, idx in enumerate(index_set.sorted_indices())
             if sum(idx) >= 2
         )
-        assert proj.complement_cols == expected_cols
+        assert proj.rows == [
+            [int(j == c) for j in range(v.ambient_dim + 1)] for c in expected_cols
+        ]
+        assert proj.den == 1
 
     def test_veronese33_projection_lands_in_class_3_5_7(self):
         # projecting the cubic Veronese threefold from a first osculator
@@ -207,6 +215,28 @@ class TestOsculatingProjection:
         point = (F(1), F(1))
         with pytest.raises(GeneralPositionError):
             osculating_projection(v, [(point, 1), (point, 1)])
+
+    def test_map_builds_no_subspace(self, monkeypatch):
+        # the osculators' integer rows are eliminated once, as a kernel:
+        # no ProjSubspace, neither per osculator nor for their join
+        v = catalog.make_variety(Veronese(3, 3))
+        built = []
+        init = linalg.ProjSubspace.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(linalg.ProjSubspace, "__init__", counting_init)
+        rng = random.Random(7)
+        proj, image = osculating_projection_map(
+            v, [(rand_vector(rng, 3), 1), (rand_vector(rng, 3), 0)]
+        )
+        image.eval(rand_vector(rng, 3))
+        assert proj.target_dim == v.ambient_dim - 5
+        assert built == []
+        osculator(v, rand_vector(rng, 3), 1)
+        assert len(built) == 1
 
 
 class TestProjectiveInvariance:
@@ -315,6 +345,17 @@ class TestCurveProjection:
         for t0 in (F(0), F(2), F(-1, 2)):
             for k in range(5):
                 assert curve_projection_check(curve, t0, k), (t0, k)
+
+    def test_ambient_mismatch_raises(self):
+        # the projection's rows must pair with the curve's components one to
+        # one; a longer or shorter row would drop or ignore components
+        cubic = curve_from_lists([[1], [0, 1], [0, 0, 1], [0, 0, 0, 1]])
+        for center in (span_of([(1, 0, 0, 0, 0)]), span_of([(1, 0)])):
+            with pytest.raises(DimensionMismatchError):
+                project_curve(projection_from(center), cubic)
+        image = project_curve(projection_from(span_of([(1, 0, 0, 0)])), cubic)
+        # (t : t^2 : t^3) is the conic (1 : t : t^2)
+        assert image.integer_lists() == [[1], [0, 1], [0, 0, 1]]
 
 
 class TestContactLocus:
