@@ -24,7 +24,7 @@ from .errors import (
     SpecError,
     SplittingFieldRequiredError,
 )
-from .linalg import QMatrix, combine_rows, nullspace, span_of
+from .linalg import _accumulate, _kernel_ints, integer_rank, rref
 from .osculation import Parametrization, contact_locus_dim_monomial, regularity_order
 from .poly import (
     Polynomial,
@@ -762,19 +762,19 @@ class CubicSpecial:
 
     def fit(self, points) -> RationalCurve:
         r = self.r
-        lifted = [(Fraction(1),) + p for p in points]
-        span4 = span_of(lifted, r + 1)
-        if span4.dim != 3:
+        # the cleared lifted points are the frame of their P^3: point i is e_i
+        lifted = [clear_denominators((1,) + p)[0] for p in points]
+        if integer_rank(lifted, r + 2) != 4:
             raise GenericityError("the four points do not span a P^3")
-        lift = QMatrix(span4.basis).transpose()
-        # the points of the span with T0 = T1 = 0
-        line = span_of([lift.matvec(c) for c in nullspace(lift.entries[:2], 4)], r + 1)
-        if line.dim != 1:
+        # the points of the span with T0 = T1 = 0, by their frame coordinates
+        kernel, _ = _kernel_ints(list(zip(*lifted))[:2], 4)
+        if len(kernel) != 2:
             raise GenericityError("span meets {T0 = T1 = 0} in the wrong dimension")
-        w1, w2 = line.basis
+        # the line's echelon basis w1, w2, each beside its frame coordinates
+        line, _ = rref([_accumulate(c, lifted, r + 2) + c for c in kernel])
+        (w1, c1), (w2, c2) = ((row[: r + 2], row[r + 2 :]) for row in line)
         qf = self.form()
         a, b, c = qf.eval(w1[2:]), qf.polar(w1[2:], w2[2:]), qf.eval(w2[2:])
-        roots = []
         if a == 0:
             if b == 0:
                 raise GeneralPositionError("double intersection with the quadric")
@@ -787,20 +787,10 @@ class CubicSpecial:
             if root is None:
                 raise SplittingFieldRequiredError(disc)
             roots = [((-b + root) / (2 * a), Fraction(1)), ((-b - root) / (2 * a), Fraction(1))]
-        qpts = []
-        for lam, mu in roots:
-            qpts.append(tuple(lam * x + mu * y for x, y in zip(w1, w2)))
-
-        # the basis is in reduced echelon form: a point of the span has its
-        # coordinates at the pivot columns
-        six_in_p3 = []
-        for p in lifted + qpts:
-            coords = tuple(p[c] for c in span4.pivots)
-            if combine_rows(coords, span4.basis) != p:
-                raise InvariantError("intersection point escaped the span")
-            six_in_p3.append(coords)
-        gamma3 = rnc_through_points(3, six_in_p3)
-        ambient = [_combine_ints(row, gamma3.integer_lists()) for row in lift.cleared[0]]
+        frame = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+        quadric = [tuple(lam * x + mu * y for x, y in zip(c1, c2)) for lam, mu in roots]
+        gamma3 = rnc_through_points(3, frame + quadric)
+        ambient = [_combine_ints(row, gamma3.integer_lists()) for row in zip(*lifted)]
         # the last two of the six points are the quadric points, not input points
         return _through_chart(self, (1,) * (r + 1), 3, ambient, gamma3.params[:4])
 

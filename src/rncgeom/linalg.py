@@ -290,13 +290,11 @@ def kron(a: QMatrix, b: QMatrix) -> QMatrix:
 class ProjSubspace:
     """Linear subspace of P^N as an echelon basis of its cone in Q^{N+1}."""
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "basis")
 
     def __init__(self, ambient_dim: int, basis_rows):
         self.ambient_dim = ambient_dim
-        reduced, pivots = rref(basis_rows, ambient_dim + 1)
-        self.basis = tuple(reduced)
-        self.pivots = pivots
+        self.basis = tuple(rref(basis_rows, ambient_dim + 1)[0])
 
     @property
     def dim(self) -> int:

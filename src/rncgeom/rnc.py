@@ -38,7 +38,7 @@ from .errors import (
     RncGeomError,
     SpecError,
 )
-from .linalg import QMatrix, _kernel_ints, integer_rank
+from .linalg import _inverse_ints, _kernel_ints, integer_rank
 from .poly import (
     RationalCurve,
     _combine_ints,
@@ -146,32 +146,37 @@ def rnc_through_points(
     ``free_params`` = (t_w, kappa) fixes the leftover Moebius freedom;
     any choice with kappa != 0 yields the same curve as a point set.
 
-    General position is read off B^-1, B the first d+1 points as columns:
-    with g_i = (lam_i, w_i) = B^-1 (p_{d+1}, p_{d+2}) for i <= d and
+    Each point p_i is cleared to integers L_i p_i.  General position is
+    read off B^-1, B the first d+1 cleared points as columns: with
+    g_i = (lam_i, w_i) = B^-1 (p_{d+1}, p_{d+2}) for i <= d and
     g_{d+1} = (-1, 0), g_{d+2} = (0, -1), the points that omit p_a and
     p_b are independent iff det(g_a, g_b) != 0 (Gale duality).
 
     The curve carries the parameter (s : u), t = s/u, of each input
     point: the frame puts the simplex points at (b_i : 1), the unit point
-    p_{d+1} at (1 : 0) and p_{d+2} at (t_w : 1).
+    p_{d+1} at (1 : 0) and p_{d+2} at (t_w : 1).  Clearing p_j scales
+    lam_j and w_j alike, so b_j = t_w - kappa (L_{d+2} / L_{d+1}) lam_j / w_j.
 
     The curve is built on integer lists.  With b_j = N_j / D_j, the product
     P_i of the factors D_j t - N_j over j != i is x_i times the product of
-    those D_j, so the frame's column i is scaled by D_i and the whole frame
-    cleared over one denominator: the components then share one factor.
+    those D_j, so the frame's column i, lam_i p_i, is scaled by D_i: the
+    components then share one factor, which ``curve_from_lists`` strips.
     """
+    if d < 1:
+        raise ValueError("degree must be at least 1")
     pts = [tuple(Fraction(x) for x in p) for p in points]
     if len(pts) != d + 3:
         raise DimensionMismatchError(f"need {d + 3} points, got {len(pts)}")
     if any(len(p) != d + 1 for p in pts):
         raise DimensionMismatchError("points must have d+1 homogeneous coordinates")
-    simplex = pts[: d + 1]
+    cleared = [clear_denominators(p) for p in pts]
+    simplex = [ints for ints, _ in cleared[: d + 1]]
     try:
-        base_inv = QMatrix(simplex).transpose().inverse()
+        inv, _ = _inverse_ints(list(zip(*simplex)))
     except RncGeomError:
         g = None  # B is singular: the first subset below is its columns
     else:
-        lam, w = base_inv.matvec(pts[d + 1]), base_inv.matvec(pts[d + 2])
+        lam, w = ([sum(a * x for a, x in zip(row, p)) for row in inv] for p, _ in cleared[d + 1 :])
         g = [*zip(lam, w), (-1, 0), (0, -1)]
     for subset in combinations(range(d + 3), d + 1):
         a, b = (i for i in range(d + 3) if i not in subset)
@@ -183,13 +188,14 @@ def rnc_through_points(
     t_w, kappa = (Fraction(x) for x in free_params)
     if kappa == 0:
         raise ValueError("kappa must be nonzero")
-    nodes = [t_w - kappa * lj / wj for lj, wj in zip(lam, w)]
+    ratio = kappa * cleared[d + 2][1] / cleared[d + 1][1]
+    nodes = [t_w - ratio * Fraction(lj, wj) for lj, wj in zip(lam, w)]
     prods = _products_but_one([(b.numerator, b.denominator) for b in nodes])
     # the frame B diag(lam) sends p_{d+2} to the vector with entries w_j / lam_j
-    frame = QMatrix(
-        [[lj * b.denominator * x for lj, b, x in zip(lam, nodes, row)] for row in zip(*simplex)]
-    )
-    comps = [_combine_ints(row, prods) for row in frame.cleared[0]]
+    comps = [
+        _combine_ints([lj * b.denominator * x for lj, b, x in zip(lam, nodes, row)], prods)
+        for row in zip(*simplex)
+    ]
     one, zero = Fraction(1), Fraction(0)
     params = [(b, one) for b in nodes] + [(one, zero), (t_w, one)]
     return curve_from_lists(comps, params)

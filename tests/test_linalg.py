@@ -14,6 +14,7 @@ from rncgeom.linalg import (
     nullspace,
     projection_from,
     rank,
+    rref,
     span_of,
     try_direct_sum,
 )
@@ -125,7 +126,7 @@ class TestProjectionFrom:
         rng = random.Random(3)
         center = span_of([rand_vector(rng, 6) for _ in range(2)], 5)
         proj = projection_from(center)
-        complement = [c for c in range(6) if c not in center.pivots]
+        complement = [c for c in range(6) if c not in rref(center.basis, 6)[1]]
         assert len(complement) == len(proj.rows)
         for col_idx, col in enumerate(complement):
             vec = [F(0)] * 6

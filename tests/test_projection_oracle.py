@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from rncgeom import catalog
 from rncgeom.catalog import ScrollSpec, StandardScroll, Veronese
 from rncgeom.errors import DimensionMismatchError, GeneralPositionError, RncGeomError
-from rncgeom.linalg import ProjSubspace, projection_from, span_of, try_direct_sum
+from rncgeom.linalg import ProjSubspace, projection_from, rref, span_of, try_direct_sum
 from rncgeom.osculation import Parametrization, osculating_projection_map, osculator
 from rncgeom.poly import Polynomial, clear_denominators
 from rncgeom.sampling import DENOMINATORS, NUMERATOR_RANGE
@@ -37,14 +37,15 @@ def reference_cleared(center: ProjSubspace):
     if center.dim == center.ambient_dim:
         raise RncGeomError("cannot project from the whole space")
     n = center.ambient_dim + 1
-    piv = set(center.pivots)
+    pivots = rref(center.basis, n)[1]
+    piv = set(pivots)
     rows = []
     for c in range(n):
         if c in piv:
             continue
         row = [Fraction(0)] * n
         row[c] = Fraction(1)
-        for basis_row, p in zip(center.basis, center.pivots):
+        for basis_row, p in zip(center.basis, pivots):
             row[p] = -basis_row[c]
         rows.append(row)
     ints, den = clear_denominators([x for row in rows for x in row])

@@ -225,7 +225,8 @@ def rnc_inputs(draw):
     The d+3 points are built as B, B lam and B w from a matrix B of
     simplex columns, so that a zero coordinate, a repeated ratio
     lam_a / w_a or a singular B can be forced before the points are
-    shuffled.  kappa is sometimes 0.
+    scaled, each by a nonzero rational of its own, and shuffled.  kappa
+    is sometimes 0.
     """
     d = draw(st.integers(1, 5))
     entry = st.integers(-4, 4)
@@ -255,6 +256,9 @@ def rnc_inputs(draw):
         )
     if case == "zero_point":
         points[draw(st.integers(0, d + 2))] = (0,) * (d + 1)
+    # each point as some multiple, so that each is cleared by its own factor
+    scales = [draw(nonzero) for _ in points]
+    points = [tuple(c * x for x in p) for c, p in zip(scales, points)]
     points = [points[k] for k in draw(st.permutations(range(d + 3)))]
     free_params = (
         draw(st.fractions(-3, 3, max_denominator=2)),
@@ -288,6 +292,15 @@ class TestRncThroughPoints:
         assert cert.degree == 1 and cert.span_dim == 1
         for p in points:
             assert curve_contains_point(curve, p)
+
+    @pytest.mark.parametrize(
+        "d, points", [(0, [(1,), (2,), (3,)]), (-1, [(), ()]), (-2, [(1,)])]
+    )
+    def test_degree_below_one_is_rejected(self, d, points):
+        # degree 0 once returned the constant "curve" [[1]] through three
+        # points of P^0, and degree -1 failed deep inside normalization
+        with pytest.raises(ValueError, match="^degree must be at least 1$"):
+            rnc_through_points(d, points)
 
     def test_twisted_cubic_through_random_points(self):
         rng = random.Random(4)
@@ -369,8 +382,9 @@ class TestRncThroughPoints:
         assert err.value.witness is not None
 
     def test_one_inverse_and_no_rank_on_general_points(self, monkeypatch):
-        # the inverse of the simplex decides every (d+1)-subset: no second
-        # inverse for the frame and no rank per subset
+        # the integer inverse of the cleared simplex decides every
+        # (d+1)-subset: no second inverse for the frame, no rank per subset
+        # and no QMatrix
         rng = random.Random(6)
         points = [(F(1),) + rand_vector(rng, 5) for _ in range(8)]
         calls = collections.Counter()
@@ -382,9 +396,10 @@ class TestRncThroughPoints:
 
             return wrapper
 
-        monkeypatch.setattr(QMatrix, "inverse", counting("inverse", QMatrix.inverse))
+        monkeypatch.setattr(rnc, "_inverse_ints", counting("inverse", rnc._inverse_ints))
         for module, name in ((rnc, "integer_rank"), (linalg, "rank")):
             monkeypatch.setattr(module, name, counting("rank", getattr(module, name)))
+        monkeypatch.setattr(QMatrix, "__init__", counting("QMatrix", QMatrix.__init__))
         curve = rnc_through_points(5, points)
         assert calls == {"inverse": 1}
         monkeypatch.undo()

@@ -220,12 +220,6 @@ class TestExhaustedTrial:
         with pytest.raises(InvariantError, match="conic parametrization missed a point"):
             verify.verify_membership(ConeStandard(1, 4), trials=1, seed=0)
 
-    def test_span_coordinates_check_is_an_invariant(self, monkeypatch):
-        # the check rebuilds each point of the P^3 from its pivot coordinates
-        monkeypatch.setattr(catalog, "combine_rows", lambda coeffs, rows: ())
-        with pytest.raises(InvariantError, match="intersection point escaped the span"):
-            verify.verify_membership(CubicSpecial(2, 2), trials=1, seed=0)
-
 
 class TestNoTrials:
     """A campaign of no trials has nothing to pass on: it is a usage error."""
