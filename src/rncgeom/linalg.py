@@ -240,9 +240,6 @@ class QMatrix:
             [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
         )
 
-    def transpose(self) -> "QMatrix":
-        return QMatrix(list(zip(*self.entries)))
-
     def matvec(self, vec) -> tuple:
         nums, den = clear_denominators(vec)
         if len(nums) != self.ncols:

@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional, Sequence
 
 from . import sampling
@@ -301,16 +302,17 @@ def osculator(v: Parametrization, point, k: int) -> OsculatorReport:
 def regularity_order(v: Parametrization, point) -> int:
     """Largest k such that the map is k-regular at the point.
 
-    The order-k osculator is spanned by the integer rows of orders 0..k,
-    so their rank is its dimension plus one.  Terminates because the rank
-    is capped by the ambient space while the regular dimension keeps
-    growing with k.
+    k-regular: the C(d+k, d) integer rows of orders 0..k, which span the
+    order-k osculator, have full rank.  Past N+1 rows they cannot and are
+    not built; below, ``integer_rank`` certifies full rank modulo a prime.
     """
     orders = _rows_by_order(v, point)
     rows = next(orders)
-    for k, order_rows in enumerate(orders, start=1):
-        rows.extend(order_rows)
-        if rank(rows, v.ambient_dim + 1) != math.comb(v.nparams + k, v.nparams):
+    for k in itertools.count(1):
+        if math.comb(v.nparams + k, v.nparams) > v.ambient_dim + 1:
+            return k - 1
+        rows.extend(next(orders))
+        if integer_rank(rows, v.ambient_dim + 1) != len(rows):
             return k - 1
 
 
@@ -365,13 +367,10 @@ def admissibility_check(
         return AdmissibilityReport(False, 0, "repeated points")
 
     ambient = v.span()
-    cache = {}
 
+    @cache
     def osc(i, order):
-        key = (i, order)
-        if key not in cache:
-            cache[key] = osculator(v, pts[i], order)
-        return cache[key]
+        return osculator(v, pts[i], order)
 
     assignments = []
     perms = _distinct_permutations(tuple(weights))

@@ -33,7 +33,7 @@ def reference_fit(spec: CubicSpecial, points):
     span4 = span_of(lifted, r + 1)
     if span4.dim != 3:
         raise GenericityError("the four points do not span a P^3")
-    lift = QMatrix(span4.basis).transpose()
+    lift = QMatrix(zip(*span4.basis))
     line = span_of([lift.matvec(c) for c in nullspace(lift.entries[:2], 4)], r + 1)
     if line.dim != 1:
         raise GenericityError("span meets {T0 = T1 = 0} in the wrong dimension")

@@ -80,10 +80,10 @@ class TestRegularityOrder:
         )
 
     def test_each_partial_taken_once(self):
-        # the order-4 osculator that decides the answer has 34 derivative
-        # rows of 20 components; no lower-order row is differentiated again.
-        # The chart is built afresh: make_variety's shared one may already
-        # hold its partials.
+        # the order-4 osculator would have 35 rows of 20 components, so the
+        # row count alone decides the answer and layer 4 is never derived;
+        # no lower-order row is differentiated again.  The chart is built
+        # afresh: make_variety's shared one may already hold its partials.
         v = Parametrization.from_affine(3, Veronese(3, 3).components())
         calls = []
         original = Polynomial.partial
@@ -94,8 +94,8 @@ class TestRegularityOrder:
 
         with mock.patch.object(Polynomial, "partial", counting):
             assert regularity_order(v, (F(1), F(2), F(-1))) == 3
-        # layers 2 to 4 (31 multi-indices); layer 1 went to the rank check
-        assert len(calls) == 31 * 20
+        # layers 2 and 3 (16 multi-indices); layer 1 went to the rank check
+        assert len(calls) == 16 * 20
 
     def test_partials_shared_by_the_points(self):
         # a 5-point regularity job derives the partials once, not once per
@@ -112,7 +112,7 @@ class TestRegularityOrder:
 
         with mock.patch.object(Polynomial, "partial", counting):
             assert [regularity_order(v, p) for p in points] == expected == [3] * 5
-        assert len(calls) == 31 * 20
+        assert len(calls) == 16 * 20  # layers 2 and 3, as above
 
     def test_base_point_rejected(self):
         x = Polynomial.variable(1, 0)

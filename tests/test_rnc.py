@@ -178,7 +178,7 @@ def _reference_rnc_through_points(d, points, free_params):
     if kappa == 0:
         raise ValueError("kappa must be nonzero")
     simplex = pts[: d + 1]
-    lam = QMatrix(simplex).transpose().inverse().matvec(pts[d + 1])
+    lam = QMatrix(zip(*simplex)).inverse().matvec(pts[d + 1])
     frame = QMatrix(
         [[lam[j] * simplex[j][i] for j in range(d + 1)] for i in range(d + 1)]
     )

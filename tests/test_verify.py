@@ -282,10 +282,11 @@ class TestProjection:
 
 
 class TestOneProjectionPerCentreSet:
-    """At n = 3 the single-point centre is the campaign's whole centre, so an
-    attempt reuses its image and projects once; at n >= 4 it projects twice.
-    The reports keep their bytes: the digests are those of the campaign that
-    projected twice at every n."""
+    """An attempt builds one projection map, from its whole centre, at every
+    n: at n = 3 the single-point centre is that centre, and at n >= 4 the
+    single-point span is read off the osculator's dimension.  The reports
+    keep their bytes: the digests are those of the campaign that projected
+    twice at n >= 4."""
 
     DIGESTS = {
         "QuadricVeronese": "83525232f543f3be48fe8c63b37ce98859ea5c305f010fb43c4d2b1b6f032e5b",
@@ -294,16 +295,16 @@ class TestOneProjectionPerCentreSet:
     }
 
     @pytest.mark.parametrize(
-        "spec, per_attempt",
+        "spec, n",
         [
-            (QuadricVeronese(3, 2, 5), 1),
-            (StandardScroll(ScrollSpec((1, 1)), 2, 0), 1),
-            (ConeStandard(2, 4), 2),
+            (QuadricVeronese(3, 2, 5), 3),
+            (StandardScroll(ScrollSpec((1, 1)), 2, 0), 3),
+            (ConeStandard(2, 4), 5),
         ],
         ids=lambda s: getattr(s, "family", s),
     )
-    def test_projections_per_attempt(self, spec, per_attempt, monkeypatch):
-        assert catalog.declared_class(spec).n == (3 if per_attempt == 1 else 5)
+    def test_projections_per_attempt(self, spec, n, monkeypatch):
+        assert catalog.declared_class(spec).n == n
         attempts, projections = [], []
         sample, project = rnc.sample_parameter_points, verify.osculating_projection_map
 
@@ -319,7 +320,7 @@ class TestOneProjectionPerCentreSet:
         monkeypatch.setattr(verify, "osculating_projection_map", counting_project)
         report = verify.verify_veronese_projection(spec, trials=2, seed=0)
         assert report.verdict == "pass"
-        assert attempts and len(projections) == per_attempt * len(attempts)
+        assert attempts and projections == [n - 2] * len(attempts)
         text = json.dumps(report.to_json(), sort_keys=True, separators=(", ", ": "))
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[spec.family]
 
