@@ -14,7 +14,7 @@ from fractions import Fraction as F
 
 from rncgeom.gstructure import construct_structure, grn_relation, is_type_subspace
 from rncgeom.linalg import kron, nullspace, rank
-from rncgeom.sampling import rand_invertible_matrix, rand_vector
+from rncgeom.sampling import rand_vector
 
 r, n = 2, 3
 dim = r * n

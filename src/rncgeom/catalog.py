@@ -669,8 +669,8 @@ class QuadricVeronese:
         The curve-through-points construction for this family is not spelled
         out in the classification; the route here (plane through the three
         quadric points, conic in that plane, pushforward) is the natural
-        reading of the degree-2rho section count and is certified after the
-        fact by the degree/span/incidence checks.
+        reading of the degree-2rho section count.  It lies on X by
+        construction; the degree/span/incidence checks cannot see that.
         """
         form, lifted = _lift(self.form(), points)
         a, b = (form.polar(lifted[0], x) for x in lifted[1:])

@@ -15,27 +15,38 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, GeneralPositionError, RncGeomError
-from .linalg import QMatrix, _accumulate, _inverse_ints, _kernel_ints, combine_rows, nullspace
-from .poly import primitive_part
+from .linalg import QMatrix, _accumulate, _inverse_ints, _kernel_ints, integer_rank, nullspace
+from .poly import clear_denominators, primitive_part
 from .sampling import rand_invertible_matrix
 
 
 @dataclass(frozen=True)
 class TensorStructure:
-    """Distinguished dual basis (m_{j,alpha}) of a type-(r, n) structure."""
+    """Distinguished dual basis (m_{j,alpha}) of a type-(r, n) structure.
+
+    ``rows`` and ``inverse`` are m and m^-1 as ``(ints, den)``, integer rows
+    over one denominator; row j*n + alpha of m is m_{j,alpha}.
+    """
 
     r: int
     n: int
-    m: QMatrix  # rows are the functionals, row index j*n + alpha
+    rows: tuple
+    inverse: tuple
+
+    @cached_property
+    def m(self) -> QMatrix:
+        return _fraction_matrix(*self.rows)
 
     @cached_property
     def m_inverse(self) -> QMatrix:
-        """Inverse of ``m``, computed once per structure.
+        return _fraction_matrix(*self.inverse)
 
-        ``construct_structure`` seeds it from the inversions that certify
-        its input, so a constructed ``m`` is never row-reduced.
-        """
-        return self.m.inverse()
+    def _combination(self, coeffs, rows: slice) -> tuple:
+        """The Fraction sum of ``coeffs[i]`` times the i-th row of m in ``rows``."""
+        ints, den = self.rows
+        nums, coeff_den = clear_denominators(coeffs)
+        den *= coeff_den
+        return tuple(Fraction(x, den) for x in _accumulate(nums, ints[rows], self.r * self.n))
 
     def type_subspace_rows(self, t) -> list:
         """Basis of the annihilator of the type-(r, n-1) space with parameter t."""
@@ -44,10 +55,7 @@ class TensorStructure:
         if not any(t):
             raise DimensionMismatchError("parameter must be nonzero")
         # row j of the basis is sum_alpha t_alpha m_{j,alpha}
-        return [
-            combine_rows([x if k == j else 0 for k in range(self.r) for x in t], self.m)
-            for j in range(self.r)
-        ]
+        return [self._combination(t, slice(j * self.n, (j + 1) * self.n)) for j in range(self.r)]
 
     def type_subspace(self, t) -> list:
         """Basis vectors of the type-(r, n-1) subspace cut out by t."""
@@ -60,10 +68,11 @@ class TensorStructure:
         if not any(u):
             raise DimensionMismatchError("parameter must be nonzero")
         # row alpha of the basis is sum_j u_j m_{j,alpha}
-        return [
-            combine_rows([x if k == alpha else 0 for x in u for k in range(self.n)], self.m)
-            for alpha in range(self.n)
-        ]
+        return [self._combination(u, slice(alpha, None, self.n)) for alpha in range(self.n)]
+
+
+def _fraction_matrix(ints, den) -> QMatrix:
+    return QMatrix([[Fraction(x, den) for x in row] for row in ints])
 
 
 # The latest frame that _frame built, as (rows, frame): the snapshot of
@@ -138,14 +147,14 @@ def construct_structure(subspaces: Sequence, rng=None) -> TensorStructure:
     invertible.  Then m = D S, where D places C_alpha[j] in row
     j*n + alpha, so m^-1 = S^-1 D^-1 is assembled from these inverses.
 
-    Everything runs on integer rows, and Fractions are built only for m
-    and m^-1.  The phis are F_0's kernel vectors over their denominator
-    ``den_phi``.  The rows of S are the other kernels made primitive: m
-    does not depend on the bases of those annihilators, and primitive
-    rows keep the minors, and so the denominators, small.  With
-    S^-1 = adj / den_S, the coordinates are the integer rows phi adj over
-    den_phi den_S.  Each block row is divided by its content g_j before
-    the block is inverted, which scales column j of the inverse by 1/g_j.
+    Everything runs on integer rows; m and m^-1 are kept as integer rows
+    over one denominator each.  The phis are F_0's kernel vectors over
+    their denominator ``den_phi``.  The rows of S are the other kernels
+    made primitive: m does not depend on the bases of those annihilators,
+    and primitive rows keep the minors, and so the denominators, small.
+    With S^-1 = adj / den_S, the coordinates are the integer rows phi adj
+    over den_phi den_S.  Each block row is divided by its content g_j
+    before the block is inverted, which scales column j of the inverse by 1/g_j.
 
     The kernels and S^-1 come from ``_frame``, which keeps those of the
     latest input.  A second call on the same rows, such as a remix,
@@ -169,7 +178,7 @@ def construct_structure(subspaces: Sequence, rng=None) -> TensorStructure:
     phis, den_phi = kernels[0]
 
     if rng is not None:
-        mix, mix_den = rand_invertible_matrix(rng, r).cleared
+        mix, mix_den = rand_invertible_matrix(rng, r)
         phis = [_accumulate(row, phis, dim) for row in mix]
         den_phi *= mix_den
 
@@ -188,27 +197,24 @@ def construct_structure(subspaces: Sequence, rng=None) -> TensorStructure:
         except RncGeomError:
             raise _not_spanning(alpha + 1, n) from None
         block_inverses.append((ints, [den_b * g for g in contents]))
-    den_m = den_phi * den_s
     m_rows = [
-        [Fraction(x, den_m) for x in _accumulate(row[alpha * r : (alpha + 1) * r], ann, dim)]
+        _accumulate(row[alpha * r : (alpha + 1) * r], ann, dim)
         for row in coords
         for alpha, ann in enumerate(annihilators)
     ]
     # entry j*n + alpha of row k of m^-1 is sum_i S^-1[k][alpha*r + i] C_alpha^-1[i][j],
-    # with C_alpha^-1[i][j] = den_phi den_s ints[i][j] / (den_b g_j)
+    # with C_alpha^-1[i][j] = den_phi den_s ints[i][j] / d and d = den_b g_j;
+    # over the lcm of the d, column j*n + alpha is scaled by den_phi lcm / d
+    den_inv = math.lcm(*(d for _, dens in block_inverses for d in dens))
+    scales = [[den_phi * (den_inv // d) for d in dens] for _, dens in block_inverses]
     inverse_rows = []
     for row in adj:
         parts = [
-            [
-                Fraction(den_phi * x, d)
-                for x, d in zip(_accumulate(row[alpha * r : (alpha + 1) * r], ints, r), dens)
-            ]
-            for alpha, (ints, dens) in enumerate(block_inverses)
+            _accumulate(row[alpha * r : (alpha + 1) * r], ints, r)
+            for alpha, (ints, _) in enumerate(block_inverses)
         ]
-        inverse_rows.append([parts[alpha][j] for j in range(r) for alpha in range(n)])
-    structure = TensorStructure(r, n, QMatrix(m_rows))
-    vars(structure)["m_inverse"] = QMatrix(inverse_rows)  # seeds the cached property
-    return structure
+        inverse_rows.append([parts[a][j] * scales[a][j] for j in range(r) for a in range(n)])
+    return TensorStructure(r, n, (m_rows, den_phi * den_s), (inverse_rows, den_inv))
 
 
 def is_type_subspace(structure: TensorStructure, subspace_rows) -> Optional[tuple]:
@@ -220,8 +226,8 @@ def is_type_subspace(structure: TensorStructure, subspace_rows) -> Optional[tupl
     The kernel is the only elimination: the u's of a basis are
     independent by themselves, since the annihilator basis is, m^-1 is
     invertible and u -> u t^T is injective for t != 0.  The test is
-    scale-free, so it runs on the integer kernel vectors against the
-    cleared m^-1.  A subspace of the latest frame that ``construct_structure``
+    scale-free, so it runs on the integer kernel vectors against m^-1's
+    integer rows.  A subspace of the latest frame that ``construct_structure``
     built, with rows equal by value, reuses its kernel and eliminates nothing.
     """
     r, n = structure.r, structure.n
@@ -229,7 +235,7 @@ def is_type_subspace(structure: TensorStructure, subspace_rows) -> Optional[tupl
     ann, _ = _frame_kernel(subspace_rows, dim)
     if len(ann) != r:
         raise DimensionMismatchError("subspace must have codimension r")
-    minv, _ = structure.m_inverse.cleared
+    minv, _ = structure.inverse
     rows = [
         coords[j * n : (j + 1) * n]
         for coords in (_accumulate(psi, minv, dim) for psi in ann)
@@ -251,17 +257,17 @@ def grn_relation(sa: TensorStructure, sb: TensorStructure) -> Optional[tuple]:
     Returns (C, A) with sb.m = (C (x) A) sa.m when the transition matrix
     has the block rank-one structure of the group G_{r,n}; None otherwise.
     The factors are normalized so the first nonzero entry of A is 1.  The
-    transition is taken over Z, from the cleared forms of sb.m and
-    sa.m^-1, over the product of their denominators.
+    transition is taken over Z from the integer rows of sb.m and sa.m^-1,
+    and C and A are certified invertible by ``integer_rank``.
     """
     r, n = sa.r, sa.n
     if (r, n) != (sb.r, sb.n):
         raise DimensionMismatchError("structures disagree on (r, n)")
     dim = r * n
-    if sa.m.nrows != dim or sb.m.nrows != dim:
+    m_b, den_b = sb.rows
+    minv_a, den_a = sa.inverse
+    if len(minv_a) != dim or len(m_b) != dim:
         raise DimensionMismatchError("matrix size is not rn")
-    m_b, den_b = sb.m.cleared
-    minv_a, den_a = sa.m_inverse.cleared
     transition = [_accumulate(row, minv_a, dim) for row in m_b]
     # block (j, k) of the transition, flattened row by row
     flat = {
@@ -278,15 +284,13 @@ def grn_relation(sa: TensorStructure, sb: TensorStructure) -> Optional[tuple]:
         return None
     pivot = next(i for i, x in enumerate(a_flat) if x != 0)
     scale = a_flat[pivot]
-    den = den_a * den_b
-    c_entries = [[Fraction(0)] * r for _ in range(r)]
+    c_ints = [[0] * r for _ in range(r)]
     for (j, k), values in flat.items():
         coeff = values[pivot]
         if any(x * scale != coeff * y for x, y in zip(values, a_flat)):
             return None
-        c_entries[j][k] = Fraction(coeff, den)
-    a = QMatrix([[Fraction(x, scale) for x in a_flat[i * n : (i + 1) * n]] for i in range(n)])
-    c = QMatrix(c_entries)
-    if not a.is_invertible() or not c.is_invertible():
+        c_ints[j][k] = coeff
+    a_ints = [a_flat[i * n : (i + 1) * n] for i in range(n)]
+    if integer_rank(a_ints, n) != n or integer_rank(c_ints, r) != r:
         return None
-    return c, a
+    return _fraction_matrix(c_ints, den_a * den_b), _fraction_matrix(a_ints, scale)

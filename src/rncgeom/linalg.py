@@ -178,26 +178,6 @@ def _accumulate(coeffs, rows, width: int) -> list:
     return acc
 
 
-def combine_rows(coeffs, rows) -> tuple:
-    """The linear combination of ``rows`` with paired ``coeffs``.
-
-    The vector analogue of ``poly.combine``: the coefficients are cleared
-    to integers, the rows are read in the cleared form their ``QMatrix``
-    keeps (a plain row list is wrapped once), the sum is accumulated over
-    Z, and each output entry is one Fraction over the product of the two
-    denominators.
-    """
-    if not isinstance(rows, QMatrix):
-        rows = QMatrix(rows)
-    if len(coeffs) != rows.nrows:
-        raise DimensionMismatchError("coefficient count differs from row count")
-    ints, den = rows.cleared
-    nums, coeff_den = clear_denominators(coeffs)
-    acc = _accumulate(nums, ints, rows.ncols)
-    den *= coeff_den
-    return tuple(Fraction(x, den) if x else _ZERO for x in acc)
-
-
 class QMatrix:
     """Dense exact matrix; small sizes only, immutable.
 
@@ -234,12 +214,6 @@ class QMatrix:
     def ncols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls(
-            [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        )
-
     def matvec(self, vec) -> tuple:
         nums, den = clear_denominators(vec)
         if len(nums) != self.ncols:
@@ -252,7 +226,9 @@ class QMatrix:
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.ncols != other.nrows:
             raise DimensionMismatchError("matmul size mismatch")
-        return QMatrix([combine_rows(row, other) for row in self.entries])
+        (coeffs, den), (ints, other_den) = self.cleared, other.cleared
+        rows = (_accumulate(row, ints, other.ncols) for row in coeffs)
+        return QMatrix([[Fraction(x, den * other_den) for x in row] for row in rows])
 
     def rank(self) -> int:
         return rank(self.entries, self.ncols)

@@ -331,7 +331,11 @@ class AdmissibilityReport:
 
 
 def _distinct_permutations(values):
-    return sorted(set(itertools.permutations(values)))
+    """The distinct orderings of a two-valued tuple, sorted: one per choice
+    of the places of its larger value, C(len, count) of them."""
+    low, high, size = min(values), max(values), len(values)
+    places = itertools.combinations(range(size), values.count(high))
+    return sorted(tuple(high if i in p else low for i in range(size)) for p in places)
 
 
 def admissibility_check(

@@ -9,8 +9,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import GenericityError
-from .linalg import QMatrix
+from .errors import GenericityError, SpecError
+from .linalg import integer_rank
+from .poly import clear_denominators
 
 NUMERATOR_RANGE = (-9, 9)
 DENOMINATORS = (1, 2, 3)
@@ -28,7 +29,17 @@ def rand_vector(rng: random.Random, length: int) -> tuple:
     return tuple(rand_rational(rng) for _ in range(length))
 
 
+# how many distinct values rand_rational can draw
+_NUMERATORS = range(NUMERATOR_RANGE[0], NUMERATOR_RANGE[1] + 1)
+DISTINCT_RATIONALS = len({Fraction(a, b) for a in _NUMERATORS for b in DENOMINATORS})
+
+
 def rand_distinct_rationals(rng: random.Random, count: int) -> tuple:
+    if count > DISTINCT_RATIONALS:
+        raise SpecError(
+            f"cannot draw {count} distinct rationals: the sampler's heights give "
+            f"{DISTINCT_RATIONALS}"
+        )
     seen = []
     while len(seen) < count:
         x = rand_rational(rng)
@@ -58,9 +69,12 @@ def rand_points_distinct_first_coord(rng: random.Random, count: int, length: int
     ]
 
 
-def rand_invertible_matrix(rng: random.Random, n: int):
+def rand_invertible_matrix(rng: random.Random, n: int) -> tuple:
+    """An invertible n x n draw as ``(rows, den)``: integer rows over one
+    common denominator, checked by ``integer_rank``."""
     for _ in range(MAX_RETRIES + 1):
-        m = QMatrix([rand_vector(rng, n) for _ in range(n)])
-        if m.is_invertible():
-            return m
+        ints, den = clear_denominators([rand_rational(rng) for _ in range(n * n)])
+        rows = [ints[i * n : (i + 1) * n] for i in range(n)]
+        if integer_rank(rows, n) == n:
+            return rows, den
     raise GenericityError("failed to sample an invertible matrix")

@@ -36,7 +36,7 @@ from rncgeom.catalog import (
 )
 from rncgeom.errors import GeneralPositionError
 from rncgeom.gstructure import construct_structure, grn_relation, is_type_subspace
-from rncgeom.linalg import nullspace, rank, span_of, try_direct_sum
+from rncgeom.linalg import QMatrix, nullspace, rank, span_of, try_direct_sum
 from rncgeom.osculation import Parametrization, osculator, regularity_order
 from rncgeom.poly import Polynomial, RationalCurve
 from rncgeom.rnc import certify_curve, curve_contains_point, rnc_through_points
@@ -196,7 +196,8 @@ def test_osculation_suite():
     for _ in range(10):
         point = rand_vector(rng, 2)
         rep = osculator(variety, point, 2)
-        g = rand_invertible_matrix(rng, variety.ambient_dim + 1)
+        # the draw's integer rows: the same projectivity as rows over its denominator
+        g = QMatrix(rand_invertible_matrix(rng, variety.ambient_dim + 1)[0])
         moved = Parametrization(
             variety.nparams,
             [

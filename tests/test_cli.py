@@ -320,6 +320,19 @@ class TestUsageErrors:
         assert main(argv + [flag, "3"]) == EXIT_USAGE
         assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fit", "verify"])
+    def test_more_points_than_the_sampler_draws(self, command):
+        # Scroll a=[40,1] needs 42 points with distinct first coordinates,
+        # and the sampler's heights give 41 distinct rationals: the spec is
+        # refused at once instead of being redrawn forever
+        spec = '{"family":"Scroll","params":{"a":[40,1]}}'
+        argv = [sys.executable, "-m", "rncgeom.cli", command, "--spec", spec]
+        proc = subprocess.run(argv, capture_output=True, timeout=30)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == (
+            b"error: cannot draw 42 distinct rationals: the sampler's heights give 41\n"
+        )
+
     def test_fit_takes_no_trials(self, capsys):
         assert main(["fit", "--spec", SCROLL, "--trials", "3"]) == EXIT_USAGE
         assert "unrecognized arguments: --trials 3" in capsys.readouterr().err

@@ -1,11 +1,10 @@
-"""The integer row-combination kernel against plain ``Fraction`` sums.
+"""Matrix products on cleared integer rows against plain ``Fraction`` sums.
 
-``linalg.combine_rows`` clears its coefficients to integers, reads the
-rows in the cleared form their ``QMatrix`` keeps (a plain row list is
-wrapped once) and builds one ``Fraction`` per output entry;
-``QMatrix.__matmul__`` goes through it.  ``QMatrix.matvec`` takes its dot
-products over Z against the same cleared form.  The references below are
-the textbook sums over ``Fraction``, one product per term.
+``QMatrix.__matmul__`` reads both factors in the cleared form a
+``QMatrix`` keeps, sums each row combination over Z and builds one
+``Fraction`` per output entry.  ``QMatrix.matvec`` takes its dot products
+over Z against the same cleared form.  The references below are the
+textbook sums over ``Fraction``, one product per term.
 """
 
 import math
@@ -17,7 +16,7 @@ from hypothesis import strategies as st
 
 from rncgeom import linalg
 from rncgeom.errors import DimensionMismatchError
-from rncgeom.linalg import QMatrix, combine_rows
+from rncgeom.linalg import QMatrix
 from rncgeom.poly import clear_denominators
 from rncgeom.sampling import DENOMINATORS, NUMERATOR_RANGE
 
@@ -64,7 +63,12 @@ def _exact(values) -> bool:
     return all(type(x) is Fraction for x in values)
 
 
-class TestCombineRows:
+def combine(coeffs, rows):
+    """The row combination as the one row of ``[coeffs] @ rows``."""
+    return (QMatrix([coeffs]) @ QMatrix(rows)).entries[0]
+
+
+class TestRowCombinations:
     @settings(max_examples=200, deadline=None)
     @given(combinations())
     @example(([Fraction(3, 4)], [[1, Fraction(-2, 3), 0]]))
@@ -72,21 +76,21 @@ class TestCombineRows:
     @example(([2, Fraction(1, 6)], [[Fraction(1, 4), 3], [6, Fraction(-5, 2)]]))
     def test_against_reference(self, case):
         coeffs, rows = case
-        got = combine_rows(coeffs, rows)
+        got = combine(coeffs, rows)
         assert got == reference_combine(coeffs, rows)
         assert _exact(got)
 
     def test_single_row_is_scaled(self):
         row = [Fraction(1, 3), -2, 0, Fraction(5, 7)]
-        assert combine_rows([Fraction(-3, 5)], [row]) == tuple(
+        assert combine([Fraction(-3, 5)], [row]) == tuple(
             Fraction(-3, 5) * Fraction(x) for x in row
         )
 
     def test_all_zero_coefficients_give_the_zero_row(self):
-        assert combine_rows([0, Fraction(0)], [[1, 2, 3], [4, 5, 6]]) == (0, 0, 0)
+        assert combine([0, Fraction(0)], [[1, 2, 3], [4, 5, 6]]) == (0, 0, 0)
 
     def test_string_entries(self):
-        assert combine_rows(["1/2", 3], [["2/3", 1], [0, "-1/6"]]) == (
+        assert combine(["1/2", 3], [["2/3", 1], [0, "-1/6"]]) == (
             Fraction(1, 3),
             0,
         )
@@ -94,13 +98,11 @@ class TestCombineRows:
     @pytest.mark.parametrize("coeffs", [[1, 2, 3], [1], []])
     def test_coefficient_count_must_match(self, coeffs):
         with pytest.raises(DimensionMismatchError):
-            combine_rows(coeffs, [[1], [2]])
-        with pytest.raises(DimensionMismatchError):
-            combine_rows(coeffs, QMatrix([[1], [2]]))
+            combine(coeffs, [[1], [2]])
 
     def test_ragged_rows(self):
         with pytest.raises(DimensionMismatchError):
-            combine_rows([1, 2], [[1, 2], [3]])
+            combine([1, 2], [[1, 2], [3]])
 
 
 def _row_den(row):
@@ -142,9 +144,9 @@ class TestClearedMatrix:
         rows, vectors = case
         m = QMatrix(rows)
         for coeffs in vectors:
-            got = combine_rows(coeffs, m)
+            got = (QMatrix([coeffs]) @ m).entries[0]
             assert got == reference_combine(coeffs, rows)
-            assert got == combine_rows(coeffs, rows)
+            assert got == combine(coeffs, rows)
             assert _exact(got)
 
     @settings(max_examples=100, deadline=None)

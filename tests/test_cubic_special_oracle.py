@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from rncgeom import catalog
 from rncgeom.catalog import CubicSpecial, _isqrt_fraction, _through_chart
 from rncgeom.errors import GeneralPositionError, GenericityError, SplittingFieldRequiredError
-from rncgeom.linalg import QMatrix, combine_rows, nullspace, rref, span_of
+from rncgeom.linalg import QMatrix, nullspace, rref, span_of
 from rncgeom.poly import _combine_ints
 from rncgeom.rnc import rnc_through_points
 
@@ -58,7 +58,7 @@ def reference_fit(spec: CubicSpecial, points):
     six_in_p3 = []
     for p in lifted + qpts:
         coords = tuple(p[k] for k in pivots)
-        assert combine_rows(coords, span4.basis) == p
+        assert (QMatrix([coords]) @ QMatrix(span4.basis)).entries[0] == p
         six_in_p3.append(coords)
     gamma3 = rnc_through_points(3, six_in_p3)
     ambient = [_combine_ints(row, gamma3.integer_lists()) for row in lift.cleared[0]]

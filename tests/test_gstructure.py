@@ -23,9 +23,35 @@ from rncgeom.gstructure import (
     grn_relation,
     is_type_subspace,
 )
-from rncgeom.linalg import QMatrix, combine_rows, kron, nullspace, rank
+from rncgeom.linalg import QMatrix, _inverse_ints, kron, nullspace, rank
 from rncgeom.poly import clear_denominators
 from rncgeom.sampling import rand_invertible_matrix, rand_vector
+
+
+def combine(coeffs, rows):
+    """The Fraction row sum of coeffs[i] times rows[i], one product per term."""
+    return tuple(
+        sum((F(a) * F(row[k]) for a, row in zip(coeffs, rows)), F(0))
+        for k in range(len(rows[0]))
+    )
+
+
+def identity(n):
+    return QMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def random_matrix(rng, n):
+    """The ``rand_invertible_matrix`` draw as a ``QMatrix``."""
+    rows, den = rand_invertible_matrix(rng, n)
+    return QMatrix([[F(x, den) for x in row] for row in rows])
+
+
+def structure_of(r, n, m):
+    """A structure whose dual basis is the invertible ``QMatrix`` m."""
+    rows, den = m.cleared
+    inverse, inverse_den = _inverse_ints(rows)
+    inverse = [[den * x for x in row] for row in inverse]
+    return TensorStructure(r, n, (rows, den), (inverse, inverse_den))
 
 
 def random_codim_r(rng, r, n):
@@ -149,7 +175,7 @@ def reference_is_type_subspace(structure, subspace_rows):
     minv = structure.m_inverse
     coefficient_mats = []
     for psi in ann:
-        coords = combine_rows(psi, minv)
+        coords = combine(psi, minv.entries)
         coefficient_mats.append([coords[j * n : (j + 1) * n] for j in range(r)])
 
     t = None
@@ -222,9 +248,9 @@ class TestTypeCheckOracle:
         else:
             # annihilator rows u_j (x) t, the first of them u_0 (x) t'
             ann = [
-                combine_rows(
+                combine(
                     [u * x for u in rand_vector(rng, r) for x in (t_other if j == 0 else t)],
-                    structure.m,
+                    structure.m.entries,
                 )
                 for j in range(r)
             ]
@@ -261,15 +287,15 @@ class TestGrnRelation:
         rng = random.Random(8)
         _, structure = general_position_family(rng, 2, 3)
         c, a = grn_relation(structure, structure)
-        assert kron(c, a) == QMatrix.identity(6)
+        assert kron(c, a) == identity(6)
 
     def test_recovers_kronecker_factors(self):
         rng = random.Random(9)
         _, structure = general_position_family(rng, 2, 3)
-        c = rand_invertible_matrix(rng, 2)
-        a = rand_invertible_matrix(rng, 3)
+        c = random_matrix(rng, 2)
+        a = random_matrix(rng, 3)
         moved = kron(c, a) @ structure.m
-        result = grn_relation(structure, TensorStructure(2, 3, moved))
+        result = grn_relation(structure, structure_of(2, 3, moved))
         assert result is not None
         c2, a2 = result
         assert kron(c2, a2) == kron(c, a)
@@ -277,8 +303,8 @@ class TestGrnRelation:
     def test_unrelated_bases_absent(self):
         rng = random.Random(10)
         _, structure = general_position_family(rng, 2, 3)
-        scrambled = rand_invertible_matrix(rng, 6) @ structure.m
-        assert grn_relation(structure, TensorStructure(2, 3, scrambled)) is None
+        scrambled = random_matrix(rng, 6) @ structure.m
+        assert grn_relation(structure, structure_of(2, 3, scrambled)) is None
 
     def test_independent_constructions_related(self):
         rng = random.Random(11)
@@ -315,7 +341,7 @@ def reference_construct_structure(subspaces, rng=None):
         raise not_spanning(0) from None
     phis = annihilators[0]
     if rng is not None:
-        phis = rand_invertible_matrix(rng, r) @ phis
+        phis = random_matrix(rng, r) @ phis
     coords = (phis @ change).entries
     block_inverses = []
     for alpha in range(n):
@@ -325,14 +351,14 @@ def reference_construct_structure(subspaces, rng=None):
         except RncGeomError:
             raise not_spanning(alpha + 1) from None
     m_rows = [
-        combine_rows(row[alpha * r : (alpha + 1) * r], annihilators[1 + alpha])
+        combine(row[alpha * r : (alpha + 1) * r], annihilators[1 + alpha].entries)
         for row in coords
         for alpha in range(n)
     ]
     inverse_rows = []
     for row in change.entries:
         parts = [
-            combine_rows(row[alpha * r : (alpha + 1) * r], block_inverses[alpha])
+            combine(row[alpha * r : (alpha + 1) * r], block_inverses[alpha].entries)
             for alpha in range(n)
         ]
         inverse_rows.append([parts[alpha][j] for j in range(r) for alpha in range(n)])
@@ -427,14 +453,14 @@ class TestConstructionOracle:
         assert got == _construction(reference_construct_structure, subs, mix)
         if not isinstance(got[0], QMatrix):
             return
-        sa = TensorStructure(r, n, got[0])
+        sa = structure_of(r, n, got[0])
         if relation == "remix":
             sb = construct_structure(subs, rng=random.Random(seed + 1))
         elif relation == "kronecker":
-            moved = kron(rand_invertible_matrix(rng, r), rand_invertible_matrix(rng, n))
-            sb = TensorStructure(r, n, moved @ sa.m)
+            moved = kron(random_matrix(rng, r), random_matrix(rng, n))
+            sb = structure_of(r, n, moved @ sa.m)
         else:
-            sb = TensorStructure(r, n, rand_invertible_matrix(rng, r * n) @ sa.m)
+            sb = structure_of(r, n, random_matrix(rng, r * n) @ sa.m)
         expected = _relation(reference_grn_relation, sa, sb)
         assert _relation(grn_relation, sa, sb) == expected
         # for r = 1 every transition is 1 (x) A
@@ -469,7 +495,7 @@ class TestCachedInverse:
     def test_inverts_m(self):
         rng = random.Random(13)
         _, structure = general_position_family(rng, 2, 3)
-        assert structure.m_inverse @ structure.m == QMatrix.identity(6)
+        assert structure.m_inverse @ structure.m == identity(6)
 
     def test_inversions_per_construction(self):
         # cold, the construction inverts the stack S of the annihilators of
@@ -755,34 +781,42 @@ class TestAssembledInverse:
         remixed = construct_structure(subs, rng=random.Random(5))
         for structure in (plain, remixed):
             assert structure.m_inverse == structure.m.inverse()
-            assert structure.m_inverse @ structure.m == QMatrix.identity(r * n)
+            assert structure.m_inverse @ structure.m == identity(r * n)
 
-    def test_m_inverse_cleared_once(self):
-        # a construction, its n + 1 type checks and a relation clear the
-        # entries of m^-1 to integers once, all of them together
+    def test_m_inverse_never_cleared(self):
+        # a construction, its n + 1 type checks and a relation read the
+        # integer rows of m^-1 that the construction built: no entry of
+        # m^-1 is cleared to integers
         subs, _ = general_position_family(random.Random(16), 2, 3)
         other = construct_structure(subs, rng=random.Random(98))
         cleared = []
-        original = linalg.clear_denominators
 
-        def recording(values):
-            values = list(values)
-            cleared.append(values)
-            return original(values)
+        def recording(original):
+            def clear(values):
+                values = list(values)
+                cleared.append(values)
+                return original(values)
 
-        with mock.patch.object(linalg, "clear_denominators", recording):
+            return clear
+
+        with contextlib.ExitStack() as stack:
+            for module in (linalg, gstructure):
+                stack.enter_context(
+                    mock.patch.object(
+                        module, "clear_denominators", recording(module.clear_denominators)
+                    )
+                )
             structure = construct_structure(subs)
             for sub in subs:
                 assert is_type_subspace(structure, sub) is not None
             assert grn_relation(structure, other) is not None
         dim = structure.m.nrows
         rows = set(structure.m_inverse.entries)
-        touching = [
-            values
+        assert not any(
+            tuple(values[i : i + dim]) in rows
             for values in cleared
-            if any(tuple(values[i : i + dim]) in rows for i in range(0, len(values), dim))
-        ]
-        assert touching == [[x for row in structure.m_inverse.entries for x in row]]
+            for i in range(0, len(values), dim)
+        )
 
     @pytest.mark.parametrize("r, n", [(1, 2), (2, 3), (3, 4)])
     def test_remix_draws_once(self, r, n):
@@ -804,6 +838,50 @@ class TestAssembledInverse:
         subs, _ = general_position_family(random.Random(81), 2, 2)
         with pytest.raises(GenericityError):
             construct_structure(subs, rng=Zeros(0))
+
+
+class TestIntegerRows:
+    @pytest.mark.parametrize("r, n", [(1, 2), (2, 3), (3, 3), (2, 4)])
+    def test_rows_times_inverse_is_den_identity(self, r, n):
+        # over Z, with no Fraction built: m's integer rows times those of
+        # m^-1, either way round, are the product of their denominators
+        # times the identity
+        dim = r * n
+        subs, plain = general_position_family(random.Random(20 + 10 * r + n), r, n)
+        for structure in (plain, construct_structure(subs, rng=random.Random(r))):
+            (rows, den), (inverse, inverse_den) = structure.rows, structure.inverse
+            scaled = [[den * inverse_den * int(i == j) for j in range(dim)] for i in range(dim)]
+            assert all(type(x) is int for row in rows + inverse for x in row)
+            for a, b in ((rows, inverse), (inverse, rows)):
+                product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+                assert product == scaled
+
+    def test_job_builds_no_matrix_until_read(self, monkeypatch):
+        # a construction, its n + 1 type checks, the remix, the relation
+        # and the type rows build no QMatrix but the relation's C and A;
+        # m and m^-1 are built on first read, once
+        r, n = 2, 3
+        subs, _ = general_position_family(random.Random(21), r, n)
+        forget_frame()
+        built = []
+        init = QMatrix.__init__
+
+        def counting(self, entries):
+            init(self, entries)
+            built.append(self)
+
+        monkeypatch.setattr(QMatrix, "__init__", counting)
+        structure = construct_structure(subs)
+        types = [is_type_subspace(structure, sub) for sub in subs]
+        other = construct_structure(subs, rng=random.Random(5))
+        relation = grn_relation(structure, other)
+        structure.type_subspace_rows(rand_vector(random.Random(1), n))
+        structure.left_type_subspace((F(1), F(2)))
+        assert None not in types and relation is not None
+        assert built == list(relation)
+        assert not {"m", "m_inverse"} & (set(vars(structure)) | set(vars(other)))
+        assert structure.m is structure.m and structure.m_inverse is structure.m_inverse
+        assert built[2:] == [structure.m, structure.m_inverse]
 
 
 class TestTypeRows:

@@ -163,7 +163,7 @@ class TestQMatrix:
         m = QMatrix([rand_vector(rng, 3) for _ in range(3)])
         while not m.is_invertible():
             m = QMatrix([rand_vector(rng, 3) for _ in range(3)])
-        assert m @ m.inverse() == QMatrix.identity(3)
+        assert m @ m.inverse() == QMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     def test_entries_are_fractions(self):
         # Fraction entries are kept as given; the rest are converted

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 from unittest import mock
@@ -12,9 +13,10 @@ from rncgeom.errors import (
     DimensionMismatchError,
     GeneralPositionError,
 )
-from rncgeom.linalg import projection_from, span_of
+from rncgeom.linalg import QMatrix, projection_from, span_of
 from rncgeom.osculation import (
     Parametrization,
+    _distinct_permutations,
     admissibility_check,
     contact_locus_dim_monomial,
     curve_projection_check,
@@ -175,6 +177,37 @@ class TestAdmissibility:
             admissibility_check(v, pts, (2, 0))
 
 
+def reference_distinct_permutations(values):
+    """The orderings as first listed: all len! permutations, deduplicated."""
+    return sorted(set(itertools.permutations(values)))
+
+
+class TestDistinctPermutations:
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_matches_the_permutation_route(self, length):
+        # the weights of a pondération take the values rho and rho - 1, in
+        # any order; the sorted list, and so the random.Random(0) sample of
+        # the assignments built from it, must not change
+        rng = random.Random(length)
+        for high in range(length + 1):
+            values = [2] * high + [1] * (length - high)
+            rng.shuffle(values)
+            got = _distinct_permutations(tuple(values))
+            expected = reference_distinct_permutations(tuple(values))
+            assert got == expected
+            assignments = [tuple(zip(range(length), perm)) for perm in got] * 3
+            sample = random.Random(0).sample(assignments, min(40, len(assignments)))
+            reference = [tuple(zip(range(length), perm)) for perm in expected] * 3
+            assert sample == random.Random(0).sample(reference, min(40, len(reference)))
+
+    def test_sixteen_weights(self):
+        # 16! permutations would never finish; the 8 places of the larger
+        # value are C(16, 8) choices
+        perms = _distinct_permutations((3, 2) * 8)
+        assert len(perms) == len(set(perms)) == math.comb(16, 8)
+        assert perms == sorted(perms) and all(sorted(p) == [2] * 8 + [3] * 8 for p in perms)
+
+
 class TestOsculatingProjection:
     def test_standard_scroll_projects_to_veronese_span(self):
         # project X(2,0) over S_{1,1} from a tangent osculator: span P^5, 2-regular
@@ -245,7 +278,8 @@ class TestProjectiveInvariance:
         rng = random.Random(8)
         point = rand_vector(rng, 2)
         rep = osculator(v, point, 2)
-        g = rand_invertible_matrix(rng, v.ambient_dim + 1)
+        # the draw's integer rows: the same projectivity as rows over its denominator
+        g = QMatrix(rand_invertible_matrix(rng, v.ambient_dim + 1)[0])
         moved = Parametrization(
             v.nparams,
             [
@@ -326,7 +360,8 @@ class TestCurveProjection:
     def test_random_rnc_after_projectivity(self):
         rng = random.Random(21)
         base = [Polynomial.univariate([0] * k + [1]) for k in range(5)]
-        g = rand_invertible_matrix(rng, 5)
+        # the draw's integer rows: the same projectivity as rows over its denominator
+        g = QMatrix(rand_invertible_matrix(rng, 5)[0])
         comps = [
             sum(
                 (base[j].scale(g.entries[i][j]) for j in range(5)),

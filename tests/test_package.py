@@ -83,10 +83,11 @@ def _unused_imports(tree):
 
 
 def test_every_import_is_used():
-    # an import no line reads is a stale dependency (``__init__`` imports to re-export)
+    # an import no line reads is a stale dependency (``__init__`` imports to
+    # re-export), in the package and in the demos
     unused = [
         f"{path.name}:{name}"
-        for path in sorted(PACKAGE.glob("*.py"))
+        for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
         if path.name != "__init__.py"
         for name in _unused_imports(
             ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
